@@ -53,6 +53,15 @@ __all__ = [
 # reporting order of the natural and derived parameters
 REPORT_PARAMS = ("lambda", "c", "mu_seed", "tau", "mu", "sigma2")
 
+# smallest bootstrap size mc_ci accepts, and the share of its refits
+# that may fail before the interval is refused
+MIN_BOOT = 20
+MAX_FAIL_FRAC = 0.1
+# fewest re-estimates a successful mc_ci returns (at B = MIN_BOOT; a
+# larger B never returns fewer), so the fewest the coverage proxy must
+# accept: 20 - floor(0.1 * 20) = 18
+MIN_ESTIMATES = MIN_BOOT - math.floor(MAX_FAIL_FRAC * MIN_BOOT)
+
 
 def params_to_report(params: StouParams) -> dict[str, float]:
     """Parameter set as the reported scalar quantities."""
@@ -132,11 +141,11 @@ def mc_ci(
 
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Replications
-    whose refit fails are dropped; more than 10% drop raises
-    FailureRateExceeded.
+    whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
+    raises FailureRateExceeded.
     """
-    if B < 20:
-        raise ValueError(f"B must be >= 20, got {B}")
+    if B < MIN_BOOT:
+        raise ValueError(f"B must be >= {MIN_BOOT}, got {B}")
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level!r}")
     if simulator not in ("exact", "grid"):
@@ -165,7 +174,7 @@ def mc_ci(
             refits.append(fit_mm(sim, max_lag=max_lag))
         except StouError:
             n_failed += 1
-    if n_failed > 0.1 * B:
+    if n_failed > MAX_FAIL_FRAC * B:
         raise FailureRateExceeded(f"{n_failed} of {B} bootstrap refits failed")
 
     estimates = {
@@ -199,8 +208,8 @@ def coverage_proxy(bootstrap_estimates, theta_e: float, level: float = 0.95) -> 
     estimates alone.  Always in [0, 1]; invariant under common positive
     affine rescaling of the estimates and theta_e."""
     est = np.asarray(bootstrap_estimates, dtype=float)
-    if est.size < 20:
-        raise ValueError(f"need >= 20 estimates, got {est.size}")
+    if est.size < MIN_ESTIMATES:
+        raise ValueError(f"need >= {MIN_ESTIMATES} estimates, got {est.size}")
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level!r}")
     q_l, q_m, q_u = quantile_interval(est, level)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.optimize
-import scipy.stats
+import scipy.special
 
 from .bootstrap import IntervalEstimate
 from .errors import (
@@ -639,7 +639,7 @@ def sandwich_ci(
     H_inv = np.linalg.inv(H_f)
     G_inv = W * (H_inv @ J_star[sub] @ H_inv)
 
-    z = float(scipy.stats.norm.ppf(0.5 * (1.0 + level)))
+    z = float(scipy.special.ndtri(0.5 * (1.0 + level)))
     ses: dict[str, float] = {}
     intervals: dict[str, IntervalEstimate] = {}
     theta_arr = theta_hat.as_array()

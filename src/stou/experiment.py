@@ -23,6 +23,7 @@ import numpy as np
 import scipy
 
 from .bootstrap import (
+    MIN_BOOT,
     REPORT_PARAMS,
     IntervalEstimate,
     coverage_dataset,
@@ -155,8 +156,8 @@ class ExperimentConfig:
         if self.n_datasets < 10:
             fail("n_datasets", "must be >= 10")
         if self.method != "cl-sandwich":
-            if self.B < 20:
-                fail("B", "must be >= 20")
+            if self.B < MIN_BOOT:
+                fail("B", f"must be >= {MIN_BOOT}")
         else:
             if not self.scenario:
                 fail("scenario", "must name at least one free parameter")

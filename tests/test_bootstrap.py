@@ -15,6 +15,8 @@ from stou import (
     Lattice,
     REPORT_PARAMS,
     StouParams,
+    build_covariance,
+    cholesky_factor,
     coverage_experiment,
     coverage_proxy,
     mc_ci,
@@ -177,6 +179,39 @@ class TestCoverageProxy:
     def test_requires_enough_estimates(self):
         with pytest.raises(ValueError):
             coverage_proxy(np.arange(10.0), 5.0)
+
+    def test_accepts_the_fewest_estimates_mc_ci_returns(self):
+        # B = 20 with the tolerated two failed refits leaves 18
+        assert stou.bootstrap.MIN_ESTIMATES == 18
+        assert 0.0 <= coverage_proxy(np.arange(18.0), 9.0) <= 1.0
+        with pytest.raises(ValueError):
+            coverage_proxy(np.arange(17.0), 9.0)
+
+
+class TestCoverageDataset:
+    @pytest.mark.parametrize("failing_calls", [(3,), (3, 4)])
+    def test_tolerated_refit_failures_still_give_proxies(
+        self, base_params, small_lattice, monkeypatch, failing_calls
+    ):
+        factor = cholesky_factor(build_covariance(base_params, small_lattice))
+        real_fit = stou.bootstrap.fit_mm
+        calls = {"n": 0}
+
+        def flaky_fit(field, max_lag=5):
+            calls["n"] += 1
+            # call 1 fits the observed field; later calls are refits
+            if calls["n"] in failing_calls:
+                raise InsufficientUsableLags("synthetic failure")
+            return real_fit(field, max_lag=max_lag)
+
+        monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
+        data_rng, boot_rng = np.random.default_rng(3).spawn(2)
+        intervals, proxies = stou.bootstrap.coverage_dataset(
+            base_params, factor, small_lattice, 20, 0.9, "exact", data_rng, boot_rng,
+        )
+        assert calls["n"] == 21
+        assert set(intervals) == set(proxies) == set(REPORT_PARAMS)
+        assert all(0.0 <= v <= 1.0 for v in proxies.values())
 
 
 class TestCoverageExperiment:

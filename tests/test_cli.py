@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stou
 from stou import ConfigInvalid, FieldSample, Lattice
 from stou.cli import main
 from stou.experiment import (
@@ -25,6 +28,21 @@ def field_csv(tmp_path, small_field):
     path = tmp_path / "field.csv"
     write_field(small_field, str(path))
     return str(path)
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.signal and scipy.stats add most of a second to every start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stou.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, stou.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def run_cli(*argv) -> int:

@@ -3,14 +3,32 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from stou import GridSimConfig, Lattice, StouParams, cone_cell_areas, simulate_grid
 from stou.errors import TruncationTooShallow
+from stou.gridsim import _grid_plan
 
 
 def deterministic_params(mu=0.4) -> StouParams:
     # vanishing seed variance isolates the Riemann-sum mean
     return StouParams(lam=1.0, c_tilde=1.0, sigma2=1e-30, mu=mu)
+
+
+def linear_correlation_grid(params, lattice, config, rng):
+    """The grid field by direct linear correlation over the full noise
+    array, kept as the oracle for the cached-spectrum simulator."""
+    r = config.cells_per_obs_cell
+    dt_m, dx_m = lattice.dt / r, lattice.dx / r
+    n_steps = config.truncation_p * r
+    areas = cone_cell_areas(params.c, dt_m, dx_m, n_steps)
+    weights = np.exp(-params.lam * (np.arange(n_steps) + 0.5) * dt_m)
+    mean_part = params.mu_seed * float(weights @ areas.sum(axis=1))
+    z = rng.standard_normal(
+        ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + areas.shape[1])
+    )
+    kernel = np.sqrt(params.tau2 * areas) * weights[:, None]
+    return mean_part + correlate(z, kernel[::-1], mode="valid")[::r, ::r]
 
 
 class TestGridSimConfig:
@@ -141,3 +159,53 @@ class TestSimulateGrid:
         means = [simulate_grid(p, lat, cfg, rng).values.mean() for _ in range(200)]
         se = np.std(means, ddof=1) / math.sqrt(len(means))
         assert abs(np.mean(means) - p.mu) <= 4.0 * se
+
+
+class TestCachedSpectrum:
+    @pytest.mark.filterwarnings("ignore::stou.errors.TruncationTooShallow")
+    @pytest.mark.parametrize("p_steps", [10, 140, 300])
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.3])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("n_t,n_x", [(7, 12), (11, 5)])
+    def test_matches_linear_correlation(self, n_t, n_x, r, c, p_steps):
+        p = StouParams.natural(lam=1.0, c=c, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
+        cfg = GridSimConfig(truncation_p=p_steps, cells_per_obs_cell=r)
+        got = simulate_grid(p, lat, cfg, np.random.default_rng(8)).values
+        want = linear_correlation_grid(p, lat, cfg, np.random.default_rng(8))
+        assert got.shape == want.shape == (n_t, n_x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cache_keyed_on_every_model_input(self):
+        lat = Lattice(n_x=9, n_t=7, dx=0.05, dt=0.05)
+        cfg = GridSimConfig(truncation_p=140)
+        base = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        first = simulate_grid(base, lat, cfg, np.random.default_rng(5)).values
+        for other in (
+            StouParams.natural(lam=1.0, c=1.3, mu_seed=0.2, tau2=0.01),
+            StouParams.natural(lam=1.2, c=1.0, mu_seed=0.2, tau2=0.01),
+        ):
+            out = simulate_grid(other, lat, cfg, np.random.default_rng(5)).values
+            assert np.any(out != first)
+        # back to the first model after the cache held another
+        again = simulate_grid(base, lat, cfg, np.random.default_rng(5)).values
+        np.testing.assert_array_equal(again, first)
+
+    def test_spectrum_is_read_only(self):
+        p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=9, n_t=7, dx=0.05, dt=0.05)
+        spectrum = _grid_plan(p, lat, GridSimConfig(truncation_p=140)).kernel_spectrum
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0, 0] = 0.0
+
+    def test_warns_again_on_cache_hit(self):
+        p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=5, n_t=5, dx=0.05, dt=0.05)
+        cfg = GridSimConfig(truncation_p=50)
+        with pytest.warns(TruncationTooShallow):
+            simulate_grid(p, lat, cfg, np.random.default_rng(0))
+        hits = _grid_plan.cache_info().hits
+        with pytest.warns(TruncationTooShallow):
+            simulate_grid(p, lat, cfg, np.random.default_rng(1))
+        assert _grid_plan.cache_info().hits == hits + 1
