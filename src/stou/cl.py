@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.optimize
 import scipy.special
 
 from .bootstrap import IntervalEstimate
@@ -314,63 +313,49 @@ def l_pair_hessian(theta: ThetaCL, y_i, y_j, rho_ij, grad_rho, hess_rho) -> np.n
     return out
 
 
-@dataclass(frozen=True)
-class _LagGroup:
-    """Sufficient statistics of all pairs sharing one axis lag."""
-
-    d_t: float
-    d_x: float
-    n: int
-    s_a: float
-    s_b: float
-    s_aa: float
-    s_bb: float
-    s_ab: float
+def _axis_lags(lattice: Lattice, weights: PairWeightSpec) -> list[tuple[int, int]]:
+    """Axis lags (h_t, h_x) in grid steps, in fixed order: temporal lags
+    1..d then spatial lags 1..d.  Lags with no pairs are omitted."""
+    d = weights.cutoff_d
+    return [(h, 0) for h in range(1, d + 1) if h < lattice.n_t] + [
+        (0, h) for h in range(1, d + 1) if h < lattice.n_x
+    ]
 
 
-def _lag_groups(field: FieldSample, weights: PairWeightSpec) -> list[_LagGroup]:
-    """Per-lag pair statistics, in fixed order: temporal lags 1..d then
-    spatial lags 1..d.  Groups with no pairs are omitted."""
-    v = field.values
+def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the pairs at one lag, keyed by anchor position:
+    the pair anchored at (t, x) joins (t, x) with (t + h_t, x + h_x)."""
+    n_t, n_x = v.shape
+    return v[: n_t - h_t, : n_x - h_x], v[h_t:, h_x:]
+
+
+def _lag_stats(field: FieldSample, weights: PairWeightSpec) -> list[tuple]:
+    """Per-lag pair statistics (d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab)
+    in _axis_lags order, with a the first and b the second endpoint."""
     lat = field.lattice
-    groups = []
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lat.n_t:
-            yi, yj = v[:-h, :], v[h:, :]
-            groups.append(_group_stats(h * lat.dt, 0.0, yi, yj))
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lat.n_x:
-            yi, yj = v[:, :-h], v[:, h:]
-            groups.append(_group_stats(0.0, h * lat.dx, yi, yj))
-    return groups
+    out = []
+    for h_t, h_x in _axis_lags(lat, weights):
+        yi, yj = _pair_ends(field.values, h_t, h_x)
+        out.append((
+            h_t * lat.dt, h_x * lat.dx, yi.size,
+            float(yi.sum()), float(yj.sum()),
+            float((yi * yi).sum()), float((yj * yj).sum()), float((yi * yj).sum()),
+        ))
+    return out
 
 
-def _group_stats(d_t: float, d_x: float, yi: np.ndarray, yj: np.ndarray) -> _LagGroup:
-    return _LagGroup(
-        d_t=d_t,
-        d_x=d_x,
-        n=yi.size,
-        s_a=float(yi.sum()),
-        s_b=float(yj.sum()),
-        s_aa=float((yi * yi).sum()),
-        s_bb=float((yj * yj).sum()),
-        s_ab=float((yi * yj).sum()),
-    )
-
-
-def _group_loglik(theta: ThetaCL, g: _LagGroup) -> float:
-    rho = math.exp(-theta.lam * g.d_t - theta.c_tilde * g.d_x)
+def _lag_loglik(lam: float, c_tilde: float, s2: float, mu: float, stats: tuple) -> float:
+    """Sum of the pair terms at one lag, from its _lag_stats entry."""
+    d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab = stats
+    rho = math.exp(-lam * d_t - c_tilde * d_x)
     if rho >= 1.0 - _RHO_TOL:
         raise CorrelationAtUnity("pair correlation too close to 1")
-    mu, s2 = theta.mu, theta.sigma2
     one = 1.0 - rho * rho
-    sum_a2 = g.s_aa - 2.0 * mu * g.s_a + g.n * mu * mu
-    sum_b2 = g.s_bb - 2.0 * mu * g.s_b + g.n * mu * mu
-    sum_ab = g.s_ab - mu * (g.s_a + g.s_b) + g.n * mu * mu
+    sum_a2 = s_aa - 2.0 * mu * s_a + n * mu * mu
+    sum_b2 = s_bb - 2.0 * mu * s_b + n * mu * mu
+    sum_ab = s_ab - mu * (s_a + s_b) + n * mu * mu
     sum_B = sum_a2 + sum_b2 - 2.0 * rho * sum_ab
-    return -0.5 * (
-        g.n * (2.0 * math.log(s2) + math.log(one)) + sum_B / (s2 * one)
-    )
+    return -0.5 * (n * (2.0 * math.log(s2) + math.log(one)) + sum_B / (s2 * one))
 
 
 def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec) -> float:
@@ -379,7 +364,10 @@ def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec)
     Pairs are accumulated per axis lag from sufficient statistics, in a
     fixed order, so repeated evaluation is bitwise stable.
     """
-    return sum(_group_loglik(theta, g) for g in _lag_groups(field, weights))
+    return sum(
+        _lag_loglik(theta.lam, theta.c_tilde, theta.sigma2, theta.mu, stats)
+        for stats in _lag_stats(field, weights)
+    )
 
 
 def _pair_information(theta: ThetaCL, d_t: float, d_x: float) -> np.ndarray:
@@ -398,14 +386,10 @@ def _pair_information(theta: ThetaCL, d_t: float, d_x: float) -> np.ndarray:
 
 
 def _lag_counts(lattice: Lattice, weights: PairWeightSpec) -> list[tuple[float, float, int]]:
-    out = []
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lattice.n_t:
-            out.append((h * lattice.dt, 0.0, (lattice.n_t - h) * lattice.n_x))
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lattice.n_x:
-            out.append((0.0, h * lattice.dx, (lattice.n_x - h) * lattice.n_t))
-    return out
+    return [
+        (h_t * lattice.dt, h_x * lattice.dx, (lattice.n_t - h_t) * (lattice.n_x - h_x))
+        for h_t, h_x in _axis_lags(lattice, weights)
+    ]
 
 
 def total_pair_weight(lattice: Lattice, weights: PairWeightSpec) -> float:
@@ -430,18 +414,12 @@ def _score_fields(
     Returns (h_t, h_x, U) with U shaped (4, n_t - h_t, n_x - h_x); the
     pair anchored at (t, x) joins (t, x) with (t + h_t, x + h_x).
     """
-    v = field.values
     lat = field.lattice
-    out = []
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lat.n_t:
-            yi, yj = v[:-h, :], v[h:, :]
-            out.append((h, 0, _pair_scores(theta, h * lat.dt, 0.0, yi, yj)))
-    for h in range(1, weights.cutoff_d + 1):
-        if h < lat.n_x:
-            yi, yj = v[:, :-h], v[:, h:]
-            out.append((0, h, _pair_scores(theta, 0.0, h * lat.dx, yi, yj)))
-    return out
+    return [
+        (h_t, h_x, _pair_scores(theta, h_t * lat.dt, h_x * lat.dx,
+                                *_pair_ends(field.values, h_t, h_x)))
+        for h_t, h_x in _axis_lags(lat, weights)
+    ]
 
 
 def _pair_scores(
@@ -474,52 +452,52 @@ def wsev_j(
             f"no {windows.window_nt}x{windows.window_nx} window fits in {lat.shape}"
         )
 
-    # integral images over pair-anchor grids make each window rectangle O(1)
-    prefixes = []
+    # integral images over pair-anchor grids make each window rectangle
+    # O(1); at window origin (t0, x0) the anchors whose pairs lie inside
+    # span [t0, t0 + window_nt - h_t) x [x0, x0 + window_nx - h_x)
+    S = np.zeros((4, t0s.size, x0s.size))
+    w = 0
     for h_t, h_x, u in _score_fields(theta_hat, field, weights):
+        n_in_t, n_in_x = windows.window_nt - h_t, windows.window_nx - h_x
+        if n_in_t <= 0 or n_in_x <= 0:
+            continue
         p = np.zeros((4, u.shape[1] + 1, u.shape[2] + 1))
         np.cumsum(u, axis=1, out=p[:, 1:, 1:])
         np.cumsum(p[:, 1:, 1:], axis=2, out=p[:, 1:, 1:])
-        prefixes.append((h_t, h_x, p))
-
-    J = np.zeros((4, 4))
-    m = 0
-    for t0 in t0s:
-        for x0 in x0s:
-            s_k = np.zeros(4)
-            w_k = 0
-            for h_t, h_x, p in prefixes:
-                # anchors with both endpoints inside the window
-                ta, tb = t0, t0 + windows.window_nt - h_t
-                xa, xb = x0, x0 + windows.window_nx - h_x
-                if tb <= ta or xb <= xa:
-                    continue
-                s_k += (
-                    p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
-                )
-                w_k += (tb - ta) * (xb - xa)
-            if w_k == 0:
-                continue
-            J += np.outer(s_k, s_k) / w_k
-            m += 1
-    if m == 0:
+        ta, tb = t0s[:, None], t0s[:, None] + n_in_t
+        xa, xb = x0s, x0s + n_in_x
+        S += p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
+        w += n_in_t * n_in_x
+    if w == 0:
         raise NoValidWindows("every window has zero pair weight")
-    return J / m
+    # every window has pair weight w; sum the windows in row-major origin
+    # order, from +0.0 (the + 0.0 keeps a sum of -0.0 terms at +0.0)
+    s = S.reshape(4, -1)
+    J = np.cumsum(s[:, None, :] * s[None, :, :] / w, axis=2)[:, :, -1] + 0.0
+    return J / s.shape[1]
 
 
-def _transform(values: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
-    z = values[free_idx].copy()
-    for k, idx in enumerate(free_idx):
-        if PARAM_NAMES[idx] != "mu":
-            z[k] = math.log(z[k])
-    return z
-
-
-def _untransform(z: np.ndarray, free_idx: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+def _untransform(z: np.ndarray, free: list[tuple[int, bool]], pinned: list[float]) -> list[float]:
+    """Full theta as floats: pinned, with each free coordinate (index,
+    log-scaled) replaced from z."""
     full = pinned.copy()
-    for k, idx in enumerate(free_idx):
-        full[idx] = z[k] if PARAM_NAMES[idx] == "mu" else math.exp(z[k])
+    for (idx, logged), zk in zip(free, z.tolist()):
+        full[idx] = math.exp(zk) if logged else zk
     return full
+
+
+def _neg_pl(z: np.ndarray, stats: list[tuple], free: list[tuple[int, bool]],
+            pinned: list[float]) -> float:
+    """Negative pairwise log-likelihood at transformed free coordinates z;
+    inf wherever theta is invalid or a pair correlation reaches 1."""
+    try:
+        lam, c_tilde, s2, mu = _untransform(z, free, pinned)
+        if not (0.0 < lam < math.inf and 0.0 < c_tilde < math.inf
+                and 0.0 < s2 < math.inf and math.isfinite(mu)):
+            return math.inf
+        return -sum(_lag_loglik(lam, c_tilde, s2, mu, lag) for lag in stats)
+    except (CorrelationAtUnity, ValueError, OverflowError):
+        return math.inf
 
 
 def maximize_cl(
@@ -539,29 +517,26 @@ def maximize_cl(
     OptimizerDidNotConverge warning is issued and the incumbent is
     returned anyway.
     """
+    import scipy.optimize
+
     pinned = scenario.pin(start)
-    free_idx = scenario.free_indices()
-    if free_idx.size == 0:
+    if not scenario.free:
         return pinned
 
-    groups = _lag_groups(field, weights)
-    pinned_arr = pinned.as_array()
+    free = [(PARAM_NAMES.index(n), n != "mu") for n in scenario.free]
+    pinned_vals = pinned.as_array().tolist()
+    args = (_lag_stats(field, weights), free, pinned_vals)
 
-    def neg_pl(z: np.ndarray) -> float:
-        try:
-            theta = ThetaCL.from_array(_untransform(z, free_idx, pinned_arr))
-            return -sum(_group_loglik(theta, g) for g in groups)
-        except (CorrelationAtUnity, ValueError, OverflowError):
-            return math.inf
-
-    z0 = _transform(pinned_arr, free_idx)
-    f0 = neg_pl(z0)
+    z0 = np.array([math.log(pinned_vals[i]) if logged else pinned_vals[i]
+                   for i, logged in free])
+    f0 = _neg_pl(z0, *args)
     scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
     converged = True
     for _ in range(2):  # one automatic restart from the incumbent
         res = scipy.optimize.minimize(
-            neg_pl,
+            _neg_pl,
             z0,
+            args=args,
             method="Nelder-Mead",
             options={
                 "maxiter": max_iter,
@@ -578,9 +553,9 @@ def maximize_cl(
             OptimizerDidNotConverge,
             stacklevel=2,
         )
-    theta = ThetaCL.from_array(_untransform(z0, free_idx, pinned_arr))
+    theta = ThetaCL(*_untransform(z0, free, pinned_vals))
     # simplex descent from the pinned start cannot do worse, but guard anyway
-    if math.isfinite(f0) and neg_pl(z0) > f0:
+    if math.isfinite(f0) and _neg_pl(z0, *args) > f0:
         return pinned
     return theta
 

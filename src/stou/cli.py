@@ -12,7 +12,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.special
 
 from .bootstrap import REPORT_PARAMS, mc_ci, params_to_report
 from .cholesky import build_covariance, cholesky_factor, simulate_exact
@@ -234,10 +233,9 @@ def _cmd_fit_cl(args) -> int:
         raise ConfigInvalid(str(exc)) from exc
     result = sandwich_ci(field, weights, windows, scenario,
                          level=args.level, start=start, max_lag=args.max_lag)
-    z = float(scipy.special.ndtri(0.5 * (1.0 + args.level)))
     lines = ["parameter,estimate,se,lower,upper"]
     for name, interval in result.intervals.items():
-        se = result.standard_errors.get(name, (interval.upper - interval.point) / z)
+        se = result.standard_errors[name]
         lines.append(
             f"{name},{interval.point!r},{se!r},{interval.lower!r},{interval.upper!r}"
         )

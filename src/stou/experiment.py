@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import os
 import platform
+import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
@@ -256,8 +258,10 @@ def read_field(path: str, dx: float, dt: float) -> FieldSample:
         raw = np.loadtxt(handle, delimiter=",", ndmin=2)
     if raw.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {raw.shape[1]}")
-    t_idx = raw[:, 0].astype(int)
-    x_idx = raw[:, 1].astype(int)
+    index = raw[:, :2]
+    if not np.all(np.isfinite(index) & (index >= 0) & (index == np.round(index))):
+        raise ValueError(f"{path}: t_index and x_index must be non-negative integers")
+    t_idx, x_idx = index.astype(int).T
     n_t, n_x = t_idx.max() + 1, x_idx.max() + 1
     if raw.shape[0] != n_t * n_x:
         raise ValueError(f"{path}: expected {n_t * n_x} rows, got {raw.shape[0]}")
@@ -319,26 +323,10 @@ def _dataset_task(args: tuple[int, "np.random.SeedSequence", ExperimentConfig]) 
                           proxies=proxies, error=None)
 
 
-def _cl_truth_values(truth: StouParams) -> dict[str, float]:
-    report = params_to_report(truth)
-    return {
-        "lambda": truth.lam,
-        "c_tilde": truth.c_tilde,
-        "sigma2": truth.sigma2,
-        "mu": truth.mu,
-        "c": report["c"],
-        "tau": report["tau"],
-        "mu_seed": report["mu_seed"],
-    }
-
-
 def _cl_dataset_rows(config, truth, lattice, factor, data_rng):
     field = simulate_exact(factor, truth.mu, lattice, data_rng)
-    fixed = {
-        name: _cl_truth_values(truth)[name]
-        for name in PARAM_NAMES
-        if name not in config.scenario
-    }
+    truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
+    fixed = {name: truth_values[name] for name in PARAM_NAMES if name not in config.scenario}
     scenario = EstimationScenario(free=config.scenario, fixed_values=fixed)
     result = sandwich_ci(
         field,
@@ -349,7 +337,6 @@ def _cl_dataset_rows(config, truth, lattice, factor, data_rng):
         level=config.level,
         max_lag=config.max_lag,
     )
-    truth_values = _cl_truth_values(truth)
     rows = []
     for name, interval in result.intervals.items():
         true = truth_values[name]
@@ -487,6 +474,12 @@ def _aggregate_proxy(results) -> list[str]:
     return lines
 
 
+# BLAS and OpenMP thread-count variables; their values can change the
+# last bits of the outputs
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
 def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> list[str]:
     lines = [
         f"command: {command}",
@@ -505,7 +498,13 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> l
         " split into (data, bootstrap) streams by .spawn(2); bootstrap replication j"
         " uses the bootstrap stream's j-th spawned child",
         f"wall_clock_s: {time.monotonic() - started:.3f}",
+        f"cpu_count: {os.cpu_count()}",
     ]
+    lines += [f"{name}: {os.environ.get(name, 'unset')}" for name in _THREAD_VARS]
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
+        lines.append(f"peak_rss_{who}_bytes: {resource.getrusage(flag).ru_maxrss * unit}")
     return lines
 
 

@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import TruncationTooShallow
 from .model import FieldSample, Lattice, StouParams
@@ -109,6 +108,8 @@ class _GridPlan:
 
 @functools.lru_cache(maxsize=1)
 def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _GridPlan:
+    import scipy.fft
+
     lam, c = params.lam, params.c
     r = config.cells_per_obs_cell
     dt_m = lattice.dt / r
@@ -158,6 +159,8 @@ def simulate_grid(
             TruncationTooShallow,
             stacklevel=2,
         )
+
+    import scipy.fft
 
     plan = _grid_plan(params, lattice, config)
     z = rng.standard_normal(plan.noise_shape)

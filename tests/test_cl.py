@@ -29,6 +29,7 @@ from stou import (
     total_pair_weight,
     wsev_j,
 )
+from stou import cl
 from stou.cl import PARAM_NAMES
 from stou.errors import OptimizerDidNotConverge
 
@@ -77,6 +78,35 @@ def brute_force_pairs(lattice: Lattice, cutoff_d: int):
                 if x + h < lattice.n_x:
                     out.append((0.0, h * lattice.dx, t, x, t, x + h))
     return out
+
+
+def window_loop_j(theta, field, weights, windows) -> np.ndarray:
+    """J* summed one window and one lag at a time, in origin order."""
+    t0s, x0s = windows.origins(field.lattice)
+    prefixes = []
+    for h_t, h_x, u in cl._score_fields(theta, field, weights):
+        p = np.zeros((4, u.shape[1] + 1, u.shape[2] + 1))
+        np.cumsum(u, axis=1, out=p[:, 1:, 1:])
+        np.cumsum(p[:, 1:, 1:], axis=2, out=p[:, 1:, 1:])
+        prefixes.append((h_t, h_x, p))
+    J = np.zeros((4, 4))
+    m = 0
+    for t0 in t0s:
+        for x0 in x0s:
+            s_k = np.zeros(4)
+            w_k = 0
+            for h_t, h_x, p in prefixes:
+                ta, tb = t0, t0 + windows.window_nt - h_t
+                xa, xb = x0, x0 + windows.window_nx - h_x
+                if tb <= ta or xb <= xa:
+                    continue
+                s_k += p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
+                w_k += (tb - ta) * (xb - xa)
+            if w_k == 0:
+                continue
+            J += np.outer(s_k, s_k) / w_k
+            m += 1
+    return J / m
 
 
 class TestThetaCL:
@@ -350,6 +380,26 @@ class TestWsevJ:
         with pytest.raises(NoValidWindows):
             wsev_j(theta, field, WEIGHTS, WindowSpec(window_nx=9, window_nt=9))
 
+    @pytest.mark.parametrize(
+        "n_t, n_x, cutoff_d, windows",
+        [
+            (9, 13, 3, WindowSpec(window_nx=4, window_nt=3)),
+            (12, 7, 2, WindowSpec(window_nx=3, window_nt=6, step_x=2, step_t=3)),
+            # window_nt = 2 and window_nx = 3 leave temporal lags 2, 3 and
+            # spatial lag 3 without pairs inside any window
+            (10, 11, 3, WindowSpec(window_nx=3, window_nt=2, step_x=1, step_t=2)),
+            (21, 21, 3, WindowSpec(window_nx=11, window_nt=11, step_x=5, step_t=5)),
+        ],
+    )
+    def test_bitwise_equal_to_window_loop(self, n_t, n_x, cutoff_d, windows):
+        rng = np.random.default_rng(n_t * 100 + n_x)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07)
+        field = FieldSample(lattice=lat, values=rng.normal(0.4, 0.1, size=(n_t, n_x)))
+        theta = ThetaCL(lam=1.3, c_tilde=0.8, sigma2=0.01, mu=0.38)
+        weights = PairWeightSpec(cutoff_d=cutoff_d)
+        expected = window_loop_j(theta, field, weights, windows)
+        assert np.array_equal(wsev_j(theta, field, weights, windows), expected)
+
     def test_positive_semidefinite(self, small_field):
         theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
         windows = WindowSpec(window_nx=7, window_nt=7, step_x=3, step_t=3)
@@ -393,6 +443,67 @@ class TestEstimationScenario:
         )
         pinned = scen.pin(ThetaCL(lam=9.0, c_tilde=9.0, sigma2=9.0, mu=9.0))
         assert pinned == ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
+
+
+def objective_args(field, scenario, theta):
+    """(stats, free, pinned) as maximize_cl passes them to its objective."""
+    free = [(PARAM_NAMES.index(n), n != "mu") for n in scenario.free]
+    pinned = scenario.pin(theta).as_array().tolist()
+    return cl._lag_stats(field, WEIGHTS), free, pinned
+
+
+SCENARIOS = [
+    EstimationScenario(free=PARAM_NAMES),
+    EstimationScenario(free=("lambda", "c_tilde"), fixed_values={"sigma2": 0.006, "mu": 0.35}),
+    EstimationScenario(free=("sigma2", "mu"), fixed_values={"lambda": 1.2, "c_tilde": 0.7}),
+    EstimationScenario(
+        free=("c_tilde",), fixed_values={"lambda": 0.9, "sigma2": 0.004, "mu": 0.41}
+    ),
+]
+
+
+class TestObjective:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_bitwise_equal_to_negative_pairwise_loglik(self, small_field, scenario):
+        rng = np.random.default_rng(len(scenario.free))
+        for _ in range(25):
+            theta = random_theta(rng)
+            args = objective_args(small_field, scenario, theta)
+            z = rng.normal(size=len(scenario.free))
+            values = dict(zip(PARAM_NAMES, scenario.pin(theta).as_array()))
+            for name, zk in zip(scenario.free, z):
+                values[name] = zk if name == "mu" else math.exp(zk)
+            full = ThetaCL(*(float(values[n]) for n in PARAM_NAMES))
+            assert cl._neg_pl(z, *args) == -pairwise_loglik(full, small_field, WEIGHTS)
+
+    def test_infinite_where_theta_or_correlation_is_invalid(self, small_field):
+        scenario = SCENARIOS[0]
+        args = objective_args(small_field, scenario, ThetaCL(1.0, 1.0, 0.005, 0.4))
+        base = np.log([1.0, 1.0, 0.005])
+
+        def z_with(k, value):
+            z = np.append(base, 0.4)
+            z[k] = value
+            return z
+
+        # lambda so small that the lag-1 temporal correlation reaches 1
+        tiny = ThetaCL(1e-14, 1.0, 0.005, 0.4)
+        with pytest.raises(CorrelationAtUnity):
+            pairwise_loglik(tiny, small_field, WEIGHTS)
+        assert cl._neg_pl(z_with(0, math.log(1e-14)), *args) == math.inf
+        # exp overflow in c_tilde
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)
+        assert cl._neg_pl(z_with(1, 1000.0), *args) == math.inf
+        # sigma2 underflows to 0
+        assert math.exp(-1000.0) == 0.0
+        with pytest.raises(ValueError):
+            ThetaCL(1.0, 1.0, 0.0, 0.4)
+        assert cl._neg_pl(z_with(2, -1000.0), *args) == math.inf
+        # non-finite coordinates fail ThetaCL validation
+        for k in range(4):
+            assert cl._neg_pl(z_with(k, math.nan), *args) == math.inf
+        assert cl._neg_pl(z_with(3, math.inf), *args) == math.inf
 
 
 class TestMaximizeCl:

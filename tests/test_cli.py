@@ -31,13 +31,15 @@ def field_csv(tmp_path, small_field):
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    # scipy.signal and scipy.stats add most of a second to every start
+    # these scipy modules add most of a second to every start; the
+    # commands that need scipy.fft or scipy.optimize import them on use
     src = os.path.dirname(os.path.dirname(os.path.abspath(stou.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, stou.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize') "
+        "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -85,6 +87,20 @@ class TestFieldFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_field(str(path), 0.05, 0.05)
+
+
+    @pytest.mark.parametrize("bad_index", ["1.7", "-1"])
+    def test_rejects_fractional_or_negative_index(self, tmp_path, small_field, bad_index):
+        # a truncated 1.7 or a wrapped -1 would silently land on another row
+        path = tmp_path / "f.csv"
+        write_field(small_field, str(path))
+        lines = path.read_text().splitlines()
+        t, x, value = lines[-1].split(",")
+        lines[-1] = f"{bad_index},{x},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="index") as info:
+            read_field(str(path), 0.05, 0.05)
+        assert str(path) in str(info.value)
 
 
 class TestConfigParsing:
@@ -237,6 +253,21 @@ class TestExperimentCommands:
         manifest = (out_dir / "manifest.txt").read_text()
         assert "seed: 5" in manifest
         assert "seed_derivation:" in manifest
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch, capsys,
+                                          no_worker_env):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out_dir = tmp_path / "env"
+        assert run_cli("coverage", *EXPERIMENT_ARGS, "--out-dir", str(out_dir)) == 0
+        lines = (out_dir / "manifest.txt").read_text().splitlines()
+        entries = dict(line.split(": ", 1) for line in lines)
+        assert entries["OMP_NUM_THREADS"] == "3"
+        assert entries["MKL_NUM_THREADS"] == "unset"
+        assert "OPENBLAS_NUM_THREADS" in entries
+        assert entries["cpu_count"] == str(os.cpu_count())
+        assert int(entries["peak_rss_self_bytes"]) > 0
+        assert int(entries["peak_rss_children_bytes"]) >= 0
 
     def test_proxy_outputs(self, tmp_path, capsys, no_worker_env):
         out_dir = tmp_path / "prox"
