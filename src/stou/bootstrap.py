@@ -277,7 +277,6 @@ def coverage_experiment(
     B: int,
     level: float,
     simulator: str,
-    data_simulator: str = "exact",
     rng: np.random.Generator | None = None,
     grid_config: GridSimConfig | None = None,
     max_lag: int = 5,
@@ -288,10 +287,6 @@ def coverage_experiment(
     bootstrap inside each dataset uses the chosen simulator."""
     if n_datasets < 10:
         raise ValueError(f"n_datasets must be >= 10, got {n_datasets}")
-    if data_simulator != "exact":
-        raise ValueError(
-            f"data_simulator must be 'exact', got {data_simulator!r}"
-        )
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
 

@@ -37,8 +37,6 @@ __all__ = [
 # exercised in the source experiments) is the default ceiling.
 DEFAULT_MAX_POINTS = 101 * 101
 
-_BUILD_BLOCK_ROWS = 256
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -58,13 +56,17 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L L^T equal to a site covariance."""
+    """Lower-triangular factor L with L L^T equal to a site covariance.
+
+    Entries are stored in Fortran order, the layout the triangular BLAS
+    product reads without a copy; only the lower triangle is read.
+    """
 
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.asfortranarray(self.entries, dtype=float)
         if entries.shape != (self.n, self.n):
             raise DimensionMismatch(
                 f"entries shape {entries.shape}, expected ({self.n}, {self.n})"
@@ -90,30 +92,25 @@ def build_covariance(
             f"lattice has {n} sites, budget is {max_points}; "
             "use the grid simulator for larger lattices"
         )
-    t_idx, x_idx = lattice.site_indices()
-    tt = t_idx * lattice.dt
-    xx = x_idx * lattice.dx
-
-    out = np.empty((n, n), dtype=float)
-    # blockwise so peak scratch stays O(block * n), not O(n^2)
-    for i0 in range(0, n, _BUILD_BLOCK_ROWS):
-        rows = slice(i0, min(i0 + _BUILD_BLOCK_ROWS, n))
-        d_t = np.abs(tt[rows, None] - tt[None, :])
-        d_x = np.abs(xx[rows, None] - xx[None, :])
-        if kind is CorrKind.CANONICAL:
-            d_x /= params.c
-            np.maximum(d_t, d_x, out=d_t)
-            d_t *= -params.lam
-        elif kind is CorrKind.SEPARABLE:
-            d_t *= -params.lam
-            d_x *= -params.c_tilde
-            d_t += d_x
-        else:
-            raise ValueError(f"unknown correlation kind {kind!r}")
-        np.exp(d_t, out=d_t)
-        d_t *= params.sigma2
-        out[rows] = d_t
-    return CovarianceMatrix(n=n, entries=out)
+    t = np.arange(lattice.n_t) * lattice.dt
+    x = np.arange(lattice.n_x) * lattice.dx
+    d_t = np.abs(t[:, None] - t[None, :])
+    d_x = np.abs(x[:, None] - x[None, :])
+    # Entry ((t_a, x_a), (t_b, x_b)) combines one time-lag and one space-lag
+    # table entry.  Canonical: -lam * max(u, v) == min(-lam * u, -lam * v)
+    # exactly, and exp and the sigma2 product keep order, so the minimum is
+    # sigma2 * exp(-lam * max(d_t, d_x / c)) to the bit.
+    time_table = params.sigma2 * np.exp(-params.lam * d_t)
+    if kind is CorrKind.CANONICAL:
+        space_table = params.sigma2 * np.exp(-params.lam * (d_x / params.c))
+        combine = np.minimum
+    elif kind is CorrKind.SEPARABLE:
+        space_table = np.exp(-params.c_tilde * d_x)
+        combine = np.multiply
+    else:
+        raise ValueError(f"unknown correlation kind {kind!r}")
+    out = combine(time_table[:, None, :, None], space_table[None, :, None, :])
+    return CovarianceMatrix(n=n, entries=out.reshape(n, n))
 
 
 def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
@@ -132,7 +129,8 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
             CovarianceJitter,
             stacklevel=2,
         )
-        bumped = cov.entries + jitter * np.eye(cov.n)
+        bumped = cov.entries.copy()
+        bumped.flat[:: cov.n + 1] += jitter
         try:
             L = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -148,11 +146,14 @@ def simulate_exact(
     lattice: Lattice,
     rng: np.random.Generator,
 ) -> FieldSample:
-    """One exact field draw mu + L z, z i.i.d. standard normal."""
+    """One exact field draw mu + L z, z i.i.d. standard normal.
+
+    L z is the triangular BLAS product, which reads only the lower half.
+    """
     if factor.n != lattice.n:
         raise DimensionMismatch(
             f"factor built for {factor.n} sites, lattice has {lattice.n}"
         )
     z = rng.standard_normal(factor.n)
-    values = mu + factor.entries @ z
+    values = mu + scipy.linalg.blas.dtrmv(factor.entries, z, lower=1)
     return FieldSample(lattice=lattice, values=values.reshape(lattice.shape))

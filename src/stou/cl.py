@@ -120,13 +120,10 @@ class PairWeightSpec:
     by at most cutoff_d grid steps, zero otherwise."""
 
     cutoff_d: int = 3
-    axis_aligned_only: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.cutoff_d, (int, np.integer)) and self.cutoff_d >= 1):
             raise ValueError(f"cutoff_d must be an integer >= 1, got {self.cutoff_d!r}")
-        if self.axis_aligned_only is not True:
-            raise ValueError("only the axis-aligned pair rule is supported")
 
 
 @dataclass(frozen=True)

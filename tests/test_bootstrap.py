@@ -225,11 +225,6 @@ class TestCoverageExperiment:
         with pytest.raises(ValueError):
             coverage_experiment(
                 base_params, small_lattice, n_datasets=10, B=20, level=0.95,
-                simulator="exact", data_simulator="grid", rng=rng,
-            )
-        with pytest.raises(ValueError):
-            coverage_experiment(
-                base_params, small_lattice, n_datasets=10, B=20, level=0.95,
                 simulator="exact",
             )
 

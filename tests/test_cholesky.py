@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stou import (
     BudgetExceeded,
@@ -22,6 +23,60 @@ from stou.errors import CovarianceJitter
 
 def params(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01) -> StouParams:
     return StouParams.natural(lam=lam, c=c, mu_seed=mu_seed, tau2=tau2)
+
+
+def blockwise_canonical_covariance(p, lat, block_rows=256):
+    """Reference: the canonical covariance built row block by row block,
+    evaluating exp at every site pair."""
+    t_idx, x_idx = lat.site_indices()
+    tt = t_idx * lat.dt
+    xx = x_idx * lat.dx
+    out = np.empty((lat.n, lat.n))
+    for i0 in range(0, lat.n, block_rows):
+        rows = slice(i0, min(i0 + block_rows, lat.n))
+        d_t = np.abs(tt[rows, None] - tt[None, :])
+        d_x = np.abs(xx[rows, None] - xx[None, :])
+        d_x /= p.c
+        np.maximum(d_t, d_x, out=d_t)
+        d_t *= -p.lam
+        np.exp(d_t, out=d_t)
+        d_t *= p.sigma2
+        out[rows] = d_t
+    return out
+
+
+def log_uniform(rng, low, high, size=None):
+    return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+
+def oracle_cases(rng):
+    """(params, lattice) pairs: random lam, c, dx, dt on non-square
+    lattices; dx == dt with c at or within 8 ulps of 1, where the
+    time and space lags tie; single-row and single-column lattices; and
+    lattices of more than one 256-row block."""
+    cases = []
+    for i in range(1040):
+        lam = log_uniform(rng, 0.02, 20.0)
+        tau2 = log_uniform(rng, 1e-3, 10.0)
+        n_t, n_x = (int(v) for v in rng.integers(1, 15, size=2))
+        dx, dt = log_uniform(rng, 0.005, 1.0, size=2)
+        c = log_uniform(rng, 0.1, 10.0)
+        group = i % 4
+        if group == 1:
+            dt, c = dx, 1.0
+        elif group == 2:
+            dt = dx
+            c = 1.0 + int(rng.integers(-4, 5)) * np.finfo(float).eps
+        elif group == 3:
+            if rng.random() < 0.5:
+                n_t = 1
+            else:
+                n_x = 1
+        p = StouParams.natural(lam=lam, c=c, mu_seed=0.2, tau2=tau2)
+        cases.append((p, Lattice(n_x=n_x, n_t=n_t, dx=dx, dt=dt)))
+    for n_t, n_x in ((17, 16), (41, 41), (9, 30), (300, 1)):
+        cases.append((params(lam=1.3, c=0.8), Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)))
+    return cases
 
 
 class TestBuildCovariance:
@@ -62,6 +117,33 @@ class TestBuildCovariance:
                 d_x = (x_idx[k] - x_idx[kk]) * lat.dx
                 expected = p.sigma2 * corr(p, d_t, d_x)
                 assert cov.entries[k, kk] == pytest.approx(expected, rel=1e-12)
+
+    def test_canonical_bit_identical_to_blockwise_loop(self):
+        cases = oracle_cases(np.random.default_rng(20261018))
+        assert len(cases) >= 1000
+        for p, lat in cases:
+            expected = blockwise_canonical_covariance(p, lat)
+            got = build_covariance(p, lat).entries
+            assert np.array_equal(got, expected), (p, lat)
+
+    def test_separable_matches_correlation_function(self):
+        # The product of the axis tables differs from exp of the summed
+        # exponent by rounding that grows with the exponent; these ranges
+        # keep lam |d_t| + c_tilde |d_x| below about 30.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            p = params(lam=log_uniform(rng, 0.05, 5.0), c=log_uniform(rng, 0.2, 5.0),
+                       tau2=log_uniform(rng, 1e-3, 1.0))
+            n_t, n_x = (int(v) for v in rng.integers(1, 13, size=2))
+            dx, dt = log_uniform(rng, 0.01, 0.2, size=2)
+            lat = Lattice(n_x=n_x, n_t=n_t, dx=dx, dt=dt)
+            t_idx, x_idx = lat.site_indices()
+            tt, xx = t_idx * dt, x_idx * dx
+            expected = p.sigma2 * corr_separable(
+                p, tt[:, None] - tt[None, :], xx[:, None] - xx[None, :]
+            )
+            got = build_covariance(p, lat, CorrKind.SEPARABLE).entries
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_symmetric_with_constant_diagonal(self):
         p = params(lam=2.0, c=0.5)
@@ -112,6 +194,14 @@ class TestCholeskyFactor:
             fac = cholesky_factor(cov)
         assert fac.n == 4
 
+    def test_jitter_retry_matches_identity_bump(self):
+        cov = CovarianceMatrix(n=4, entries=np.ones((4, 4)))
+        with pytest.warns(CovarianceJitter):
+            fac = cholesky_factor(cov)
+        bumped = cov.entries + 1e-12 * np.eye(4)  # jitter: 1e-12 * max diagonal
+        expected = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
+        assert np.array_equal(fac.entries, expected)
+
     def test_indefinite_fails_after_jitter(self):
         cov = CovarianceMatrix(n=2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.warns(CovarianceJitter):
@@ -152,6 +242,32 @@ class TestSimulateExact:
         c = simulate_exact(fac, base_params.mu, small_lattice, np.random.default_rng(6))
         np.testing.assert_array_equal(a.values, b.values)
         assert np.any(a.values != c.values)
+
+    @pytest.mark.parametrize("n_t,n_x,lam,c", [
+        (1, 1, 1.0, 1.0), (5, 7, 0.4, 2.0), (13, 4, 3.0, 0.5), (21, 21, 1.0, 1.0),
+    ])
+    def test_matches_dense_matvec(self, n_t, n_x, lam, c):
+        p = params(lam=lam, c=c)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07)
+        fac = cholesky_factor(build_covariance(p, lat))
+        rng = np.random.default_rng(n_t * 100 + n_x)
+        ref_rng = np.random.default_rng(n_t * 100 + n_x)
+        for _ in range(5):
+            field = simulate_exact(fac, p.mu, lat, rng)
+            expected = p.mu + fac.entries @ ref_rng.standard_normal(lat.n)
+            np.testing.assert_allclose(field.flat(), expected, rtol=1e-12, atol=0.0)
+
+    def test_memory_order_does_not_change_draws(self, base_params, small_lattice):
+        from stou import CholeskyFactor
+
+        fortran = cholesky_factor(build_covariance(base_params, small_lattice))
+        c_order = CholeskyFactor(n=fortran.n, entries=np.ascontiguousarray(fortran.entries))
+        again = CholeskyFactor(n=fortran.n, entries=fortran.entries)
+        assert c_order.entries.flags.f_contiguous
+        assert again.entries is fortran.entries
+        a = simulate_exact(fortran, base_params.mu, small_lattice, np.random.default_rng(3))
+        b = simulate_exact(c_order, base_params.mu, small_lattice, np.random.default_rng(3))
+        assert np.array_equal(a.values, b.values)
 
     def test_mean_recovers_mu_over_replications(self):
         p = params()

@@ -616,8 +616,6 @@ class TestSpecValidation:
     def test_pair_weight_spec(self):
         with pytest.raises(ValueError):
             PairWeightSpec(cutoff_d=0)
-        with pytest.raises(ValueError):
-            PairWeightSpec(cutoff_d=3, axis_aligned_only=False)
 
     def test_window_spec(self):
         with pytest.raises(ValueError):
