@@ -37,12 +37,13 @@ weight.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.special
 
 from .bootstrap import IntervalEstimate
 from .errors import (
@@ -474,16 +475,16 @@ def wsev_j(
     return J / s.shape[1]
 
 
-def _untransform(z: np.ndarray, free: list[tuple[int, bool]], pinned: list[float]) -> list[float]:
+def _untransform(z: list[float], free: list[tuple[int, bool]], pinned: list[float]) -> list[float]:
     """Full theta as floats: pinned, with each free coordinate (index,
     log-scaled) replaced from z."""
     full = pinned.copy()
-    for (idx, logged), zk in zip(free, z.tolist()):
+    for (idx, logged), zk in zip(free, z):
         full[idx] = math.exp(zk) if logged else zk
     return full
 
 
-def _neg_pl(z: np.ndarray, stats: list[tuple], free: list[tuple[int, bool]],
+def _neg_pl(z: list[float], stats: list[tuple], free: list[tuple[int, bool]],
             pinned: list[float]) -> float:
     """Negative pairwise log-likelihood at transformed free coordinates z;
     inf wherever theta is invalid or a pair correlation reaches 1."""
@@ -497,6 +498,80 @@ def _neg_pl(z: np.ndarray, stats: list[tuple], free: list[tuple[int, bool]],
         return math.inf
 
 
+def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list, list]:
+    """Vertices and values in the order np.argsort gives the values.
+
+    That sort is not stable on ties, and the order of tied vertices steers
+    later steps, so Python's sort stands in for it only when the values
+    come out strictly increasing: distinct and not NaN, so the order is
+    unique.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    ranked = [fsim[i] for i in order]
+    if not all(map(operator.lt, ranked, ranked[1:])):
+        order = np.argsort(fsim).tolist()
+        ranked = [fsim[i] for i in order]
+    return [sim[i] for i in order], ranked
+
+
+def _nelder_mead(f, x0: list[float], max_iter: int, xatol: float,
+                 fatol: float) -> tuple[list[float], float, bool]:
+    """Minimize f from x0 by simplex search; returns (x, f_min, converged).
+
+    Follows the rules of scipy.optimize.minimize(method="Nelder-Mead")
+    without bounds or adaptive coefficients: the same first simplex,
+    steps, vertex order and stopping test, in the same float operations,
+    so it visits the same points.  f_min is NaN if any vertex value is.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [f(v) for v in sim]
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # sorted twice, as scipy does
+    iterations = 1
+    while iterations < max_iter:
+        best = sim[0]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+            break
+        # centroid of all but the worst vertex, summed from vertex 0 on
+        xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+        worst = sim[-1]
+
+        def towards(a: float, b: float) -> list[float]:
+            return [a * c + b * w for c, w in zip(xbar, worst)]
+
+        xr = towards(2.0, -1.0)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = towards(3.0, -2.0)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = towards(1.5, -0.5)
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:  # inside contraction
+                xc = towards(0.5, 0.5)
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], float(np.min(fsim)), iterations < max_iter
+
+
 def maximize_cl(
     field: FieldSample,
     weights: PairWeightSpec,
@@ -507,43 +582,32 @@ def maximize_cl(
     """Maximize the pairwise log-likelihood over the free coordinates.
 
     Positive coordinates are optimized in log-space by Nelder-Mead
-    simplex search (relative function tolerance 1e-8, one automatic
-    restart from the incumbent).  Fixed coordinates are pinned to the
-    scenario values.  The returned objective never falls below the
-    objective at start; if the iteration budget runs out first, an
+    simplex search (_nelder_mead, which takes the same steps as scipy's
+    Nelder-Mead, ties included; relative function tolerance 1e-8, one
+    automatic restart from the incumbent).  Fixed coordinates are pinned
+    to the scenario values.  The returned objective never falls below
+    the objective at start; if the iteration budget runs out first, an
     OptimizerDidNotConverge warning is issued and the incumbent is
     returned anyway.
     """
-    import scipy.optimize
-
     pinned = scenario.pin(start)
     if not scenario.free:
         return pinned
 
     free = [(PARAM_NAMES.index(n), n != "mu") for n in scenario.free]
     pinned_vals = pinned.as_array().tolist()
-    args = (_lag_stats(field, weights), free, pinned_vals)
+    objective = functools.partial(
+        _neg_pl, stats=_lag_stats(field, weights), free=free, pinned=pinned_vals
+    )
 
-    z0 = np.array([math.log(pinned_vals[i]) if logged else pinned_vals[i]
-                   for i, logged in free])
-    f0 = _neg_pl(z0, *args)
+    z0 = [math.log(pinned_vals[i]) if logged else pinned_vals[i] for i, logged in free]
+    f0 = objective(z0)
     scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
-    converged = True
     for _ in range(2):  # one automatic restart from the incumbent
-        res = scipy.optimize.minimize(
-            _neg_pl,
-            z0,
-            args=args,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "fatol": 1e-8 * scale,
-                "xatol": 1e-6,
-            },
+        z0, fun, converged = _nelder_mead(
+            objective, z0, max_iter, xatol=1e-6, fatol=1e-8 * scale
         )
-        z0 = res.x
-        scale = max(1.0, abs(res.fun)) if math.isfinite(res.fun) else scale
-        converged = bool(res.success)
+        scale = max(1.0, abs(fun)) if math.isfinite(fun) else scale
     if not converged:
         warnings.warn(
             "simplex search exhausted its iteration budget",
@@ -552,7 +616,7 @@ def maximize_cl(
         )
     theta = ThetaCL(*_untransform(z0, free, pinned_vals))
     # simplex descent from the pinned start cannot do worse, but guard anyway
-    if math.isfinite(f0) and _neg_pl(z0, *args) > f0:
+    if math.isfinite(f0) and objective(z0) > f0:
         return pinned
     return theta
 
@@ -610,6 +674,8 @@ def sandwich_ci(
     W = total_pair_weight(lat, weights)
     H_inv = np.linalg.inv(H_f)
     G_inv = W * (H_inv @ J_star[sub] @ H_inv)
+
+    import scipy.special  # loaded on first use: only CL intervals need ndtri
 
     z = float(scipy.special.ndtri(0.5 * (1.0 + level)))
     ses: dict[str, float] = {}

@@ -244,7 +244,6 @@ def _cmd_fit_cl(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    field = read_field(args.field, args.dx, args.dt)
     grid_config = None
     if args.method == "mc-grid" and args.truncation_p is not None:
         try:
@@ -255,6 +254,11 @@ def _cmd_ci(args) -> int:
             )
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
+    elif args.method == "mc-grid" and args.cells_per_obs_cell is not None:
+        # without --truncation-p, mc_ci picks the depth from the fitted field
+        # and one mesh cell per observation cell
+        raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")
+    field = read_field(args.field, args.dx, args.dt)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     try:
         result = mc_ci(field, args.B, args.level,

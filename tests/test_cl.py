@@ -18,6 +18,7 @@ from stou import (
     WindowSpec,
     build_covariance,
     cholesky_factor,
+    fit_mm,
     hessian_h,
     l_pair,
     l_pair_hessian,
@@ -540,6 +541,159 @@ class TestMaximizeCl:
         start = ThetaCL(lam=1.5, c_tilde=t.c_tilde, sigma2=t.sigma2, mu=t.mu)
         with pytest.warns(OptimizerDidNotConverge):
             maximize_cl(small_field, WEIGHTS, scen, start, max_iter=1)
+
+
+def scipy_nelder_mead(f, x0, max_iter, xatol, fatol):
+    """(x, fun, success) of scipy's Nelder-Mead from x0, as floats."""
+    import scipy.optimize
+
+    res = scipy.optimize.minimize(
+        f, np.array(x0), method="Nelder-Mead",
+        options={"maxiter": max_iter, "xatol": xatol, "fatol": fatol},
+    )
+    return res.x.tolist(), float(res.fun), bool(res.success)
+
+
+def assert_same_bytes(ours, oracle):
+    x, fun, success = ours
+    assert np.array(x).tobytes() == np.array(oracle[0]).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(oracle[1]).tobytes()
+    assert success == oracle[2]
+
+
+def random_quadratic(rng, n):
+    """A convex quadratic in n coordinates, taking arrays or lists."""
+    a = rng.normal(size=(n, n))
+    hess = (a @ a.T + 0.1 * np.eye(n)).tolist()
+    centre = rng.normal(size=n).tolist()
+
+    def f(x):
+        d = [float(v) - c for v, c in zip(x, centre)]
+        return sum(d[i] * hess[i][j] * d[j] for i in range(n) for j in range(n))
+
+    return f
+
+
+def plateaus(x):
+    """Integer steps of 4 |x|^2, with ties everywhere and an inf half-plane."""
+    x = [float(v) for v in x]
+    if x[0] > 1.5:
+        return math.inf
+    return float(math.floor(4.0 * sum(v * v for v in x)))
+
+
+class TestNelderMead:
+    """cl._nelder_mead against scipy's Nelder-Mead, byte for byte."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_quadratics(self, n, max_iter):
+        rng = np.random.default_rng(10 * n + max_iter)
+        for _ in range(10):
+            f = random_quadratic(rng, n)
+            x0 = (rng.normal(size=n) * 3.0).tolist()
+            x0[rng.integers(n)] = 0.0  # a zero coordinate gets the absolute step
+            tol = float(10.0 ** rng.uniform(-10, -2))
+            assert_same_bytes(cl._nelder_mead(f, x0, max_iter, tol, tol),
+                              scipy_nelder_mead(f, x0, max_iter, tol, tol))
+
+    @pytest.mark.parametrize("fsim", [
+        [2.0, 1.0, 1.0, 1.0, 0.0],
+        [1.0, math.nan, 0.5, math.inf, math.inf],
+        [0.0, -0.0, 3.0, 0.0, -1.0],
+    ])
+    def test_vertex_order_is_numpy_argsort(self, fsim):
+        sim = [[v] for v in range(len(fsim))]
+        order = np.argsort(fsim).tolist()
+        assert cl._by_value(sim, fsim)[0] == [[i] for i in order]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # scipy's inf - inf
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tied_plateaus_and_inf_regions(self, n, max_iter):
+        rng = np.random.default_rng(n + max_iter)
+        for _ in range(40):
+            x0 = rng.uniform(-1.0, 1.6, size=n).tolist()
+            assert_same_bytes(cl._nelder_mead(plateaus, x0, max_iter, 1e-6, 1e-8),
+                              scipy_nelder_mead(plateaus, x0, max_iter, 1e-6, 1e-8))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    def test_nan_objective(self, max_iter):
+        def partly_nan(x):
+            x = [float(v) for v in x]
+            return math.nan if x[1] < -0.3 else (x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2
+
+        rng = np.random.default_rng(max_iter)
+        for _ in range(10):
+            x0 = rng.uniform(-1.0, 1.0, size=2).tolist()
+            assert_same_bytes(cl._nelder_mead(partly_nan, x0, max_iter, 1e-6, 1e-8),
+                              scipy_nelder_mead(partly_nan, x0, max_iter, 1e-6, 1e-8))
+
+    def test_all_nan_never_converges(self):
+        def nowhere(x):
+            return math.nan
+
+        x, fun, converged = cl._nelder_mead(nowhere, [0.5, 0.0], 50, 1e-6, 1e-8)
+        assert math.isnan(fun) and not converged
+        assert_same_bytes((x, fun, converged),
+                          scipy_nelder_mead(nowhere, [0.5, 0.0], 50, 1e-6, 1e-8))
+
+
+def scipy_maximize_cl(field, weights, scenario, start, max_iter=2000):
+    """maximize_cl as it was with scipy's Nelder-Mead doing the search."""
+    import scipy.optimize
+
+    pinned = scenario.pin(start)
+    free = [(PARAM_NAMES.index(n), n != "mu") for n in scenario.free]
+    pinned_vals = pinned.as_array().tolist()
+    args = (cl._lag_stats(field, weights), free, pinned_vals)
+
+    def neg_pl(z, *args):
+        return cl._neg_pl(z.tolist(), *args)
+
+    z0 = np.array([math.log(pinned_vals[i]) if logged else pinned_vals[i]
+                   for i, logged in free])
+    f0 = neg_pl(z0, *args)
+    scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
+    for _ in range(2):
+        res = scipy.optimize.minimize(
+            neg_pl, z0, args=args, method="Nelder-Mead",
+            options={"maxiter": max_iter, "fatol": 1e-8 * scale, "xatol": 1e-6},
+        )
+        z0 = res.x
+        scale = max(1.0, abs(res.fun)) if math.isfinite(res.fun) else scale
+    theta = ThetaCL(*cl._untransform(z0.tolist(), free, pinned_vals))
+    if math.isfinite(f0) and neg_pl(z0, *args) > f0:
+        return pinned
+    return theta
+
+
+@pytest.fixture(scope="module")
+def fields_200(base_params):
+    lattice = Lattice(n_x=9, n_t=9, dx=0.05, dt=0.05)
+    factor = cholesky_factor(build_covariance(base_params, lattice))
+    rng = np.random.default_rng(2016)
+    return [simulate_exact(factor, base_params.mu, lattice, rng) for _ in range(200)]
+
+
+class TestMaximizeClMatchesScipy:
+    @pytest.mark.parametrize("free", [
+        PARAM_NAMES, ("lambda", "c_tilde"), ("sigma2",), ("lambda", "mu"),
+    ])
+    def test_array_equal_over_200_fields(self, fields_200, base_params, free):
+        truth = dict(zip(PARAM_NAMES, ThetaCL.from_params(base_params).as_array()))
+        scen = EstimationScenario(
+            free=free, fixed_values={n: truth[n] for n in PARAM_NAMES if n not in free}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizerDidNotConverge)
+            for field in fields_200:
+                start = ThetaCL.from_params(fit_mm(field, max_lag=5))
+                ours = maximize_cl(field, WEIGHTS, scen, start)
+                assert np.array_equal(
+                    ours.as_array(),
+                    scipy_maximize_cl(field, WEIGHTS, scen, start).as_array(),
+                )
 
 
 @pytest.fixture(scope="module")

@@ -30,21 +30,44 @@ def field_csv(tmp_path, small_field):
     return str(path)
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    # these scipy modules add most of a second to every start; the
-    # commands that need scipy.fft or scipy.optimize import them on use
+def run_python(code: str) -> str:
+    """stdout of `python -c code` with the package's source on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stou.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, stou.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize') "
-        "if m in sys.modules])"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # these scipy modules add to every start; the commands that need
+    # scipy.fft or scipy.special import them on use
+    code = (
+        "import sys, stou.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize', "
+        "'scipy.special') if m in sys.modules])"
+    )
+    assert run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
+     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
+     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
+    ["fit-cl", "--field", "{field}", "--dx", "0.05", "--dt", "0.05",
+     "--window-nx", "7", "--window-nt", "7", "--step-x", "3", "--step-t", "3",
+     "--out", "{tmp}/cl.csv"],
+])
+def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
+    argv = [a.format(tmp=tmp_path, field=field_csv) for a in argv]
+    code = (
+        "import sys; from stou.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    assert run_python(code).splitlines()[-1] == "0 False"
 
 
 def run_cli(*argv) -> int:
@@ -210,6 +233,15 @@ class TestSimulateAndFit:
         lines = capsys.readouterr().out.strip().splitlines()
         names = {line.split(",")[0] for line in lines[1:]}
         assert {"lambda", "c_tilde"} <= names
+
+    def test_ci_grid_cells_without_truncation_rejected(self, field_csv, capsys):
+        code = run_cli(
+            "ci", "--field", field_csv, "--dx", "0.05", "--dt", "0.05",
+            "--method", "mc-grid", "--B", "5", "--cells-per-obs-cell", "2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--cells-per-obs-cell" in err and "--truncation-p" in err
 
     def test_ci_schema(self, field_csv, capsys):
         assert run_cli(
