@@ -35,8 +35,10 @@ print(f"  {'parameter':10s} {'coverage':>8s} {'se':>6s} {'mean proxy':>10s}")
 for name, entry in report.entries.items():
     print(f"  {name:10s} {entry.coverage:8.3f} {entry.se:6.3f} {entry.mean_proxy:10.3f}")
 
-# 2. Driver form: same machinery behind the `stou coverage` CLI, with
-#    validated config, worker pool, and CSV outputs.
+# 2. Driver form: `run`, behind the `stou coverage` CLI, puts a validated
+#    config, a worker pool and CSV outputs around the engine that
+#    coverage_experiment uses.  Seed 5 spawns the same dataset streams as
+#    default_rng(5) above, so coverage.csv repeats the coverage column.
 with tempfile.TemporaryDirectory() as tmp:
     cfg = ExperimentConfig.from_sources(
         {},

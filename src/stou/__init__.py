@@ -5,11 +5,8 @@ intervals with coverage experiments and a bootstrap coverage proxy."""
 
 from .bootstrap import (
     REPORT_PARAMS,
-    CoverageEntry,
-    CoverageReport,
     IntervalEstimate,
     McCiResult,
-    coverage_experiment,
     coverage_proxy,
     mc_ci,
     params_to_report,
@@ -32,7 +29,6 @@ from .cl import (
     WindowSpec,
     hessian_h,
     l_pair,
-    l_pair_hessian,
     maximize_cl,
     pairwise_loglik,
     sandwich_ci,
@@ -56,11 +52,11 @@ from .errors import (
     StouError,
     TruncationTooShallow,
 )
-from .experiment import ExperimentConfig, read_field, run, write_field
+from .experiment import (CoverageEntry, CoverageReport, ExperimentConfig,
+                         coverage_experiment, read_field, run, write_field)
 from .gridsim import GridSimConfig, cone_cell_areas, simulate_grid
 from .mm import AcfEstimate, empirical_acf, fit_mm, mm_from_moments
 from .model import (
-    CorrKind,
     FieldSample,
     Lattice,
     StouParams,

@@ -1,12 +1,11 @@
-"""Parametric-bootstrap confidence intervals, coverage experiments, and
-the bootstrap coverage proxy.
+"""Parametric-bootstrap confidence intervals and the bootstrap coverage
+proxy.
 
 mc_ci fits a field by moments, simulates B fields from the fitted
 model, refits each, and reads CI bounds off the empirical quantiles of
 the B re-estimates (linear order-statistic interpolation, position
-1 + (B - 1) q).  coverage_experiment replicates that over independent
-datasets drawn from a known truth and counts interval hits per
-parameter.  coverage_proxy estimates the coverage a quantile interval
+1 + (B - 1) q).  coverage_dataset does that for one field drawn from a
+known truth.  coverage_proxy estimates the coverage a quantile interval
 would achieve without knowing the truth, by reflecting the interval
 around the bootstrap median:
 
@@ -24,29 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import (
-    DEFAULT_MAX_POINTS,
-    CholeskyFactor,
-    build_covariance,
-    cholesky_factor,
-    simulate_exact,
-)
+from .cholesky import CholeskyFactor, build_covariance, cholesky_factor, simulate_exact
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid
 from .mm import fit_mm
-from .model import CorrKind, FieldSample, Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams
 
 __all__ = [
     "REPORT_PARAMS",
     "IntervalEstimate",
     "McCiResult",
-    "CoverageEntry",
-    "CoverageReport",
     "params_to_report",
     "quantile_interval",
     "mc_ci",
     "coverage_dataset",
-    "coverage_experiment",
     "coverage_proxy",
 ]
 
@@ -127,6 +117,16 @@ def quantile_interval(values, level: float) -> tuple[float, float, float]:
     return float(lo), float(med), float(hi)
 
 
+def check_mc_ci_args(B: int, level: float, simulator: str) -> None:
+    """Raise the ValueError mc_ci raises for these arguments, if any."""
+    if B < MIN_BOOT:
+        raise ValueError(f"B must be >= {MIN_BOOT}, got {B}")
+    if not 0.0 <= level < 1.0:
+        raise ValueError(f"level must be in [0, 1), got {level!r}")
+    if simulator not in ("exact", "grid"):
+        raise ValueError(f"simulator must be 'exact' or 'grid', got {simulator!r}")
+
+
 def mc_ci(
     field: FieldSample,
     B: int,
@@ -135,7 +135,6 @@ def mc_ci(
     rng: np.random.Generator,
     grid_config: GridSimConfig | None = None,
     max_lag: int = 5,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> McCiResult:
     """Parametric-bootstrap quantile CIs for all reported parameters.
 
@@ -144,21 +143,14 @@ def mc_ci(
     whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
     raises FailureRateExceeded.
     """
-    if B < MIN_BOOT:
-        raise ValueError(f"B must be >= {MIN_BOOT}, got {B}")
-    if not 0.0 <= level < 1.0:
-        raise ValueError(f"level must be in [0, 1), got {level!r}")
-    if simulator not in ("exact", "grid"):
-        raise ValueError(f"simulator must be 'exact' or 'grid', got {simulator!r}")
-
+    check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
     fitted = fit_mm(field, max_lag=max_lag)
 
     factor: CholeskyFactor | None = None
     config = grid_config
     if simulator == "exact":
-        cov = build_covariance(fitted, lattice, CorrKind.CANONICAL, max_points)
-        factor = cholesky_factor(cov)
+        factor = cholesky_factor(build_covariance(fitted, lattice))
     elif config is None:
         config = _default_grid_config(fitted, lattice)
 
@@ -220,29 +212,6 @@ def coverage_proxy(bootstrap_estimates, theta_e: float, level: float = 0.95) -> 
     return (n_upper - n_lower) / est.size
 
 
-@dataclass(frozen=True)
-class CoverageEntry:
-    """Aggregated interval performance for one parameter."""
-
-    parameter: str
-    n: int
-    hits: int
-    coverage: float
-    se: float
-    mean_proxy: float
-    proxy_se: float
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-parameter coverage over replicated datasets."""
-
-    level: float
-    n_datasets: int
-    entries: dict[str, CoverageEntry]
-    failures: tuple[tuple[int, str], ...]
-
-
 def coverage_dataset(
     truth: StouParams,
     factor: CholeskyFactor,
@@ -254,84 +223,16 @@ def coverage_dataset(
     boot_rng: np.random.Generator,
     grid_config: GridSimConfig | None = None,
     max_lag: int = 5,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> tuple[dict[str, IntervalEstimate], dict[str, float]]:
     """One coverage-experiment dataset: exact field draw from the truth
     factor, then bootstrap intervals and per-parameter proxies."""
     data = simulate_exact(factor, truth.mu, lattice, data_rng)
     result = mc_ci(
         data, B, level, simulator, boot_rng,
-        grid_config=grid_config, max_lag=max_lag, max_points=max_points,
+        grid_config=grid_config, max_lag=max_lag,
     )
     proxies = {
         name: coverage_proxy(result.estimates[name], result.intervals[name].point, level)
         for name in REPORT_PARAMS
     }
     return result.intervals, proxies
-
-
-def coverage_experiment(
-    truth: StouParams,
-    lattice: Lattice,
-    n_datasets: int,
-    B: int,
-    level: float,
-    simulator: str,
-    rng: np.random.Generator | None = None,
-    grid_config: GridSimConfig | None = None,
-    max_lag: int = 5,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> CoverageReport:
-    """Interval coverage of mc_ci over datasets simulated from a known
-    truth.  Data fields always come from the exact simulator; the
-    bootstrap inside each dataset uses the chosen simulator."""
-    if n_datasets < 10:
-        raise ValueError(f"n_datasets must be >= 10, got {n_datasets}")
-    if rng is None:
-        raise ValueError("rng is required for a reproducible experiment")
-
-    cov = build_covariance(truth, lattice, CorrKind.CANONICAL, max_points)
-    factor = cholesky_factor(cov)
-    truth_values = params_to_report(truth)
-
-    hits = {name: 0 for name in REPORT_PARAMS}
-    proxies = {name: [] for name in REPORT_PARAMS}
-    failures = []
-    n_ok = 0
-    for index, stream in enumerate(rng.spawn(n_datasets)):
-        data_rng, boot_rng = stream.spawn(2)
-        try:
-            intervals, dataset_proxies = coverage_dataset(
-                truth, factor, lattice, B, level, simulator,
-                data_rng, boot_rng,
-                grid_config=grid_config, max_lag=max_lag, max_points=max_points,
-            )
-        except StouError as exc:
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
-            continue
-        n_ok += 1
-        for name in REPORT_PARAMS:
-            hits[name] += int(intervals[name].contains(truth_values[name]))
-            proxies[name].append(dataset_proxies[name])
-
-    if n_ok == 0:
-        raise FailureRateExceeded("every dataset failed")
-    entries = {}
-    for name in REPORT_PARAMS:
-        rate = hits[name] / n_ok
-        prox = np.array(proxies[name])
-        entries[name] = CoverageEntry(
-            parameter=name,
-            n=n_ok,
-            hits=hits[name],
-            coverage=rate,
-            se=math.sqrt(rate * (1.0 - rate) / n_ok),
-            mean_proxy=float(prox.mean()),
-            proxy_se=float(prox.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
-        )
-    return CoverageReport(
-        level=level,
-        n_datasets=n_datasets,
-        entries=entries,
-        failures=tuple(failures),
-    )

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BudgetExceeded,
@@ -22,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
 )
-from .model import CorrKind, FieldSample, Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -77,14 +76,13 @@ class CholeskyFactor:
 def build_covariance(
     params: StouParams,
     lattice: Lattice,
-    kind: CorrKind = CorrKind.CANONICAL,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> CovarianceMatrix:
     """Covariance matrix of the field at all lattice sites.
 
     Entries are sigma2 * rho(|t_i - t_j| dt, |x_i - x_j| dx) with rho
-    the canonical or separable correlation.  Raises BudgetExceeded when
-    lattice.n > max_points before allocating the n x n array.
+    the canonical correlation.  Raises BudgetExceeded when lattice.n >
+    max_points before allocating the n x n array.
     """
     n = lattice.n
     if n > max_points:
@@ -97,19 +95,12 @@ def build_covariance(
     d_t = np.abs(t[:, None] - t[None, :])
     d_x = np.abs(x[:, None] - x[None, :])
     # Entry ((t_a, x_a), (t_b, x_b)) combines one time-lag and one space-lag
-    # table entry.  Canonical: -lam * max(u, v) == min(-lam * u, -lam * v)
-    # exactly, and exp and the sigma2 product keep order, so the minimum is
+    # table entry: -lam * max(u, v) == min(-lam * u, -lam * v) exactly, and
+    # exp and the sigma2 product keep order, so the minimum is
     # sigma2 * exp(-lam * max(d_t, d_x / c)) to the bit.
     time_table = params.sigma2 * np.exp(-params.lam * d_t)
-    if kind is CorrKind.CANONICAL:
-        space_table = params.sigma2 * np.exp(-params.lam * (d_x / params.c))
-        combine = np.minimum
-    elif kind is CorrKind.SEPARABLE:
-        space_table = np.exp(-params.c_tilde * d_x)
-        combine = np.multiply
-    else:
-        raise ValueError(f"unknown correlation kind {kind!r}")
-    out = combine(time_table[:, None, :, None], space_table[None, :, None, :])
+    space_table = params.sigma2 * np.exp(-params.lam * (d_x / params.c))
+    out = np.minimum(time_table[:, None, :, None], space_table[None, :, None, :])
     return CovarianceMatrix(n=n, entries=out.reshape(n, n))
 
 
@@ -120,6 +111,8 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
     entry (warning CovarianceJitter); a second failure raises
     NotPositiveDefinite.
     """
+    import scipy.linalg  # on first use: with numpy.f2py, most of `import stou`'s time
+
     try:
         L = scipy.linalg.cholesky(cov.entries, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -154,6 +147,8 @@ def simulate_exact(
         raise DimensionMismatch(
             f"factor built for {factor.n} sites, lattice has {lattice.n}"
         )
+    import scipy.linalg
+
     z = rng.standard_normal(factor.n)
     values = mu + scipy.linalg.blas.dtrmv(factor.entries, z, lower=1)
     return FieldSample(lattice=lattice, values=values.reshape(lattice.shape))

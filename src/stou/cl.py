@@ -65,7 +65,6 @@ __all__ = [
     "l_pair",
     "pairwise_loglik",
     "score_u",
-    "l_pair_hessian",
     "hessian_h",
     "wsev_j",
     "maximize_cl",
@@ -266,48 +265,6 @@ def score_u(theta: ThetaCL, y_i, y_j, rho_ij, grad_rho) -> np.ndarray:
     out[..., 1] = dl_drho * grad_rho[..., 1]
     out[..., 2] = dl_ds2
     out[..., 3] = dl_dmu
-    return out
-
-
-def l_pair_hessian(theta: ThetaCL, y_i, y_j, rho_ij, grad_rho, hess_rho) -> np.ndarray:
-    """Observed per-pair Hessian of l_pair in theta, shape (..., 4, 4).
-
-    hess_rho is the 2x2 second derivative of rho in (lambda, c_tilde);
-    under the separable correlation it is rho * outer((|d_t|, |d_x|),
-    (|d_t|, |d_x|)).
-    """
-    rho = _check_rho(rho_ij)
-    s2 = theta.sigma2
-    a = np.asarray(y_i, dtype=float) - theta.mu
-    b = np.asarray(y_j, dtype=float) - theta.mu
-    one = 1.0 - rho * rho
-    B = a * a + b * b - 2.0 * rho * a * b
-    F = rho * (a * a + b * b) - (1.0 + rho * rho) * a * b
-
-    dl_drho = rho / one - F / (s2 * one * one)
-    l_rr = (1.0 + rho * rho) / (one * one) - (B * one + 4.0 * rho * F) / (
-        s2 * one**3
-    )
-    l_rs = F / (s2 * s2 * one * one)
-    l_rm = -(a + b) / (s2 * (1.0 + rho) ** 2)
-    l_ss = 1.0 / (s2 * s2) - B / (s2**3 * one)
-    l_sm = -(a + b) / (s2 * s2 * (1.0 + rho))
-    l_mm = -2.0 / (s2 * (1.0 + rho))
-
-    grad_rho = np.asarray(grad_rho, dtype=float)
-    hess_rho = np.asarray(hess_rho, dtype=float)
-    shape = np.broadcast(a, b, rho).shape
-    out = np.empty(shape + (4, 4))
-    gg = grad_rho[..., :, None] * grad_rho[..., None, :]
-    out[..., :2, :2] = l_rr[..., None, None] * gg + dl_drho[..., None, None] * hess_rho
-    out[..., :2, 2] = l_rs[..., None] * grad_rho
-    out[..., 2, :2] = out[..., :2, 2]
-    out[..., :2, 3] = l_rm[..., None] * grad_rho
-    out[..., 3, :2] = out[..., :2, 3]
-    out[..., 2, 2] = l_ss
-    out[..., 2, 3] = l_sm
-    out[..., 3, 2] = l_sm
-    out[..., 3, 3] = l_mm
     return out
 
 

@@ -179,11 +179,20 @@ def _emit(lines: list[str], out: str | None) -> None:
             handle.write(text)
 
 
+def _reject_grid_flags(args) -> None:
+    for flag, value in (("--truncation-p", args.truncation_p),
+                        ("--cells-per-obs-cell", args.cells_per_obs_cell)):
+        if value is not None:
+            raise ConfigInvalid(
+                f"{flag} applies to the grid simulator, not --method {args.method}")
+
+
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     lattice = _lattice_from_args(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.method == "exact":
+        _reject_grid_flags(args)
         factor = cholesky_factor(build_covariance(params, lattice))
         field = simulate_exact(factor, params.mu, lattice, rng)
     else:
@@ -245,7 +254,9 @@ def _cmd_fit_cl(args) -> int:
 
 def _cmd_ci(args) -> int:
     grid_config = None
-    if args.method == "mc-grid" and args.truncation_p is not None:
+    if args.method == "mc-exact":
+        _reject_grid_flags(args)
+    elif args.truncation_p is not None:
         try:
             grid_config = GridSimConfig(
                 truncation_p=args.truncation_p,
@@ -254,7 +265,7 @@ def _cmd_ci(args) -> int:
             )
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
-    elif args.method == "mc-grid" and args.cells_per_obs_cell is not None:
+    elif args.cells_per_obs_cell is not None:
         # without --truncation-p, mc_ci picks the depth from the fitted field
         # and one mesh cell per observation cell
         raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")

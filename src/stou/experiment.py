@@ -1,5 +1,7 @@
-"""Experiment orchestration: validated configs, deterministic seeding,
-a worker pool over datasets, and CSV emission.
+"""The coverage engine behind both coverage_experiment and the
+coverage/proxy commands: validated configs, deterministic seeding, a
+worker pool over datasets, one aggregation per parameter, and CSV
+emission.
 
 Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
 child per dataset; child i is split by .spawn(2) into (data, bootstrap)
@@ -24,13 +26,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 import scipy
 
-from .bootstrap import (
-    MIN_BOOT,
-    REPORT_PARAMS,
-    IntervalEstimate,
-    coverage_dataset,
-    params_to_report,
-)
+from .bootstrap import MIN_BOOT, check_mc_ci_args, coverage_dataset, params_to_report
 from .cholesky import (
     DEFAULT_MAX_POINTS,
     CholeskyFactor,
@@ -45,12 +41,15 @@ from .cl import (
     WindowSpec,
     sandwich_ci,
 )
-from .errors import ConfigInvalid, StouError
-from .gridsim import GridSimConfig, simulate_grid
-from .model import CorrKind, FieldSample, Lattice, StouParams
+from .errors import ConfigInvalid, FailureRateExceeded, StouError
+from .gridsim import GridSimConfig
+from .model import FieldSample, Lattice, StouParams
 
 __all__ = [
+    "CoverageEntry",
+    "CoverageReport",
     "ExperimentConfig",
+    "coverage_experiment",
     "parse_config_file",
     "parse_scenario",
     "run",
@@ -273,6 +272,30 @@ def read_field(path: str, dx: float, dt: float) -> FieldSample:
     return FieldSample(lattice=lattice, values=values)
 
 
+@dataclass(frozen=True)
+class CoverageEntry:
+    """Aggregated interval performance for one parameter.  mean_proxy and
+    proxy_se are None for sandwich intervals, which have no proxy."""
+
+    parameter: str
+    n: int
+    hits: int
+    coverage: float
+    se: float
+    mean_proxy: float | None
+    proxy_se: float | None
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    """Per-parameter coverage over replicated datasets."""
+
+    level: float
+    n_datasets: int
+    entries: dict[str, CoverageEntry]
+    failures: tuple[tuple[int, str], ...]
+
+
 # one factor per (params, lattice) per worker process
 _FACTOR_CACHE: dict[tuple, CholeskyFactor] = {}
 
@@ -282,11 +305,52 @@ def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
            lattice.n_x, lattice.n_t, lattice.dx, lattice.dt)
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
-        cov = build_covariance(truth, lattice, CorrKind.CANONICAL)
-        factor = cholesky_factor(cov)
+        factor = cholesky_factor(build_covariance(truth, lattice))
         _FACTOR_CACHE.clear()  # keep at most one; these are large
         _FACTOR_CACHE[key] = factor
     return factor
+
+
+# An interval step maps (truth, truth factor, lattice, data stream,
+# bootstrap stream) to the dataset's intervals by parameter and its
+# proxies by parameter (None without a bootstrap).  Steps hold only
+# settings, so they pickle into worker processes.
+
+@dataclass(frozen=True)
+class _BootstrapStep:
+    B: int
+    level: float
+    simulator: str
+    grid_config: GridSimConfig | None
+    max_lag: int
+
+    def __call__(self, truth, factor, lattice, data_rng, boot_rng):
+        return coverage_dataset(
+            truth, factor, lattice, self.B, self.level, self.simulator,
+            data_rng, boot_rng, grid_config=self.grid_config, max_lag=self.max_lag,
+        )
+
+
+@dataclass(frozen=True)
+class _SandwichStep:
+    config: ExperimentConfig
+
+    def __call__(self, truth, factor, lattice, data_rng, boot_rng):
+        config = self.config
+        field = simulate_exact(factor, truth.mu, lattice, data_rng)
+        truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
+        fixed = {name: truth_values[name] for name in PARAM_NAMES
+                 if name not in config.scenario}
+        result = sandwich_ci(
+            field,
+            PairWeightSpec(cutoff_d=config.cutoff_d),
+            WindowSpec(window_nx=config.window_nx, window_nt=config.window_nt,
+                       step_x=config.step_x, step_t=config.step_t),
+            EstimationScenario(free=config.scenario, fixed_values=fixed),
+            level=config.level,
+            max_lag=config.max_lag,
+        )
+        return result.intervals, None
 
 
 @dataclass(frozen=True)
@@ -298,80 +362,105 @@ class _DatasetResult:
     error: str | None
 
 
-def _dataset_task(args: tuple[int, "np.random.SeedSequence", ExperimentConfig]) -> _DatasetResult:
-    index, seed_seq, config = args
-    display_seed = int(seed_seq.generate_state(1, np.uint64)[0])
-    data_ss, boot_ss = seed_seq.spawn(2)
-    data_rng = np.random.default_rng(data_ss)
-    boot_rng = np.random.default_rng(boot_ss)
-    truth = config.truth()
-    lattice = config.lattice()
+def _dataset_task(args) -> _DatasetResult:
+    """One dataset: an exact draw from the truth and the step's intervals.
+
+    args is (index, seed, truth, lattice, interval step); seed is the
+    dataset's SeedSequence child or a Generator spawned from one, split
+    by .spawn(2) into the data and bootstrap streams.
+    """
+    index, seed, truth, lattice, interval_step = args
+    stream = np.random.default_rng(seed)
+    display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+    data_rng, boot_rng = stream.spawn(2)
     try:
         factor = _truth_factor(truth, lattice)
-        if config.method == "cl-sandwich":
-            rows = _cl_dataset_rows(config, truth, lattice, factor, data_rng)
-            proxies = None
-        else:
-            rows, proxies = _mc_dataset_rows(config, truth, lattice, factor,
-                                             data_rng, boot_rng)
+        intervals, proxies = interval_step(truth, factor, lattice, data_rng, boot_rng)
     except (StouError, ValueError, np.linalg.LinAlgError) as exc:
         return _DatasetResult(
             index=index, seed=display_seed, rows=(), proxies=None,
             error=f"{type(exc).__name__}: {exc}",
         )
+    truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
+    rows = tuple(
+        (name, truth_values[name], iv.point, iv.lower, iv.upper,
+         int(iv.contains(truth_values[name])))
+        for name, iv in intervals.items()
+    )
     return _DatasetResult(index=index, seed=display_seed, rows=rows,
                           proxies=proxies, error=None)
 
 
-def _cl_dataset_rows(config, truth, lattice, factor, data_rng):
-    field = simulate_exact(factor, truth.mu, lattice, data_rng)
-    truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
-    fixed = {name: truth_values[name] for name in PARAM_NAMES if name not in config.scenario}
-    scenario = EstimationScenario(free=config.scenario, fixed_values=fixed)
-    result = sandwich_ci(
-        field,
-        PairWeightSpec(cutoff_d=config.cutoff_d),
-        WindowSpec(window_nx=config.window_nx, window_nt=config.window_nt,
-                   step_x=config.step_x, step_t=config.step_t),
-        scenario,
-        level=config.level,
-        max_lag=config.max_lag,
-    )
-    rows = []
-    for name, interval in result.intervals.items():
-        true = truth_values[name]
-        rows.append((name, true, interval.point, interval.lower, interval.upper,
-                     int(interval.contains(true))))
-    return tuple(rows)
+def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_dataset_task, tasks))
+    results = [_dataset_task(task) for task in tasks]
+    _FACTOR_CACHE.clear()  # up to 832 MB at 101 x 101; hold none past the run
+    return results
 
 
-def _mc_dataset_rows(config, truth, lattice, factor, data_rng, boot_rng):
-    grid_config = None
-    if config.method == "mc-grid":
-        grid_config = GridSimConfig(
-            truncation_p=config.truncation_p,
-            cells_per_obs_cell=config.cells_per_obs_cell,
+def _coverage_entries(results) -> dict[str, CoverageEntry]:
+    """Hit rates and mean proxies per parameter over the datasets that
+    did not fail; empty when all failed."""
+    ok = [res for res in results if res.error is None]
+    entries = {}
+    for k, (name, *_) in enumerate(ok[0].rows if ok else ()):
+        n = len(ok)
+        hits = sum(res.rows[k][5] for res in ok)
+        rate = hits / n
+        mean_proxy = proxy_se = None
+        if ok[0].proxies is not None:
+            values = np.array([res.proxies[name] for res in ok])
+            mean_proxy = float(values.mean())
+            proxy_se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        entries[name] = CoverageEntry(
+            parameter=name, n=n, hits=hits, coverage=rate,
+            se=math.sqrt(rate * (1.0 - rate) / n),
+            mean_proxy=mean_proxy, proxy_se=proxy_se,
         )
-    intervals, proxies = coverage_dataset(
-        truth, factor, lattice, config.B, config.level,
-        "exact" if config.method == "mc-exact" else "grid",
-        data_rng, boot_rng,
-        grid_config=grid_config, max_lag=config.max_lag,
+    return entries
+
+
+def coverage_experiment(
+    truth: StouParams,
+    lattice: Lattice,
+    n_datasets: int,
+    B: int,
+    level: float,
+    simulator: str,
+    rng: np.random.Generator | None = None,
+    grid_config: GridSimConfig | None = None,
+    max_lag: int = 5,
+) -> CoverageReport:
+    """Interval coverage of mc_ci over datasets simulated from a known
+    truth.  Data fields always come from the exact simulator; the
+    bootstrap inside each dataset uses the chosen simulator.
+
+    Dataset i uses rng.spawn(n_datasets)[i], so a generator from
+    default_rng(seed) gives the datasets of `stou coverage` at that
+    seed.  Datasets that fail are listed in failures; FailureRateExceeded
+    is raised when all do.
+    """
+    if n_datasets < 10:
+        raise ValueError(f"n_datasets must be >= 10, got {n_datasets}")
+    if rng is None:
+        raise ValueError("rng is required for a reproducible experiment")
+    check_mc_ci_args(B, level, simulator)
+    _truth_factor(truth, lattice)  # budget and factorization errors end it here
+
+    step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
+    results = _map_datasets([(index, stream, truth, lattice, step)
+                             for index, stream in enumerate(rng.spawn(n_datasets))])
+    entries = _coverage_entries(results)
+    if not entries:
+        raise FailureRateExceeded("every dataset failed")
+    return CoverageReport(
+        level=level,
+        n_datasets=n_datasets,
+        entries=entries,
+        failures=tuple((res.index, res.error) for res in results if res.error is not None),
     )
-    truth_values = params_to_report(truth)
-    rows = []
-    for name in REPORT_PARAMS:
-        interval = intervals[name]
-        true = truth_values[name]
-        rows.append((name, true, interval.point, interval.lower, interval.upper,
-                     int(interval.contains(true))))
-    return tuple(rows), proxies
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
@@ -391,14 +480,20 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
     indices = range(config.n_datasets)
     if config.only_dataset != -1:
         indices = [config.only_dataset]
-    children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
-    tasks = [(i, children[i], config) for i in indices]
-
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_dataset_task, tasks))
+    if config.method == "cl-sandwich":
+        step = _SandwichStep(config)
     else:
-        results = [_dataset_task(task) for task in tasks]
+        grid_config = None
+        if config.method == "mc-grid":
+            grid_config = GridSimConfig(truncation_p=config.truncation_p,
+                                        cells_per_obs_cell=config.cells_per_obs_cell)
+        simulator = "exact" if config.method == "mc-exact" else "grid"
+        step = _BootstrapStep(config.B, config.level, simulator, grid_config, config.max_lag)
+    truth, lattice = config.truth(), config.lattice()
+    children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
+    tasks = [(i, children[i], truth, lattice, step) for i in indices]
+
+    results = _map_datasets(tasks, config.workers)
 
     estimate_lines = [ESTIMATES_HEADER]
     for res in results:
@@ -407,14 +502,17 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
             continue
         for name, true, est, lower, upper, hit in res.rows:
             estimate_lines.append(
-                f"{res.index},{res.seed},{name},{_fmt(float(true))},{_fmt(float(est))},"
-                f"{_fmt(float(lower))},{_fmt(float(upper))},{hit},"
+                f"{res.index},{res.seed},{name},{float(true)!r},{float(est)!r},"
+                f"{float(lower)!r},{float(upper)!r},{hit},"
             )
 
+    entries = _coverage_entries(results).values()
     if command == "coverage":
-        aggregate_lines = _aggregate_coverage(results)
+        aggregate_lines = ["parameter,coverage,se,n"] + [
+            f"{e.parameter},{e.coverage!r},{e.se!r},{e.n}" for e in entries]
     else:
-        aggregate_lines = _aggregate_proxy(results)
+        aggregate_lines = ["parameter,proxy,se,n"] + [
+            f"{e.parameter},{e.mean_proxy!r},{e.proxy_se!r},{e.n}" for e in entries]
 
     os.makedirs(config.out_dir, exist_ok=True)
     paths = {
@@ -437,41 +535,6 @@ def _csv_escape(text: str) -> str:
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _row_parameters(results) -> list[str]:
-    for res in results:
-        if res.error is None:
-            return [row[0] for row in res.rows]
-    return []
-
-
-def _aggregate_coverage(results) -> list[str]:
-    lines = ["parameter,coverage,se,n"]
-    for name in _row_parameters(results):
-        hits = n = 0
-        for res in results:
-            if res.error is not None:
-                continue
-            row = next(r for r in res.rows if r[0] == name)
-            hits += row[5]
-            n += 1
-        rate = hits / n
-        se = math.sqrt(rate * (1.0 - rate) / n)
-        lines.append(f"{name},{rate!r},{se!r},{n}")
-    return lines
-
-
-def _aggregate_proxy(results) -> list[str]:
-    lines = ["parameter,proxy,se,n"]
-    ok = [res for res in results if res.error is None]
-    if not ok:
-        return lines
-    for name in ok[0].proxies:
-        values = np.array([res.proxies[name] for res in ok])
-        se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-        lines.append(f"{name},{float(values.mean())!r},{se!r},{values.size}")
-    return lines
 
 
 # BLAS and OpenMP thread-count variables; their values can change the

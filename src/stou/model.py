@@ -24,7 +24,6 @@ representation; (c, mu_seed, tau2) are derived views.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ __all__ = [
     "StouParams",
     "Lattice",
     "FieldSample",
-    "CorrKind",
     "corr_canonical",
     "corr_separable",
     "derived_moments",
@@ -100,11 +98,6 @@ class StouParams:
     @property
     def mu_seed(self) -> float:
         return self.lam * self.c_tilde * self.mu / 2.0
-
-
-class CorrKind(enum.Enum):
-    CANONICAL = "canonical"
-    SEPARABLE = "separable"
 
 
 def corr_canonical(params: StouParams, d_t, d_x):

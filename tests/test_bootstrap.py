@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stou.bootstrap
+import stou.experiment
 from stou import (
+    CoverageEntry,
+    CoverageReport,
+    ExperimentConfig,
     FailureRateExceeded,
     FieldSample,
     GridSimConfig,
@@ -22,7 +27,9 @@ from stou import (
     mc_ci,
     params_to_report,
     quantile_interval,
+    run,
 )
+from stou.errors import StouError
 
 
 class TestQuantileInterval:
@@ -228,6 +235,19 @@ class TestCoverageExperiment:
                 simulator="exact",
             )
 
+    @pytest.mark.parametrize("B,level,simulator", [
+        (19, 0.95, "exact"), (20, 1.0, "exact"), (20, 0.95, "series"),
+    ])
+    def test_bootstrap_settings_refused_before_any_dataset(
+        self, base_params, small_lattice, monkeypatch, B, level, simulator
+    ):
+        ran = []
+        monkeypatch.setattr(stou.experiment, "_dataset_task", ran.append)
+        with pytest.raises(ValueError):
+            coverage_experiment(base_params, small_lattice, 10, B, level, simulator,
+                                rng=np.random.default_rng(0))
+        assert ran == []
+
     def test_report_shape_and_reproducibility(self, base_params):
         lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
         kwargs = dict(n_datasets=10, B=20, level=0.9, simulator="exact")
@@ -247,3 +267,111 @@ class TestCoverageExperiment:
             assert (ea.coverage, ea.mean_proxy, ea.proxy_se) == (
                 eb.coverage, eb.mean_proxy, eb.proxy_se,
             )
+
+    @pytest.mark.parametrize("simulator,grid_config", [
+        ("exact", None),
+        ("grid", None),
+        ("grid", GridSimConfig(truncation_p=40, cells_per_obs_cell=2)),
+    ])
+    def test_equals_the_library_loop(self, base_params, simulator, grid_config):
+        lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
+        args = (base_params, lat, 10, 20, 0.9, simulator)
+        expected = oracle_coverage_experiment(
+            *args, rng=np.random.default_rng(8), grid_config=grid_config)
+        got = coverage_experiment(*args, rng=np.random.default_rng(8), grid_config=grid_config)
+        assert got == expected
+        assert got.failures == ()
+
+    def test_failed_dataset_equals_the_library_loop(self, base_params, monkeypatch):
+        lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
+        real_mc_ci = stou.bootstrap.mc_ci
+        calls = {"n": 0}
+
+        def mc_ci_failing_third(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise InsufficientUsableLags("synthetic failure")
+            return real_mc_ci(*args, **kwargs)
+
+        monkeypatch.setattr(stou.bootstrap, "mc_ci", mc_ci_failing_third)
+        args = (base_params, lat, 10, 20, 0.9, "exact")
+        expected = oracle_coverage_experiment(*args, rng=np.random.default_rng(8))
+        calls["n"] = 0
+        got = coverage_experiment(*args, rng=np.random.default_rng(8))
+        assert got == expected
+        assert got.failures == ((2, "InsufficientUsableLags: synthetic failure"),)
+        assert got.entries["lambda"].n == 9
+
+    def test_reproduces_the_driver(self, tmp_path):
+        config = ExperimentConfig(nx=15, nt=15, n_datasets=10, B=20, seed=5)
+        report = coverage_experiment(
+            config.truth(), config.lattice(), config.n_datasets, config.B, config.level,
+            "exact", rng=np.random.default_rng(config.seed), max_lag=config.max_lag,
+        )
+        expected = {
+            "coverage": [f"{e.parameter},{e.coverage!r},{e.se!r},{e.n}"
+                         for e in report.entries.values()],
+            "proxy": [f"{e.parameter},{e.mean_proxy!r},{e.proxy_se!r},{e.n}"
+                      for e in report.entries.values()],
+        }
+        for command, lines in expected.items():
+            out_dir = tmp_path / command
+            paths = run(dataclasses.replace(config, out_dir=str(out_dir)), command=command)
+            with open(paths["coverage"], encoding="utf-8") as handle:
+                assert handle.read().splitlines()[1:] == lines
+
+    def test_all_failed(self, base_params, tmp_path, monkeypatch):
+        def mc_ci_failing(*args, **kwargs):
+            raise InsufficientUsableLags("synthetic failure")
+
+        monkeypatch.setattr(stou.bootstrap, "mc_ci", mc_ci_failing)
+        lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
+        with pytest.raises(FailureRateExceeded):
+            coverage_experiment(base_params, lat, 10, 20, 0.9, "exact",
+                                rng=np.random.default_rng(8))
+        config = ExperimentConfig(nx=15, nt=15, n_datasets=10, B=20, out_dir=str(tmp_path))
+        paths = run(config)
+        with open(paths["coverage"], encoding="utf-8") as handle:
+            assert handle.read() == "parameter,coverage,se,n\n"
+        with open(paths["estimates"], encoding="utf-8") as handle:
+            rows = handle.read().splitlines()[1:]
+        assert len(rows) == 10
+        assert all(row.endswith(",,,,,,,InsufficientUsableLags: synthetic failure")
+                   for row in rows)
+
+
+def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
+                               rng, grid_config=None, max_lag=5):
+    """The library's own dataset loop before it shared the driver's engine."""
+    factor = cholesky_factor(build_covariance(truth, lattice))
+    truth_values = params_to_report(truth)
+    hits = {name: 0 for name in REPORT_PARAMS}
+    proxies = {name: [] for name in REPORT_PARAMS}
+    failures = []
+    n_ok = 0
+    for index, stream in enumerate(rng.spawn(n_datasets)):
+        data_rng, boot_rng = stream.spawn(2)
+        try:
+            intervals, dataset_proxies = stou.bootstrap.coverage_dataset(
+                truth, factor, lattice, B, level, simulator, data_rng, boot_rng,
+                grid_config=grid_config, max_lag=max_lag,
+            )
+        except StouError as exc:
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
+            continue
+        n_ok += 1
+        for name in REPORT_PARAMS:
+            hits[name] += int(intervals[name].contains(truth_values[name]))
+            proxies[name].append(dataset_proxies[name])
+    entries = {}
+    for name in REPORT_PARAMS:
+        rate = hits[name] / n_ok
+        prox = np.array(proxies[name])
+        entries[name] = CoverageEntry(
+            parameter=name, n=n_ok, hits=hits[name], coverage=rate,
+            se=math.sqrt(rate * (1.0 - rate) / n_ok),
+            mean_proxy=float(prox.mean()),
+            proxy_se=float(prox.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
+        )
+    return CoverageReport(level=level, n_datasets=n_datasets, entries=entries,
+                          failures=tuple(failures))

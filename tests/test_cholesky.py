@@ -6,7 +6,6 @@ import scipy.linalg
 
 from stou import (
     BudgetExceeded,
-    CorrKind,
     CovarianceMatrix,
     DimensionMismatch,
     Lattice,
@@ -15,7 +14,6 @@ from stou import (
     build_covariance,
     cholesky_factor,
     corr_canonical,
-    corr_separable,
     simulate_exact,
 )
 from stou.errors import CovarianceJitter
@@ -102,20 +100,16 @@ class TestBuildCovariance:
         # sites 0 and 3 differ by one step in both time and space
         assert cov.entries[0, 3] == pytest.approx(p.sigma2 * math.exp(-h), rel=1e-12)
 
-    @pytest.mark.parametrize("kind,corr", [
-        (CorrKind.CANONICAL, corr_canonical),
-        (CorrKind.SEPARABLE, corr_separable),
-    ])
-    def test_entries_match_correlation(self, kind, corr):
+    def test_entries_match_correlation(self):
         p = params(lam=1.4, c=0.6)
         lat = Lattice(n_x=3, n_t=4, dx=0.11, dt=0.07)
-        cov = build_covariance(p, lat, kind)
+        cov = build_covariance(p, lat)
         t_idx, x_idx = lat.site_indices()
         for k in range(lat.n):
             for kk in range(lat.n):
                 d_t = (t_idx[k] - t_idx[kk]) * lat.dt
                 d_x = (x_idx[k] - x_idx[kk]) * lat.dx
-                expected = p.sigma2 * corr(p, d_t, d_x)
+                expected = p.sigma2 * corr_canonical(p, d_t, d_x)
                 assert cov.entries[k, kk] == pytest.approx(expected, rel=1e-12)
 
     def test_canonical_bit_identical_to_blockwise_loop(self):
@@ -125,25 +119,6 @@ class TestBuildCovariance:
             expected = blockwise_canonical_covariance(p, lat)
             got = build_covariance(p, lat).entries
             assert np.array_equal(got, expected), (p, lat)
-
-    def test_separable_matches_correlation_function(self):
-        # The product of the axis tables differs from exp of the summed
-        # exponent by rounding that grows with the exponent; these ranges
-        # keep lam |d_t| + c_tilde |d_x| below about 30.
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            p = params(lam=log_uniform(rng, 0.05, 5.0), c=log_uniform(rng, 0.2, 5.0),
-                       tau2=log_uniform(rng, 1e-3, 1.0))
-            n_t, n_x = (int(v) for v in rng.integers(1, 13, size=2))
-            dx, dt = log_uniform(rng, 0.01, 0.2, size=2)
-            lat = Lattice(n_x=n_x, n_t=n_t, dx=dx, dt=dt)
-            t_idx, x_idx = lat.site_indices()
-            tt, xx = t_idx * dt, x_idx * dx
-            expected = p.sigma2 * corr_separable(
-                p, tt[:, None] - tt[None, :], xx[:, None] - xx[None, :]
-            )
-            got = build_covariance(p, lat, CorrKind.SEPARABLE).entries
-            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_symmetric_with_constant_diagonal(self):
         p = params(lam=2.0, c=0.5)

@@ -21,7 +21,6 @@ from stou import (
     fit_mm,
     hessian_h,
     l_pair,
-    l_pair_hessian,
     maximize_cl,
     pairwise_loglik,
     sandwich_ci,
@@ -195,45 +194,6 @@ class TestScoreU:
         grad_rho = np.array([-0.3, -0.1]) * rho
         s = score_u(theta, theta.mu, theta.mu, rho, grad_rho)
         assert s[3] == 0.0
-
-
-class TestPairHessian:
-    def test_matches_finite_differences_of_score(self):
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(50):
-            theta, d_t, d_x, y_i, y_j = random_pair_input(rng)
-            rho = rho_of(theta, d_t, d_x)
-            grad_rho = np.array([-d_t, -d_x]) * rho
-            hess_rho = rho * np.outer([d_t, d_x], [d_t, d_x])
-            analytic = l_pair_hessian(theta, y_i, y_j, rho, grad_rho, hess_rho)
-
-            arr = theta.as_array()
-            h = fd_steps(theta)
-            fd = np.zeros((4, 4))
-            for k in range(4):
-                up, dn = arr.copy(), arr.copy()
-                up[k] += h[k]
-                dn[k] -= h[k]
-                t_up, t_dn = ThetaCL.from_array(up), ThetaCL.from_array(dn)
-                for t_side, sign in ((t_up, 1.0), (t_dn, -1.0)):
-                    r = rho_of(t_side, d_t, d_x)
-                    g = np.array([-d_t, -d_x]) * r
-                    fd[k] += sign * score_u(t_side, y_i, y_j, r, g)
-                fd[k] /= 2.0 * h[k]
-            fd = 0.5 * (fd + fd.T)
-            rel = np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic))
-            worst = max(worst, rel)
-        assert worst <= 1e-5
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(4)
-        theta, d_t, d_x, y_i, y_j = random_pair_input(rng)
-        rho = rho_of(theta, d_t, d_x)
-        grad_rho = np.array([-d_t, -d_x]) * rho
-        hess_rho = rho * np.outer([d_t, d_x], [d_t, d_x])
-        H = l_pair_hessian(theta, y_i, y_j, rho, grad_rho, hess_rho)
-        np.testing.assert_allclose(H, H.T, atol=1e-14)
 
 
 class TestPairwiseLoglik:

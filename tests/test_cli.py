@@ -42,12 +42,12 @@ def run_python(code: str) -> str:
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    # these scipy modules add to every start; the commands that need
-    # scipy.fft or scipy.special import them on use
+    # these modules add to every start; the commands that need scipy.fft,
+    # scipy.special or scipy.linalg (which loads numpy.f2py) import them on use
     code = (
         "import sys, stou.cli; "
         "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize', "
-        "'scipy.special') if m in sys.modules])"
+        "'scipy.special', 'scipy.linalg', 'numpy.f2py') if m in sys.modules])"
     )
     assert run_python(code) == "[]"
 
@@ -242,6 +242,27 @@ class TestSimulateAndFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "--cells-per-obs-cell" in err and "--truncation-p" in err
+
+    @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
+    def test_ci_exact_rejects_grid_flag(self, tmp_path, capsys, flag):
+        # refused before the field is read: the file does not exist
+        code = run_cli(
+            "ci", "--field", str(tmp_path / "absent.csv"), "--dx", "0.05", "--dt", "0.05",
+            "--method", "mc-exact", flag, "2",
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
+    def test_simulate_exact_rejects_grid_flag(self, tmp_path, capsys, flag):
+        # refused before the covariance is built: this lattice is over budget
+        code = run_cli(
+            "simulate", "--nx", "200", "--nt", "200", flag, "2",
+            "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_ci_schema(self, field_csv, capsys):
         assert run_cli(

@@ -1,0 +1,42 @@
+import ast
+import pathlib
+
+import stou
+
+SOURCES = sorted(pathlib.Path(stou.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads
+    and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_finds_an_unused_import():
+    source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys)\n"
+    assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def test_modules_have_no_unused_imports():
+    # __init__.py only re-exports
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

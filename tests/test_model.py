@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stou import (
-    CorrKind,
     DimensionMismatch,
     FieldSample,
     Lattice,
@@ -216,7 +215,3 @@ class TestFieldSample:
         values[0, 1] = math.nan
         with pytest.raises(ValueError):
             FieldSample(lattice=lat, values=values)
-
-
-def test_corr_kind_has_exactly_two_variants():
-    assert {k.value for k in CorrKind} == {"canonical", "separable"}
