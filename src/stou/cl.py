@@ -10,8 +10,20 @@ b = y_j - mu, rho = exp(-lam |d_t| - c_tilde |d_x|).  The pair term is
 
 and the objective is pl(theta) = sum over axis-aligned pairs within the
 cutoff of w * l.  On axis-aligned lags the separable and canonical
-correlations coincide, so pl is the same under either form.  Score
-components, with F = rho (a^2 + b^2) - (1 + rho^2) a b and
+correlations coincide, so pl is the same under either form.
+
+At fixed rates (lam, c_tilde), pl is a quadratic in mu divided by
+sigma2, plus a log sigma2 term, so both have closed-form maximizers.
+With r_k = 1 + rho_k and o_k = 1 - rho_k^2 at axis lag k, n_k pairs,
+and SB_k(mu) the sum of B over them,
+
+    mu_hat     = sum_k sum(y_i + y_j)_k / r_k  /  sum_k 2 n_k / r_k
+    sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k.
+
+maximize_cl profiles the free ones out this way, so its simplex runs
+over (log lam, log c_tilde) only.
+
+Score components, with F = rho (a^2 + b^2) - (1 + rho^2) a b and
 one = 1 - rho^2 (all validated against central finite differences in
 the test suite):
 
@@ -285,32 +297,54 @@ def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _lag_stats(field: FieldSample, weights: PairWeightSpec) -> list[tuple]:
-    """Per-lag pair statistics (d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab)
-    in _axis_lags order, with a the first and b the second endpoint."""
+    """Per-lag pair statistics (d_t, d_x, n, s_1, s_2, s_ab) in _axis_lags
+    order: with a the first and b the second endpoint of each pair, s_1
+    sums a + b, s_2 sums a^2 + b^2 and s_ab sums a b."""
     lat = field.lattice
     out = []
     for h_t, h_x in _axis_lags(lat, weights):
         yi, yj = _pair_ends(field.values, h_t, h_x)
         out.append((
-            h_t * lat.dt, h_x * lat.dx, yi.size,
-            float(yi.sum()), float(yj.sum()),
-            float((yi * yi).sum()), float((yj * yj).sum()), float((yi * yj).sum()),
+            h_t * lat.dt, h_x * lat.dx, yi.size, float(yi.sum()) + float(yj.sum()),
+            float((yi * yi).sum()) + float((yj * yj).sum()), float((yi * yj).sum()),
         ))
     return out
 
 
-def _lag_loglik(lam: float, c_tilde: float, s2: float, mu: float, stats: tuple) -> float:
-    """Sum of the pair terms at one lag, from its _lag_stats entry."""
-    d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab = stats
-    rho = math.exp(-lam * d_t - c_tilde * d_x)
-    if rho >= 1.0 - _RHO_TOL:
-        raise CorrelationAtUnity("pair correlation too close to 1")
-    one = 1.0 - rho * rho
-    sum_a2 = s_aa - 2.0 * mu * s_a + n * mu * mu
-    sum_b2 = s_bb - 2.0 * mu * s_b + n * mu * mu
-    sum_ab = s_ab - mu * (s_a + s_b) + n * mu * mu
-    sum_B = sum_a2 + sum_b2 - 2.0 * rho * sum_ab
-    return -0.5 * (n * (2.0 * math.log(s2) + math.log(one)) + sum_B / (s2 * one))
+def _neg_pl(lam: float, c_tilde: float, s2: float | None, mu: float | None,
+            stats: list[tuple]) -> tuple[float, float, float]:
+    """(-pl, sigma2, mu) at (lam, c_tilde) from the _lag_stats entries.
+
+    A sigma2 or mu of None is replaced by its closed-form maximizer at
+    these rates (see maximize_cl).  The lag terms are added left to
+    right, so the value does not depend on how a Python version sums.
+    """
+    lags = []
+    for d_t, d_x, n, s_1, s_2, s_ab in stats:
+        rho = math.exp(-lam * d_t - c_tilde * d_x)
+        if rho >= 1.0 - _RHO_TOL:
+            raise CorrelationAtUnity("pair correlation too close to 1")
+        lags.append((rho, 1.0 - rho * rho))
+    if mu is None:
+        num = den = 0.0
+        for (rho, _), (_, _, n, s_1, _, _) in zip(lags, stats):
+            num += s_1 / (1.0 + rho)
+            den += 2 * n / (1.0 + rho)
+        mu = num / den
+    n_all = 0
+    q = log_o = 0.0
+    for (rho, one), (_, _, n, s_1, s_2, s_ab) in zip(lags, stats):
+        # B summed over the lag's pairs, a = y_i - mu and b = y_j - mu
+        sum_B = (s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu
+                 - 2.0 * rho * (s_ab - mu * s_1 + n * mu * mu))
+        q += sum_B / one
+        log_o += n * math.log(one)
+        n_all += n
+    if s2 is None:
+        s2 = q / (2 * n_all)
+    # q / (2 s2) is N at the profiled sigma2 up to rounding; computing it
+    # keeps the value bitwise equal to -pl at the returned theta
+    return n_all * math.log(s2) + 0.5 * log_o + q / (2.0 * s2), s2, mu
 
 
 def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec) -> float:
@@ -319,10 +353,8 @@ def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec)
     Pairs are accumulated per axis lag from sufficient statistics, in a
     fixed order, so repeated evaluation is bitwise stable.
     """
-    return sum(
-        _lag_loglik(theta.lam, theta.c_tilde, theta.sigma2, theta.mu, stats)
-        for stats in _lag_stats(field, weights)
-    )
+    return -_neg_pl(theta.lam, theta.c_tilde, theta.sigma2, theta.mu,
+                    _lag_stats(field, weights))[0]
 
 
 def _pair_information(theta: ThetaCL, d_t: float, d_x: float) -> np.ndarray:
@@ -432,27 +464,25 @@ def wsev_j(
     return J / s.shape[1]
 
 
-def _untransform(z: list[float], free: list[tuple[int, bool]], pinned: list[float]) -> list[float]:
-    """Full theta as floats: pinned, with each free coordinate (index,
-    log-scaled) replaced from z."""
-    full = pinned.copy()
-    for (idx, logged), zk in zip(free, z):
-        full[idx] = math.exp(zk) if logged else zk
-    return full
+def _with_rates(z: list[float], free: list[int], pinned: list) -> list:
+    """pinned = [lam, c_tilde, sigma2 or None, mu or None], with exp(z) in
+    place of the rates at the free indices."""
+    theta = pinned.copy()
+    for k, zk in zip(free, z):
+        theta[k] = math.exp(zk)
+    return theta
 
 
-def _neg_pl(z: list[float], stats: list[tuple], free: list[tuple[int, bool]],
-            pinned: list[float]) -> float:
-    """Negative pairwise log-likelihood at transformed free coordinates z;
-    inf wherever theta is invalid or a pair correlation reaches 1."""
+def _profile_objective(z: list[float], stats: list[tuple], free: list[int],
+                       pinned: list) -> float:
+    """The fit's objective, _neg_pl at _with_rates(z, free, pinned); inf
+    wherever the rates are invalid, a pair correlation reaches 1, or the
+    value (the profiled sigma2 included) is undefined."""
     try:
-        lam, c_tilde, s2, mu = _untransform(z, free, pinned)
-        if not (0.0 < lam < math.inf and 0.0 < c_tilde < math.inf
-                and 0.0 < s2 < math.inf and math.isfinite(mu)):
-            return math.inf
-        return -sum(_lag_loglik(lam, c_tilde, s2, mu, lag) for lag in stats)
-    except (CorrelationAtUnity, ValueError, OverflowError):
+        value = _neg_pl(*_with_rates(z, free, pinned), stats)[0]
+    except (CorrelationAtUnity, ValueError, OverflowError, ZeroDivisionError):
         return math.inf
+    return value if math.isfinite(value) else math.inf
 
 
 def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list, list]:
@@ -538,44 +568,57 @@ def maximize_cl(
 ) -> ThetaCL:
     """Maximize the pairwise log-likelihood over the free coordinates.
 
-    Positive coordinates are optimized in log-space by Nelder-Mead
-    simplex search (_nelder_mead, which takes the same steps as scipy's
-    Nelder-Mead, ties included; relative function tolerance 1e-8, one
-    automatic restart from the incumbent).  Fixed coordinates are pinned
-    to the scenario values.  The returned objective never falls below
-    the objective at start; if the iteration budget runs out first, an
-    OptimizerDidNotConverge warning is issued and the incumbent is
-    returned anyway.
-    """
-    pinned = scenario.pin(start)
-    if not scenario.free:
-        return pinned
+    Free sigma2 and mu are profiled out in closed form.  At fixed rates
+    (lambda, c_tilde), with r_k = 1 + rho_k and o_k = 1 - rho_k^2 at axis
+    lag k, n_k pairs, s_1k the sum of y_i + y_j and SB_k(mu) the sum of B
+    over its pairs, pl is maximized by
 
-    free = [(PARAM_NAMES.index(n), n != "mu") for n in scenario.free]
-    pinned_vals = pinned.as_array().tolist()
+        mu_hat     = sum_k s_1k / r_k  /  sum_k 2 n_k / r_k
+        sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k,
+
+    where -pl = sum_k n_k (log sigma2_hat + log(o_k) / 2) + N, N = sum_k n_k.
+    Only the free rates among (log lambda, log c_tilde) are searched, by
+    Nelder-Mead simplex search (_nelder_mead, which takes the same steps
+    as scipy's Nelder-Mead, ties included; relative function tolerance
+    1e-8, one automatic restart from the incumbent); with no free rate
+    no search runs.  Fixed coordinates are pinned to the scenario
+    values.  The returned pl never falls below the pl at start; if the
+    iteration budget runs out first, an OptimizerDidNotConverge warning
+    is issued and the incumbent is returned anyway.
+    """
+    pinned = scenario.pin(start).as_array().tolist()
+    stats = _lag_stats(field, weights)
+    lam, c_tilde, s2, mu = pinned
+    profiled = [lam, c_tilde, None if "sigma2" in scenario.free else s2,
+                None if "mu" in scenario.free else mu]
+    free = [k for k in (0, 1) if PARAM_NAMES[k] in scenario.free]
     objective = functools.partial(
-        _neg_pl, stats=_lag_stats(field, weights), free=free, pinned=pinned_vals
+        _profile_objective, stats=stats, free=free, pinned=profiled
     )
 
-    z0 = [math.log(pinned_vals[i]) if logged else pinned_vals[i] for i, logged in free]
-    f0 = objective(z0)
-    scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
-    for _ in range(2):  # one automatic restart from the incumbent
-        z0, fun, converged = _nelder_mead(
-            objective, z0, max_iter, xatol=1e-6, fatol=1e-8 * scale
-        )
-        scale = max(1.0, abs(fun)) if math.isfinite(fun) else scale
-    if not converged:
-        warnings.warn(
-            "simplex search exhausted its iteration budget",
-            OptimizerDidNotConverge,
-            stacklevel=2,
-        )
-    theta = ThetaCL(*_untransform(z0, free, pinned_vals))
-    # simplex descent from the pinned start cannot do worse, but guard anyway
-    if math.isfinite(f0) and objective(z0) > f0:
-        return pinned
-    return theta
+    z = [math.log(profiled[k]) for k in free]
+    if free:
+        f0 = objective(z)
+        scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
+        for _ in range(2):  # one automatic restart from the incumbent
+            z, fun, converged = _nelder_mead(
+                objective, z, max_iter, xatol=1e-6, fatol=1e-8 * scale
+            )
+            scale = max(1.0, abs(fun)) if math.isfinite(fun) else scale
+        if not converged:
+            warnings.warn(
+                "simplex search exhausted its iteration budget",
+                OptimizerDidNotConverge,
+                stacklevel=2,
+            )
+    # the profile at the start's rates cannot do worse than the start
+    # itself, nor the descent from there, but guard anyway
+    value = objective(z)
+    if value == math.inf or value > _profile_objective([], stats, [], pinned):
+        return ThetaCL(*pinned)
+    lam, c_tilde, s2, mu = _with_rates(z, free, profiled)
+    _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
+    return ThetaCL(lam=lam, c_tilde=c_tilde, sigma2=s2, mu=mu)
 
 
 # Delta-method gradients of the derived parameters in theta order.

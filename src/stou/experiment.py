@@ -142,6 +142,11 @@ class ExperimentConfig:
                 fail(field, "must be finite and > 0")
         if not math.isfinite(self.mu_seed):
             fail("mu_seed", "must be finite")
+        try:  # lam**2 underflows below about 1e-154
+            self.truth()
+        except (ZeroDivisionError, ValueError) as exc:
+            fail("lam", f"{self.lam!r} implies a stationary mean or variance that is "
+                        f"not finite, or a variance that is not > 0 ({exc})")
         for field in ("nx", "nt"):
             if getattr(self, field) < 2:
                 fail(field, "must be >= 2")

@@ -409,6 +409,15 @@ class TestExitCodes:
         assert code == 2
         assert "level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["1e-200", "1e-160"])
+    def test_unrepresentable_truth_is_2(self, tmp_path, capsys, no_worker_env, lam):
+        # lam**2 underflows: the implied variance divides by 0 at 1e-200
+        # and overflows at 1e-160
+        code = run_cli("coverage", *EXPERIMENT_ARGS, "--lambda", lam,
+                       "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "lam" in capsys.readouterr().err
+
     def test_runtime_failure_is_3(self, tmp_path, capsys):
         lat = Lattice(n_x=6, n_t=6, dx=0.05, dt=0.05)
         path = tmp_path / "const.csv"
