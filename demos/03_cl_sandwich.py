@@ -17,7 +17,6 @@ from stou import (
     Lattice,
     PairWeightSpec,
     StouParams,
-    ThetaCL,
     WindowSpec,
     build_covariance,
     cholesky_factor,
@@ -36,9 +35,8 @@ field = simulate_exact(factor, truth.mu, lattice, rng)
 # 1. The CL objective uses unit weights on axis-aligned pairs up to 3
 #    lattice steps apart; everything else is weighted zero.
 weights = PairWeightSpec(cutoff_d=3)
-theta_true = ThetaCL.from_params(truth)
 print(f"pairs entering the objective: {total_pair_weight(lattice, weights):.0f}")
-print(f"pairwise log-likelihood at the truth: {pairwise_loglik(theta_true, field, weights):.1f}")
+print(f"pairwise log-likelihood at the truth: {pairwise_loglik(truth, field, weights):.1f}")
 
 # 2. Subsampling windows for the variability matrix.  11x11 windows
 #    stepped by 5 give 7x7 = 49 overlapping windows on this lattice.
@@ -71,7 +69,7 @@ for name, iv in result.intervals.items():
 #    variance itself is biased on a strongly correlated domain).
 pinned = EstimationScenario(
     free=("lambda", "c_tilde"),
-    fixed_values={"sigma2": theta_true.sigma2, "mu": theta_true.mu},
+    fixed_values={"sigma2": truth.sigma2, "mu": truth.mu},
 )
 result_pinned = sandwich_ci(field, weights, windows, pinned, level=0.95)
 print("\n95% sandwich intervals (sigma2, mu pinned at truth)")

@@ -73,21 +73,17 @@ class CholeskyFactor:
         object.__setattr__(self, "entries", entries)
 
 
-def build_covariance(
-    params: StouParams,
-    lattice: Lattice,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> CovarianceMatrix:
+def build_covariance(params: StouParams, lattice: Lattice) -> CovarianceMatrix:
     """Covariance matrix of the field at all lattice sites.
 
     Entries are sigma2 * rho(|t_i - t_j| dt, |x_i - x_j| dx) with rho
     the canonical correlation.  Raises BudgetExceeded when lattice.n >
-    max_points before allocating the n x n array.
+    DEFAULT_MAX_POINTS before allocating the n x n array.
     """
     n = lattice.n
-    if n > max_points:
+    if n > DEFAULT_MAX_POINTS:
         raise BudgetExceeded(
-            f"lattice has {n} sites, budget is {max_points}; "
+            f"lattice has {n} sites, budget is {DEFAULT_MAX_POINTS}; "
             "use the grid simulator for larger lattices"
         )
     t = np.arange(lattice.n_t) * lattice.dt

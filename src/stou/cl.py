@@ -65,7 +65,7 @@ from .errors import (
     SingularH,
 )
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams, _pair_ends
 
 __all__ = [
     "PARAM_NAMES",
@@ -89,41 +89,8 @@ PARAM_NAMES = ("lambda", "c_tilde", "sigma2", "mu")
 _RHO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ThetaCL:
-    """CL parameter vector theta = (lambda, c_tilde, sigma2, mu)."""
-
-    lam: float
-    c_tilde: float
-    sigma2: float
-    mu: float
-
-    def __post_init__(self):
-        for name in ("lam", "c_tilde", "sigma2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam, self.c_tilde, self.sigma2, self.mu])
-
-    @classmethod
-    def from_array(cls, arr) -> "ThetaCL":
-        lam, c_tilde, sigma2, mu = (float(v) for v in arr)
-        return cls(lam=lam, c_tilde=c_tilde, sigma2=sigma2, mu=mu)
-
-    @classmethod
-    def from_params(cls, params: StouParams) -> "ThetaCL":
-        return cls(
-            lam=params.lam, c_tilde=params.c_tilde, sigma2=params.sigma2, mu=params.mu
-        )
-
-    def to_params(self) -> StouParams:
-        return StouParams(
-            lam=self.lam, c_tilde=self.c_tilde, sigma2=self.sigma2, mu=self.mu
-        )
+# the CL parameter vector theta is a StouParams; the old name stays valid
+ThetaCL = StouParams
 
 
 @dataclass(frozen=True)
@@ -196,16 +163,10 @@ class EstimationScenario:
     def free_indices(self) -> np.ndarray:
         return np.array([PARAM_NAMES.index(n) for n in self.free], dtype=int)
 
-    def pin(self, theta: ThetaCL) -> ThetaCL:
+    def pin(self, theta: StouParams) -> StouParams:
         """theta with the fixed coordinates replaced by fixed_values."""
-        vals = dict(zip(PARAM_NAMES, theta.as_array()))
-        vals.update(self.fixed_values)
-        return ThetaCL(
-            lam=vals["lambda"],
-            c_tilde=vals["c_tilde"],
-            sigma2=vals["sigma2"],
-            mu=vals["mu"],
-        )
+        return StouParams.from_array(
+            {**dict(zip(PARAM_NAMES, theta.as_array())), **self.fixed_values}.values())
 
 
 @dataclass(frozen=True)
@@ -219,7 +180,7 @@ class SandwichResult:
     mu_seed) via the Delta method.
     """
 
-    theta_hat: ThetaCL
+    theta_hat: StouParams
     H: np.ndarray
     J_star: np.ndarray
     G_inv: np.ndarray
@@ -237,7 +198,7 @@ def _check_rho(rho) -> np.ndarray:
     return rho
 
 
-def l_pair(theta: ThetaCL, y_i, y_j, rho_ij):
+def l_pair(theta: StouParams, y_i, y_j, rho_ij):
     """Pair log-likelihood term, elementwise over broadcast inputs.
 
     Equals the bivariate normal log-density at (y_i, y_j) plus log(2 pi).
@@ -252,7 +213,7 @@ def l_pair(theta: ThetaCL, y_i, y_j, rho_ij):
     )
 
 
-def score_u(theta: ThetaCL, y_i, y_j, rho_ij, grad_rho) -> np.ndarray:
+def score_u(theta: StouParams, y_i, y_j, rho_ij, grad_rho) -> np.ndarray:
     """Analytic gradient of l_pair in theta, shape (..., 4).
 
     grad_rho holds (d rho / d lambda, d rho / d c_tilde) in the trailing
@@ -287,13 +248,6 @@ def _axis_lags(lattice: Lattice, weights: PairWeightSpec) -> list[tuple[int, int
     return [(h, 0) for h in range(1, d + 1) if h < lattice.n_t] + [
         (0, h) for h in range(1, d + 1) if h < lattice.n_x
     ]
-
-
-def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the pairs at one lag, keyed by anchor position:
-    the pair anchored at (t, x) joins (t, x) with (t + h_t, x + h_x)."""
-    n_t, n_x = v.shape
-    return v[: n_t - h_t, : n_x - h_x], v[h_t:, h_x:]
 
 
 def _lag_stats(field: FieldSample, weights: PairWeightSpec) -> list[tuple]:
@@ -347,7 +301,7 @@ def _neg_pl(lam: float, c_tilde: float, s2: float | None, mu: float | None,
     return n_all * math.log(s2) + 0.5 * log_o + q / (2.0 * s2), s2, mu
 
 
-def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec) -> float:
+def pairwise_loglik(theta: StouParams, field: FieldSample, weights: PairWeightSpec) -> float:
     """Weighted pairwise log-likelihood over admissible pairs.
 
     Pairs are accumulated per axis lag from sufficient statistics, in a
@@ -357,9 +311,11 @@ def pairwise_loglik(theta: ThetaCL, field: FieldSample, weights: PairWeightSpec)
                     _lag_stats(field, weights))[0]
 
 
-def _pair_information(theta: ThetaCL, d_t: float, d_x: float) -> np.ndarray:
+def _pair_information(theta: StouParams, d_t: float, d_x: float) -> np.ndarray:
     """Expected information block of one pair at the given lag."""
     rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
+    if rho >= 1.0 - _RHO_TOL:
+        raise CorrelationAtUnity("pair correlation too close to 1")
     s2 = theta.sigma2
     one = 1.0 - rho * rho
     g = np.array([-d_t * rho, -d_x * rho])
@@ -384,7 +340,7 @@ def total_pair_weight(lattice: Lattice, weights: PairWeightSpec) -> float:
     return float(sum(n for _, _, n in _lag_counts(lattice, weights)))
 
 
-def hessian_h(theta: ThetaCL, lattice: Lattice, weights: PairWeightSpec) -> np.ndarray:
+def hessian_h(theta: StouParams, lattice: Lattice, weights: PairWeightSpec) -> np.ndarray:
     """Expected Hessian H(theta): the sum over admissible weighted pairs
     of the per-pair expected information block.  Needs no data."""
     H = np.zeros((4, 4))
@@ -394,7 +350,7 @@ def hessian_h(theta: ThetaCL, lattice: Lattice, weights: PairWeightSpec) -> np.n
 
 
 def _score_fields(
-    theta: ThetaCL, field: FieldSample, weights: PairWeightSpec
+    theta: StouParams, field: FieldSample, weights: PairWeightSpec
 ) -> list[tuple[int, int, np.ndarray]]:
     """Per-lag arrays of pair scores, keyed by pair anchor position.
 
@@ -410,7 +366,7 @@ def _score_fields(
 
 
 def _pair_scores(
-    theta: ThetaCL, d_t: float, d_x: float, yi: np.ndarray, yj: np.ndarray
+    theta: StouParams, d_t: float, d_x: float, yi: np.ndarray, yj: np.ndarray
 ) -> np.ndarray:
     rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
     grad = np.broadcast_to(
@@ -421,7 +377,7 @@ def _pair_scores(
 
 
 def wsev_j(
-    theta_hat: ThetaCL,
+    theta_hat: StouParams,
     field: FieldSample,
     weights: PairWeightSpec,
     windows: WindowSpec,
@@ -563,9 +519,9 @@ def maximize_cl(
     field: FieldSample,
     weights: PairWeightSpec,
     scenario: EstimationScenario,
-    start: ThetaCL,
+    start: StouParams,
     max_iter: int = 2000,
-) -> ThetaCL:
+) -> StouParams:
     """Maximize the pairwise log-likelihood over the free coordinates.
 
     Free sigma2 and mu are profiled out in closed form.  At fixed rates
@@ -615,20 +571,20 @@ def maximize_cl(
     # itself, nor the descent from there, but guard anyway
     value = objective(z)
     if value == math.inf or value > _profile_objective([], stats, [], pinned):
-        return ThetaCL(*pinned)
+        return StouParams(*pinned)
     lam, c_tilde, s2, mu = _with_rates(z, free, profiled)
     _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
-    return ThetaCL(lam=lam, c_tilde=c_tilde, sigma2=s2, mu=mu)
+    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=s2, mu=mu)
 
 
 # Delta-method gradients of the derived parameters in theta order.
-def _derived_params(theta: ThetaCL) -> list[tuple[str, float, np.ndarray]]:
+def _derived_params(theta: StouParams) -> list[tuple[str, float, np.ndarray]]:
     lam, ct, s2, mu = theta.lam, theta.c_tilde, theta.sigma2, theta.mu
-    tau = math.sqrt(2.0 * lam * ct * s2)
+    tau = math.sqrt(theta.tau2)
     return [
-        ("c", lam / ct, np.array([1.0 / ct, -lam / ct**2, 0.0, 0.0])),
+        ("c", theta.c, np.array([1.0 / ct, -lam / ct**2, 0.0, 0.0])),
         ("tau", tau, np.array([ct * s2 / tau, lam * s2 / tau, lam * ct / tau, 0.0])),
-        ("mu_seed", lam * ct * mu / 2.0,
+        ("mu_seed", theta.mu_seed,
          np.array([ct * mu / 2.0, lam * mu / 2.0, 0.0, lam * ct / 2.0])),
     ]
 
@@ -639,7 +595,7 @@ def sandwich_ci(
     windows: WindowSpec,
     scenario: EstimationScenario,
     level: float = 0.95,
-    start: ThetaCL | None = None,
+    start: StouParams | None = None,
     max_lag: int = 5,
 ) -> SandwichResult:
     """Asymptotic-normal CIs from the sandwich covariance at the CL
@@ -656,7 +612,7 @@ def sandwich_ci(
     if not scenario.free:
         raise ValueError("scenario must leave at least one parameter free")
     if start is None:
-        start = ThetaCL.from_params(fit_mm(field, max_lag=max_lag))
+        start = fit_mm(field, max_lag=max_lag)
     theta_hat = maximize_cl(field, weights, scenario, start)
 
     lat = field.lattice

@@ -8,6 +8,7 @@ STOU_WORKERS sets the default worker count for coverage/proxy runs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,7 +20,6 @@ from .cl import (
     EstimationScenario,
     PARAM_NAMES,
     PairWeightSpec,
-    ThetaCL,
     WindowSpec,
     sandwich_ci,
 )
@@ -35,7 +35,7 @@ from .experiment import (
 )
 from .gridsim import GridSimConfig, simulate_grid
 from .mm import fit_mm
-from .model import Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["main"]
 
@@ -96,25 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-mm", help="moment fit of one field file")
     _add_field_args(p)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=5)
+    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_mm)
 
     p = sub.add_parser("fit-cl", help="composite-likelihood fit with sandwich CIs")
     _add_field_args(p)
     _add_cl_args(p)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=5)
+    p.add_argument("--level", type=float, default=ExperimentConfig.level)
+    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_cl)
 
     p = sub.add_parser("ci", help="parametric-bootstrap CIs for one field file")
     _add_field_args(p)
     p.add_argument("--method", choices=("mc-exact", "mc-grid"), default="mc-exact")
-    p.add_argument("--B", type=int, default=100)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--B", type=int, default=ExperimentConfig.B)
+    p.add_argument("--level", type=float, default=ExperimentConfig.level)
     _add_grid_args(p)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=5)
+    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ci)
@@ -144,30 +144,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _arg(args, name: str):
+    """The flag's value, or the ExperimentConfig default when it is absent."""
+    value = getattr(args, name)
+    return getattr(ExperimentConfig, name) if value is None else value
+
+
 def _params_from_args(args) -> StouParams:
-    values = {"lam": args.lam, "c": args.c, "tau": args.tau, "mu_seed": args.mu_seed}
-    defaults = {"lam": 1.0, "c": 1.0, "tau": 0.1, "mu_seed": 0.2}
-    for key, value in values.items():
-        if value is None:
-            values[key] = defaults[key]
     try:
-        return StouParams.natural(values["lam"], values["c"], values["mu_seed"],
-                                  values["tau"] ** 2)
+        return StouParams.natural(_arg(args, "lam"), _arg(args, "c"),
+                                  _arg(args, "mu_seed"), _arg(args, "tau") ** 2)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
 
 def _lattice_from_args(args) -> Lattice:
-    values = {"nx": args.nx, "nt": args.nt, "dx": args.dx, "dt": args.dt}
-    defaults = {"nx": 41, "nt": 41, "dx": 0.05, "dt": 0.05}
-    for key, value in values.items():
-        if value is None:
-            values[key] = defaults[key]
     try:
-        return Lattice(n_x=values["nx"], n_t=values["nt"],
-                       dx=values["dx"], dt=values["dt"])
+        return Lattice(n_x=_arg(args, "nx"), n_t=_arg(args, "nt"),
+                       dx=_arg(args, "dx"), dt=_arg(args, "dt"))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
+
+
+def _field_from_args(args) -> FieldSample:
+    """The --field file on the --dx/--dt lattice; the spacings are checked
+    before the file is read, so they fail as configuration errors."""
+    for flag, value in (("--dx", args.dx), ("--dt", args.dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigInvalid(f"{flag} must be finite and > 0, got {value!r}")
+    return read_field(args.field, args.dx, args.dt)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -197,11 +202,8 @@ def _cmd_simulate(args) -> int:
         field = simulate_exact(factor, params.mu, lattice, rng)
     else:
         try:
-            config = GridSimConfig(
-                truncation_p=args.truncation_p if args.truncation_p is not None else 300,
-                cells_per_obs_cell=(args.cells_per_obs_cell
-                                    if args.cells_per_obs_cell is not None else 1),
-            )
+            config = GridSimConfig(truncation_p=_arg(args, "truncation_p"),
+                                   cells_per_obs_cell=_arg(args, "cells_per_obs_cell"))
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
         field = simulate_grid(params, lattice, config, rng)
@@ -211,7 +213,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_mm(args) -> int:
-    field = read_field(args.field, args.dx, args.dt)
+    field = _field_from_args(args)
     fitted = fit_mm(field, max_lag=args.max_lag)
     report = params_to_report(fitted)
     lines = ["parameter,estimate"]
@@ -221,23 +223,18 @@ def _cmd_fit_mm(args) -> int:
 
 
 def _cmd_fit_cl(args) -> int:
-    field = read_field(args.field, args.dx, args.dt)
-    free = parse_scenario(args.scenario) if args.scenario else PARAM_NAMES
-    start = ThetaCL.from_params(fit_mm(field, max_lag=args.max_lag))
+    field = _field_from_args(args)
+    free = parse_scenario(args.scenario) if args.scenario else ExperimentConfig.scenario
+    start = fit_mm(field, max_lag=args.max_lag)
     start_values = dict(zip(PARAM_NAMES, start.as_array()))
     # parameters left out of the scenario are pinned at their moment fits
     fixed = {name: start_values[name] for name in PARAM_NAMES if name not in free}
     try:
         scenario = EstimationScenario(free=free, fixed_values=fixed)
-        weights = PairWeightSpec(
-            cutoff_d=args.cutoff_d if args.cutoff_d is not None else 3
-        )
-        windows = WindowSpec(
-            window_nx=args.window_nx if args.window_nx is not None else 11,
-            window_nt=args.window_nt if args.window_nt is not None else 11,
-            step_x=args.step_x if args.step_x is not None else 5,
-            step_t=args.step_t if args.step_t is not None else 5,
-        )
+        weights = PairWeightSpec(cutoff_d=_arg(args, "cutoff_d"))
+        windows = WindowSpec(window_nx=_arg(args, "window_nx"),
+                             window_nt=_arg(args, "window_nt"),
+                             step_x=_arg(args, "step_x"), step_t=_arg(args, "step_t"))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
     result = sandwich_ci(field, weights, windows, scenario,
@@ -258,18 +255,15 @@ def _cmd_ci(args) -> int:
         _reject_grid_flags(args)
     elif args.truncation_p is not None:
         try:
-            grid_config = GridSimConfig(
-                truncation_p=args.truncation_p,
-                cells_per_obs_cell=(args.cells_per_obs_cell
-                                    if args.cells_per_obs_cell is not None else 1),
-            )
+            grid_config = GridSimConfig(truncation_p=args.truncation_p,
+                                        cells_per_obs_cell=_arg(args, "cells_per_obs_cell"))
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
     elif args.cells_per_obs_cell is not None:
         # without --truncation-p, mc_ci picks the depth from the fitted field
         # and one mesh cell per observation cell
         raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")
-    field = read_field(args.field, args.dx, args.dt)
+    field = _field_from_args(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     try:
         result = mc_ci(field, args.B, args.level,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, InsufficientUsableLags
-from .model import FieldSample, StouParams
+from .model import FieldSample, StouParams, _pair_ends
 
 __all__ = ["AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"]
 
@@ -58,12 +58,12 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    values = field.values if axis == "temporal" else field.values.T
-    extent = values.shape[0]
+    temporal = axis == "temporal"
+    extent = field.values.shape[0 if temporal else 1]
     if not 1 <= max_lag < extent:
         raise ValueError(f"max_lag must be in [1, {extent - 1}], got {max_lag}")
 
-    dev = values - values.mean()
+    dev = field.values - field.values.mean()
     s2 = float(np.mean(dev * dev))
     if s2 <= 0.0:
         raise DegenerateSample("sample variance is zero")
@@ -71,7 +71,8 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     lags = np.arange(1, max_lag + 1)
     acf = np.empty(max_lag)
     for i, h in enumerate(lags):
-        prods = dev[:-h] * dev[h:]
+        a, b = _pair_ends(dev, h, 0) if temporal else _pair_ends(dev, 0, h)
+        prods = a * b
         acf[i] = prods.sum() / (prods.size * s2)
     return AcfEstimate(axis=axis, lags=lags, values=np.clip(acf, -1.0, 1.0))
 

@@ -87,6 +87,15 @@ class StouParams:
         mu, sigma2 = derived_moments(lam, c, mu_seed, tau2)
         return cls(lam=lam, c_tilde=lam / c, sigma2=sigma2, mu=mu)
 
+    def as_array(self) -> np.ndarray:
+        """(lam, c_tilde, sigma2, mu), the order of cl.PARAM_NAMES."""
+        return np.array([self.lam, self.c_tilde, self.sigma2, self.mu])
+
+    @classmethod
+    def from_array(cls, arr) -> "StouParams":
+        lam, c_tilde, sigma2, mu = (float(v) for v in arr)
+        return cls(lam=lam, c_tilde=c_tilde, sigma2=sigma2, mu=mu)
+
     @property
     def c(self) -> float:
         return self.lam / self.c_tilde
@@ -151,6 +160,14 @@ class Lattice:
         t_idx = np.repeat(np.arange(self.n_t), self.n_x)
         x_idx = np.tile(np.arange(self.n_x), self.n_t)
         return t_idx, x_idx
+
+
+def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the pairs of an (n_t, n_x) array at axis lag
+    (h_t, h_x) in grid steps, keyed by anchor position: the pair anchored
+    at (t, x) joins (t, x) with (t + h_t, x + h_x)."""
+    n_t, n_x = v.shape
+    return v[: n_t - h_t, : n_x - h_x], v[h_t:, h_x:]
 
 
 @dataclass(frozen=True)

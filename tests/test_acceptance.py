@@ -109,7 +109,7 @@ def test_criterion_2_expected_information_matches_monte_carlo():
     weights = PairWeightSpec(cutoff_d=3)
     H_an = hessian_h(theta, lat, weights)
 
-    factor = cholesky_factor(build_covariance(theta.to_params(), lat))
+    factor = cholesky_factor(build_covariance(theta, lat))
     nrep = 20000
     rng = np.random.default_rng(314)
     Z = rng.standard_normal((factor.n, nrep))
@@ -281,7 +281,7 @@ def test_criterion_6_extra_free_variance_parameter_hurts_coverage(tmp_path):
     factor = cholesky_factor(build_covariance(truth, lat))
     weights = PairWeightSpec(cutoff_d=3)
     windows = WindowSpec(window_nx=11, window_nt=11, step_x=5, step_t=5)
-    t_cl = ThetaCL.from_params(truth)
+    t_cl = truth
     scen_small = EstimationScenario(
         free=("lambda", "c_tilde"),
         fixed_values={"sigma2": t_cl.sigma2, "mu": t_cl.mu},
@@ -339,7 +339,7 @@ def test_criterion_8_variance_matrices_are_psd():
         assert eig_h[0] >= -1e-10 * np.trace(H)
         worst_h = max(worst_h, -float(eig_h[0]) / np.trace(H))
 
-        factor = cholesky_factor(build_covariance(theta.to_params(), lat))
+        factor = cholesky_factor(build_covariance(theta, lat))
         field = simulate_exact(factor, theta.mu, lat, rng)
         windows = WindowSpec(
             window_nx=int(rng.integers(2, lat.n_x + 1)),

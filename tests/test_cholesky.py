@@ -129,9 +129,6 @@ class TestBuildCovariance:
 
     def test_budget_enforced_before_work(self):
         p = params()
-        lat = Lattice(n_x=3, n_t=3, dx=0.05, dt=0.05)
-        with pytest.raises(BudgetExceeded):
-            build_covariance(p, lat, max_points=8)
         # default budget admits the paper-scale lattice and nothing bigger
         with pytest.raises(BudgetExceeded):
             build_covariance(p, Lattice(n_x=102, n_t=101, dx=0.05, dt=0.05))

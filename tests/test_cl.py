@@ -118,11 +118,6 @@ class TestThetaCL:
         np.testing.assert_array_equal(arr, [1.5, 0.7, 0.02, -0.3])
         assert ThetaCL.from_array(arr) == theta
 
-    def test_params_roundtrip(self):
-        p = StouParams.natural(lam=2.0, c=0.5, mu_seed=0.1, tau2=0.03)
-        theta = ThetaCL.from_params(p)
-        assert theta.to_params() == p
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ThetaCL(lam=-1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
@@ -247,6 +242,12 @@ class TestHessianH:
         H = hessian_h(theta, lat, WEIGHTS)
         assert H[3, 0] == H[3, 1] == H[3, 2] == 0.0
         np.testing.assert_allclose(H, H.T, atol=1e-12)
+
+    def test_unit_correlation_is_a_typed_error(self):
+        # at lam = 1e-17 every temporal pair correlation rounds to 1
+        with pytest.raises(CorrelationAtUnity):
+            hessian_h(StouParams(1e-17, 1.0, 1.0, 0.0), Lattice(15, 15, 0.05, 0.05),
+                      PairWeightSpec(3))
 
     def test_matches_per_pair_information_sum(self):
         theta = ThetaCL(lam=0.9, c_tilde=1.4, sigma2=0.05, mu=-0.1)
@@ -490,7 +491,7 @@ class TestMaximizeCl:
         assert est == scen.pin(start)
 
     def test_never_worse_than_start_and_near_truth(self, small_field, base_params):
-        t = ThetaCL.from_params(base_params)
+        t = base_params
         scen = EstimationScenario(
             free=("lambda",),
             fixed_values={"c_tilde": t.c_tilde, "sigma2": t.sigma2, "mu": t.mu},
@@ -514,7 +515,7 @@ class TestMaximizeCl:
         assert maximize_cl(small_field, WEIGHTS, scen, start) == start
 
     def test_iteration_budget_warns(self, small_field, base_params):
-        t = ThetaCL.from_params(base_params)
+        t = base_params
         scen = EstimationScenario(
             free=("lambda",),
             fixed_values={"c_tilde": t.c_tilde, "sigma2": t.sigma2, "mu": t.mu},
@@ -575,7 +576,7 @@ class TestProfile:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizerDidNotConverge)
-            est = maximize_cl(field, WEIGHTS, scen, ThetaCL.from_params(truth))
+            est = maximize_cl(field, WEIGHTS, scen, truth)
         total, scale = summed_score(est, field, WEIGHTS)
         for name in ("sigma2", "mu"):
             k = PARAM_NAMES.index(name)
@@ -589,7 +590,7 @@ class TestProfile:
         """With no free rate there is nothing to search: the fit returns
         the closed-form maximizers at the pinned rates, even with a
         budget of one iteration."""
-        truth = ThetaCL.from_params(base_params)
+        truth = base_params
         pins = {"lambda": 1.3, "c_tilde": 0.8, "sigma2": 0.02, "mu": 0.1}
         scen = EstimationScenario(
             free=free, fixed_values={n: v for n, v in pins.items() if n not in free}
@@ -829,14 +830,14 @@ class TestMaximizeClMatchesScipy:
         PARAM_NAMES, ("lambda", "c_tilde"), ("sigma2",), ("lambda", "mu"),
     ])
     def test_pl_never_below_oracle_over_200_fields(self, fields_200, base_params, free):
-        truth = dict(zip(PARAM_NAMES, ThetaCL.from_params(base_params).as_array()))
+        truth = dict(zip(PARAM_NAMES, base_params.as_array()))
         scen = EstimationScenario(
             free=free, fixed_values={n: truth[n] for n in PARAM_NAMES if n not in free}
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizerDidNotConverge)
             for field in fields_200:
-                start = ThetaCL.from_params(fit_mm(field, max_lag=5))
+                start = fit_mm(field, max_lag=5)
                 ours = pairwise_loglik(maximize_cl(field, WEIGHTS, scen, start), field, WEIGHTS)
                 oracle = pairwise_loglik(
                     scipy_maximize_cl(field, WEIGHTS, scen, start), field, WEIGHTS
@@ -870,7 +871,7 @@ class TestSandwichCi:
     def test_derived_interval_transforms_when_scale_is_fixed(self, small_field, base_params):
         # with c_tilde pinned, c = lambda / c_tilde is a linear map of the
         # only free coordinate, so its CI is the mapped lambda CI
-        t = ThetaCL.from_params(base_params)
+        t = base_params
         scen = EstimationScenario(
             free=("lambda",),
             fixed_values={"c_tilde": t.c_tilde, "sigma2": t.sigma2, "mu": t.mu},
@@ -903,7 +904,7 @@ class TestSandwichCi:
         lat = Lattice(n_x=1, n_t=60, dx=0.05, dt=0.05)
         fac = cholesky_factor(build_covariance(p, lat))
         field = simulate_exact(fac, p.mu, lat, np.random.default_rng(1))
-        t = ThetaCL.from_params(p)
+        t = p
         scen = EstimationScenario(
             free=("lambda", "c_tilde"), fixed_values={"sigma2": t.sigma2, "mu": t.mu}
         )
@@ -912,6 +913,13 @@ class TestSandwichCi:
             sandwich_ci(
                 field, WEIGHTS, WindowSpec(window_nx=2, window_nt=5), scen, start=start
             )
+
+    def test_lambda_pinned_at_unit_correlation_is_a_typed_error(self, small_field):
+        scen = EstimationScenario(
+            free=("sigma2", "mu"), fixed_values={"lambda": 1e-17, "c_tilde": 1.0}
+        )
+        with pytest.raises(CorrelationAtUnity):
+            sandwich_ci(small_field, WEIGHTS, WindowSpec(window_nx=7, window_nt=7), scen)
 
 
 class TestSpecValidation:

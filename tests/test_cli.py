@@ -192,6 +192,31 @@ class TestSimulateAndFit:
             ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
+        d = ExperimentConfig()
+        explicit = {
+            "simulate": [
+                "--lambda", d.lam, "--c", d.c, "--tau", d.tau, "--mu-seed", d.mu_seed,
+                "--nx", d.nx, "--nt", d.nt, "--dx", d.dx, "--dt", d.dt,
+                "--truncation-p", d.truncation_p,
+                "--cells-per-obs-cell", d.cells_per_obs_cell,
+            ],
+            "fit-cl": [
+                "--scenario", ",".join(d.scenario), "--cutoff-d", d.cutoff_d,
+                "--window-nx", d.window_nx, "--window-nt", d.window_nt,
+                "--step-x", d.step_x, "--step-t", d.step_t,
+                "--level", d.level, "--max-lag", d.max_lag,
+            ],
+        }
+        fixed = {"simulate": ["--method", "grid"],
+                 "fit-cl": ["--field", field_csv, "--dx", "0.05", "--dt", "0.05"]}
+        for command, flags in explicit.items():
+            outs = [tmp_path / f"{command}-implicit.csv", tmp_path / f"{command}-explicit.csv"]
+            for out, extra in zip(outs, ([], flags)):
+                argv = [command, *fixed[command], *map(str, extra), "--out", str(out)]
+                assert run_cli(*argv) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_simulate_grid_method(self, tmp_path):
         out = tmp_path / "g.csv"
         assert run_cli(
@@ -430,6 +455,22 @@ class TestExitCodes:
             "fit-mm", "--field", str(tmp_path / "absent.csv"),
             "--dx", "0.05", "--dt", "0.05",
         )
+        assert code == 3
+
+    @pytest.mark.parametrize("command", ["fit-mm", "fit-cl", "ci"])
+    @pytest.mark.parametrize("flag,value", [("--dx", "-1"), ("--dt", "0")])
+    def test_bad_spacing_is_2(self, field_csv, capsys, command, flag, value):
+        spacings = {"--dx": "0.05", "--dt": "0.05", flag: value}
+        code = run_cli(command, "--field", field_csv,
+                       *(part for item in spacings.items() for part in item))
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit-mm", "fit-cl", "ci"])
+    def test_malformed_field_file_is_3(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x,v\n0,0,1.0\n")
+        code = run_cli(command, "--field", str(path), "--dx", "0.05", "--dt", "0.05")
         assert code == 3
 
     def test_argparse_rejections_exit_2(self, capsys):
