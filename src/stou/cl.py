@@ -65,7 +65,7 @@ from .errors import (
     SingularH,
 )
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams, _pair_ends
+from .model import FieldSample, Lattice, StouParams, _axis_lags, _pair_ends
 
 __all__ = [
     "PARAM_NAMES",
@@ -160,6 +160,13 @@ class EstimationScenario:
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "fixed_values", dict(self.fixed_values))
 
+    @classmethod
+    def pinned_at(cls, free: tuple[str, ...], theta: StouParams) -> "EstimationScenario":
+        """free estimated, every other coordinate pinned at theta's value."""
+        values = dict(zip(PARAM_NAMES, theta.as_array().tolist()))
+        return cls(free=free, fixed_values={name: v for name, v in values.items()
+                                            if name not in free})
+
     def free_indices(self) -> np.ndarray:
         return np.array([PARAM_NAMES.index(n) for n in self.free], dtype=int)
 
@@ -241,25 +248,16 @@ def score_u(theta: StouParams, y_i, y_j, rho_ij, grad_rho) -> np.ndarray:
     return out
 
 
-def _axis_lags(lattice: Lattice, weights: PairWeightSpec) -> list[tuple[int, int]]:
-    """Axis lags (h_t, h_x) in grid steps, in fixed order: temporal lags
-    1..d then spatial lags 1..d.  Lags with no pairs are omitted."""
-    d = weights.cutoff_d
-    return [(h, 0) for h in range(1, d + 1) if h < lattice.n_t] + [
-        (0, h) for h in range(1, d + 1) if h < lattice.n_x
-    ]
-
-
 def _lag_stats(field: FieldSample, weights: PairWeightSpec) -> list[tuple]:
     """Per-lag pair statistics (d_t, d_x, n, s_1, s_2, s_ab) in _axis_lags
     order: with a the first and b the second endpoint of each pair, s_1
     sums a + b, s_2 sums a^2 + b^2 and s_ab sums a b."""
-    lat = field.lattice
+    d = weights.cutoff_d
     out = []
-    for h_t, h_x in _axis_lags(lat, weights):
+    for h_t, h_x, d_t, d_x, n in _axis_lags(field.lattice, d, d):
         yi, yj = _pair_ends(field.values, h_t, h_x)
         out.append((
-            h_t * lat.dt, h_x * lat.dx, yi.size, float(yi.sum()) + float(yj.sum()),
+            d_t, d_x, n, float(yi.sum()) + float(yj.sum()),
             float((yi * yi).sum()) + float((yj * yj).sum()), float((yi * yj).sum()),
         ))
     return out
@@ -328,23 +326,18 @@ def _pair_information(theta: StouParams, d_t: float, d_x: float) -> np.ndarray:
     return block
 
 
-def _lag_counts(lattice: Lattice, weights: PairWeightSpec) -> list[tuple[float, float, int]]:
-    return [
-        (h_t * lattice.dt, h_x * lattice.dx, (lattice.n_t - h_t) * (lattice.n_x - h_x))
-        for h_t, h_x in _axis_lags(lattice, weights)
-    ]
-
-
 def total_pair_weight(lattice: Lattice, weights: PairWeightSpec) -> float:
     """Total weight W of admissible pairs on the lattice."""
-    return float(sum(n for _, _, n in _lag_counts(lattice, weights)))
+    d = weights.cutoff_d
+    return float(sum(n for *_, n in _axis_lags(lattice, d, d)))
 
 
 def hessian_h(theta: StouParams, lattice: Lattice, weights: PairWeightSpec) -> np.ndarray:
     """Expected Hessian H(theta): the sum over admissible weighted pairs
     of the per-pair expected information block.  Needs no data."""
     H = np.zeros((4, 4))
-    for d_t, d_x, n in _lag_counts(lattice, weights):
+    d = weights.cutoff_d
+    for _, _, d_t, d_x, n in _axis_lags(lattice, d, d):
         H += n * _pair_information(theta, d_t, d_x)
     return H
 
@@ -357,23 +350,15 @@ def _score_fields(
     Returns (h_t, h_x, U) with U shaped (4, n_t - h_t, n_x - h_x); the
     pair anchored at (t, x) joins (t, x) with (t + h_t, x + h_x).
     """
-    lat = field.lattice
-    return [
-        (h_t, h_x, _pair_scores(theta, h_t * lat.dt, h_x * lat.dx,
-                                *_pair_ends(field.values, h_t, h_x)))
-        for h_t, h_x in _axis_lags(lat, weights)
-    ]
-
-
-def _pair_scores(
-    theta: StouParams, d_t: float, d_x: float, yi: np.ndarray, yj: np.ndarray
-) -> np.ndarray:
-    rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
-    grad = np.broadcast_to(
-        np.array([-d_t * rho, -d_x * rho]), yi.shape + (2,)
-    )
-    u = score_u(theta, yi, yj, np.full(yi.shape, rho), grad)
-    return np.moveaxis(u, -1, 0)
+    d = weights.cutoff_d
+    out = []
+    for h_t, h_x, d_t, d_x, _ in _axis_lags(field.lattice, d, d):
+        yi, yj = _pair_ends(field.values, h_t, h_x)
+        rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
+        grad = np.broadcast_to(np.array([-d_t * rho, -d_x * rho]), yi.shape + (2,))
+        u = score_u(theta, yi, yj, np.full(yi.shape, rho), grad)
+        out.append((h_t, h_x, np.moveaxis(u, -1, 0)))
+    return out
 
 
 def wsev_j(
@@ -553,7 +538,12 @@ def maximize_cl(
     )
 
     z = [math.log(profiled[k]) for k in free]
-    if free:
+    # an axis lag's correlation depends on one rate (index 0 for temporal
+    # lags, 1 for spatial ones); if that rate is pinned and puts the lag
+    # at correlation 1, the objective is inf at every free rate
+    at_unity = any(math.exp(-lam * d_t - c_tilde * d_x) >= 1.0 - _RHO_TOL
+                   for d_t, d_x, *_ in stats if (0 if d_t else 1) not in free)
+    if free and not at_unity:
         f0 = objective(z)
         scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
         for _ in range(2):  # one automatic restart from the incumbent
@@ -589,6 +579,15 @@ def _derived_params(theta: StouParams) -> list[tuple[str, float, np.ndarray]]:
     ]
 
 
+def check_sandwich_ci_args(level: float, free: tuple[str, ...]) -> None:
+    """Raise the ValueError sandwich_ci raises for this level and these
+    free parameters, if any."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    if not free:
+        raise ValueError("scenario must leave at least one parameter free")
+
+
 def sandwich_ci(
     field: FieldSample,
     weights: PairWeightSpec,
@@ -607,10 +606,7 @@ def sandwich_ci(
     parameters (c, tau, mu_seed) get Delta-method intervals with their
     gradients restricted to the free coordinates.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
-    if not scenario.free:
-        raise ValueError("scenario must leave at least one parameter free")
+    check_sandwich_ci_args(level, scenario.free)
     if start is None:
         start = fit_mm(field, max_lag=max_lag)
     theta_hat = maximize_cl(field, weights, scenario, start)

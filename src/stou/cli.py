@@ -14,28 +14,22 @@ import sys
 
 import numpy as np
 
-from .bootstrap import REPORT_PARAMS, mc_ci, params_to_report
+from .bootstrap import REPORT_PARAMS, check_mc_ci_args, mc_ci, params_to_report
 from .cholesky import build_covariance, cholesky_factor, simulate_exact
-from .cl import (
-    EstimationScenario,
-    PARAM_NAMES,
-    PairWeightSpec,
-    WindowSpec,
-    sandwich_ci,
-)
+from .cl import EstimationScenario, check_sandwich_ci_args, sandwich_ci
 from .errors import ConfigInvalid, StouError
 from .experiment import (
     _CONFIG_PARSERS,
     ExperimentConfig,
+    _checked,
     parse_config_file,
-    parse_scenario,
     read_field,
     run,
     write_field,
 )
-from .gridsim import GridSimConfig, simulate_grid
+from .gridsim import simulate_grid
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams
+from .model import FieldSample
 
 __all__ = ["main"]
 
@@ -144,34 +138,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _arg(args, name: str):
-    """The flag's value, or the ExperimentConfig default when it is absent."""
-    value = getattr(args, name)
-    return getattr(ExperimentConfig, name) if value is None else value
-
-
-def _params_from_args(args) -> StouParams:
-    try:
-        return StouParams.natural(_arg(args, "lam"), _arg(args, "c"),
-                                  _arg(args, "mu_seed"), _arg(args, "tau") ** 2)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
-
-
-def _lattice_from_args(args) -> Lattice:
-    try:
-        return Lattice(n_x=_arg(args, "nx"), n_t=_arg(args, "nt"),
-                       dx=_arg(args, "dx"), dt=_arg(args, "dt"))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+def _settings(args) -> ExperimentConfig:
+    """ExperimentConfig's defaults with the flags given applied, each
+    parsed as its config-file text would be (only --scenario arrives as
+    text).  Not validated: each command checks the settings it uses."""
+    return ExperimentConfig(**{name: parse(getattr(args, name))
+                               for name, parse in _CONFIG_PARSERS.items()
+                               if getattr(args, name, None) is not None})
 
 
 def _field_from_args(args) -> FieldSample:
-    """The --field file on the --dx/--dt lattice; the spacings are checked
-    before the file is read, so they fail as configuration errors."""
+    """The --field file on the --dx/--dt lattice; the spacings and
+    --max-lag are checked before the file is read, so they fail as
+    configuration errors."""
     for flag, value in (("--dx", args.dx), ("--dt", args.dt)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigInvalid(f"{flag} must be finite and > 0, got {value!r}")
+    if args.max_lag < 1:
+        raise ConfigInvalid(f"--max-lag must be >= 1, got {args.max_lag!r}")
     return read_field(args.field, args.dx, args.dt)
 
 
@@ -193,20 +177,16 @@ def _reject_grid_flags(args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    params = _params_from_args(args)
-    lattice = _lattice_from_args(args)
+    settings = _settings(args)
+    params = _checked(settings.truth)
+    lattice = _checked(settings.lattice)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     if args.method == "exact":
         _reject_grid_flags(args)
         factor = cholesky_factor(build_covariance(params, lattice))
         field = simulate_exact(factor, params.mu, lattice, rng)
     else:
-        try:
-            config = GridSimConfig(truncation_p=_arg(args, "truncation_p"),
-                                   cells_per_obs_cell=_arg(args, "cells_per_obs_cell"))
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-        field = simulate_grid(params, lattice, config, rng)
+        field = simulate_grid(params, lattice, _checked(settings.grid_config), rng)
     write_field(field, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -223,20 +203,13 @@ def _cmd_fit_mm(args) -> int:
 
 
 def _cmd_fit_cl(args) -> int:
+    settings = _settings(args)
+    weights, windows = _checked(settings.weights), _checked(settings.windows)
+    _checked(check_sandwich_ci_args, args.level, settings.scenario)
     field = _field_from_args(args)
-    free = parse_scenario(args.scenario) if args.scenario else ExperimentConfig.scenario
     start = fit_mm(field, max_lag=args.max_lag)
-    start_values = dict(zip(PARAM_NAMES, start.as_array()))
     # parameters left out of the scenario are pinned at their moment fits
-    fixed = {name: start_values[name] for name in PARAM_NAMES if name not in free}
-    try:
-        scenario = EstimationScenario(free=free, fixed_values=fixed)
-        weights = PairWeightSpec(cutoff_d=_arg(args, "cutoff_d"))
-        windows = WindowSpec(window_nx=_arg(args, "window_nx"),
-                             window_nt=_arg(args, "window_nt"),
-                             step_x=_arg(args, "step_x"), step_t=_arg(args, "step_t"))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    scenario = EstimationScenario.pinned_at(settings.scenario, start)
     result = sandwich_ci(field, weights, windows, scenario,
                          level=args.level, start=start, max_lag=args.max_lag)
     lines = ["parameter,estimate,se,lower,upper"]
@@ -250,27 +223,24 @@ def _cmd_fit_cl(args) -> int:
 
 
 def _cmd_ci(args) -> int:
+    settings = _settings(args)
     grid_config = None
     if args.method == "mc-exact":
         _reject_grid_flags(args)
     elif args.truncation_p is not None:
-        try:
-            grid_config = GridSimConfig(truncation_p=args.truncation_p,
-                                        cells_per_obs_cell=_arg(args, "cells_per_obs_cell"))
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+        grid_config = _checked(settings.grid_config)
     elif args.cells_per_obs_cell is not None:
         # without --truncation-p, mc_ci picks the depth from the fitted field
         # and one mesh cell per observation cell
         raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")
+    simulator = settings.simulator()
+    _checked(check_mc_ci_args, args.B, args.level, simulator)
     field = _field_from_args(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    try:
-        result = mc_ci(field, args.B, args.level,
-                       "exact" if args.method == "mc-exact" else "grid",
-                       rng, grid_config=grid_config, max_lag=args.max_lag)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    # with the settings checked, a ValueError from mc_ci comes from the
+    # field (a single row or column), reported as a configuration error
+    result = _checked(mc_ci, field, args.B, args.level, simulator, rng,
+                      grid_config, args.max_lag)
     lines = ["parameter,point,lower,median,upper"]
     for name in REPORT_PARAMS:
         iv = result.intervals[name]
@@ -281,12 +251,8 @@ def _cmd_ci(args) -> int:
 
 def _cmd_experiment(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in _CONFIG_PARSERS:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            value = getattr(args, key)
-            overrides[key] = parse_scenario(value) if key == "scenario" else value
-    if "workers" not in overrides and "workers" not in file_values:
+    overrides = {name: getattr(args, name) for name in _CONFIG_PARSERS}
+    if overrides["workers"] is None and "workers" not in file_values:
         env = os.environ.get("STOU_WORKERS")
         if env is not None:
             try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 import scipy
 
-from .bootstrap import MIN_BOOT, check_mc_ci_args, coverage_dataset, params_to_report
+from .bootstrap import check_mc_ci_args, coverage_dataset, params_to_report
 from .cholesky import (
     DEFAULT_MAX_POINTS,
     CholeskyFactor,
@@ -39,6 +39,7 @@ from .cl import (
     EstimationScenario,
     PairWeightSpec,
     WindowSpec,
+    check_sandwich_ci_args,
     sandwich_ci,
 )
 from .errors import ConfigInvalid, FailureRateExceeded, StouError
@@ -73,34 +74,13 @@ def parse_scenario(text: str) -> tuple[str, ...]:
     return names
 
 
-# config key -> parser from config-file string
-_CONFIG_PARSERS = {
-    "lam": float,
-    "c": float,
-    "tau": float,
-    "mu_seed": float,
-    "nx": int,
-    "nt": int,
-    "dx": float,
-    "dt": float,
-    "method": str,
-    "scenario": parse_scenario,
-    "B": int,
-    "n_datasets": int,
-    "level": float,
-    "cutoff_d": int,
-    "window_nx": int,
-    "window_nt": int,
-    "step_x": int,
-    "step_t": int,
-    "truncation_p": int,
-    "cells_per_obs_cell": int,
-    "max_lag": int,
-    "seed": int,
-    "workers": int,
-    "out_dir": str,
-    "only_dataset": int,
-}
+def _checked(build, *args):
+    """build(*args), with its ValueError raised as ConfigInvalid: the
+    library's constructors and argument checks own the bounds."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -134,6 +114,10 @@ class ExperimentConfig:
     only_dataset: int = -1  # -1 runs all datasets
 
     def validate(self) -> None:
+        """Raise ConfigInvalid naming the first setting out of bounds.  The
+        lattice, pair-weight, window and grid-depth bounds, and those of B
+        and level, are the library's own: the specs and argument checks
+        the method uses are run here."""
         def fail(field, why):
             raise ConfigInvalid(f"{field}: {why}")
 
@@ -150,38 +134,22 @@ class ExperimentConfig:
         for field in ("nx", "nt"):
             if getattr(self, field) < 2:
                 fail(field, "must be >= 2")
-        for field in ("dx", "dt"):
-            if not (math.isfinite(getattr(self, field)) and getattr(self, field) > 0):
-                fail(field, "must be finite and > 0")
+        _checked(self.lattice)
         if self.method not in METHODS:
             fail("method", f"must be one of {METHODS}")
-        if not 0.0 <= self.level < 1.0:
-            fail("level", "must be in [0, 1)")
-        if self.method == "cl-sandwich" and not 0.0 < self.level < 1.0:
-            fail("level", "must be in (0, 1) for cl-sandwich")
+        if self.method == "cl-sandwich":
+            _checked(self.weights)
+            _checked(self.windows)
+            _checked(check_sandwich_ci_args, self.level, self.scenario)
+            for field, extent in (("window_nx", self.nx), ("window_nt", self.nt)):
+                if getattr(self, field) > extent:
+                    fail(field, "window must fit inside the lattice")
+        else:
+            _checked(check_mc_ci_args, self.B, self.level, self.simulator())
+        if self.method == "mc-grid":
+            _checked(self.grid_config)
         if self.n_datasets < 10:
             fail("n_datasets", "must be >= 10")
-        if self.method != "cl-sandwich":
-            if self.B < MIN_BOOT:
-                fail("B", f"must be >= {MIN_BOOT}")
-        else:
-            if not self.scenario:
-                fail("scenario", "must name at least one free parameter")
-            for field in ("window_nx", "window_nt"):
-                if getattr(self, field) < 2:
-                    fail(field, "must be >= 2")
-            for field in ("step_x", "step_t"):
-                if getattr(self, field) < 1:
-                    fail(field, "must be >= 1")
-            if self.window_nx > self.nx or self.window_nt > self.nt:
-                fail("window_nx", "window must fit inside the lattice")
-            if self.cutoff_d < 1:
-                fail("cutoff_d", "must be >= 1")
-        if self.method == "mc-grid":
-            if self.truncation_p < 1:
-                fail("truncation_p", "must be >= 1")
-            if self.cells_per_obs_cell < 1:
-                fail("cells_per_obs_cell", "must be >= 1")
         if self.max_lag < 1:
             fail("max_lag", "must be >= 1")
         if self.seed < 0:
@@ -195,23 +163,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "ExperimentConfig":
-        """Build from config-file values with CLI overrides winning."""
-        known = {f.name for f in dataclass_fields(cls)}
+        """Build from config-file values with CLI overrides winning; a text
+        value is parsed as its field's _CONFIG_PARSERS entry."""
         merged = {}
-        for key, raw in file_values.items():
-            if key not in known:
-                raise ConfigInvalid(f"{key}: unknown config key")
-            merged[key] = _CONFIG_PARSERS[key](raw) if isinstance(raw, str) else raw
-        for key, value in overrides.items():
+        for key, value in [*file_values.items(), *overrides.items()]:
             if value is None:
                 continue
-            if key not in known:
+            if key not in _CONFIG_PARSERS:
                 raise ConfigInvalid(f"{key}: unknown config key")
-            merged[key] = value
-        try:
-            config = cls(**merged)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(str(exc)) from exc
+            merged[key] = _CONFIG_PARSERS[key](value) if isinstance(value, str) else value
+        config = cls(**merged)
         config.validate()
         return config
 
@@ -220,6 +181,26 @@ class ExperimentConfig:
 
     def lattice(self) -> Lattice:
         return Lattice(n_x=self.nx, n_t=self.nt, dx=self.dx, dt=self.dt)
+
+    def weights(self) -> PairWeightSpec:
+        return PairWeightSpec(cutoff_d=self.cutoff_d)
+
+    def windows(self) -> WindowSpec:
+        return WindowSpec(window_nx=self.window_nx, window_nt=self.window_nt,
+                          step_x=self.step_x, step_t=self.step_t)
+
+    def grid_config(self) -> GridSimConfig:
+        return GridSimConfig(truncation_p=self.truncation_p,
+                             cells_per_obs_cell=self.cells_per_obs_cell)
+
+    def simulator(self) -> str:
+        """The bootstrap simulator of an mc- method: exact or grid."""
+        return self.method.removeprefix("mc-")
+
+
+# config key -> parser of its config-file text: the type of its default
+_CONFIG_PARSERS = {f.name: parse_scenario if f.name == "scenario" else type(f.default)
+                   for f in dataclass_fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -343,17 +324,10 @@ class _SandwichStep:
     def __call__(self, truth, factor, lattice, data_rng, boot_rng):
         config = self.config
         field = simulate_exact(factor, truth.mu, lattice, data_rng)
-        truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
-        fixed = {name: truth_values[name] for name in PARAM_NAMES
-                 if name not in config.scenario}
         result = sandwich_ci(
-            field,
-            PairWeightSpec(cutoff_d=config.cutoff_d),
-            WindowSpec(window_nx=config.window_nx, window_nt=config.window_nt,
-                       step_x=config.step_x, step_t=config.step_t),
-            EstimationScenario(free=config.scenario, fixed_values=fixed),
-            level=config.level,
-            max_lag=config.max_lag,
+            field, config.weights(), config.windows(),
+            EstimationScenario.pinned_at(config.scenario, truth),
+            level=config.level, max_lag=config.max_lag,
         )
         return result.intervals, None
 
@@ -488,12 +462,9 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
     if config.method == "cl-sandwich":
         step = _SandwichStep(config)
     else:
-        grid_config = None
-        if config.method == "mc-grid":
-            grid_config = GridSimConfig(truncation_p=config.truncation_p,
-                                        cells_per_obs_cell=config.cells_per_obs_cell)
-        simulator = "exact" if config.method == "mc-exact" else "grid"
-        step = _BootstrapStep(config.B, config.level, simulator, grid_config, config.max_lag)
+        grid_config = config.grid_config() if config.method == "mc-grid" else None
+        step = _BootstrapStep(config.B, config.level, config.simulator(), grid_config,
+                              config.max_lag)
     truth, lattice = config.truth(), config.lattice()
     children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
     tasks = [(i, children[i], truth, lattice, step) for i in indices]

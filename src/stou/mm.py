@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, InsufficientUsableLags
-from .model import FieldSample, StouParams, _pair_ends
+from .model import FieldSample, StouParams, _axis_lags, _pair_ends
 
 __all__ = ["AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"]
 
@@ -68,13 +68,13 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     if s2 <= 0.0:
         raise DegenerateSample("sample variance is zero")
 
-    lags = np.arange(1, max_lag + 1)
     acf = np.empty(max_lag)
-    for i, h in enumerate(lags):
-        a, b = _pair_ends(dev, h, 0) if temporal else _pair_ends(dev, 0, h)
-        prods = a * b
-        acf[i] = prods.sum() / (prods.size * s2)
-    return AcfEstimate(axis=axis, lags=lags, values=np.clip(acf, -1.0, 1.0))
+    steps = (max_lag, 0) if temporal else (0, max_lag)
+    for i, (h_t, h_x, _, _, n) in enumerate(_axis_lags(field.lattice, *steps)):
+        a, b = _pair_ends(dev, h_t, h_x)
+        acf[i] = (a * b).sum() / (n * s2)
+    return AcfEstimate(axis=axis, lags=np.arange(1, max_lag + 1),
+                       values=np.clip(acf, -1.0, 1.0))
 
 
 def _decay_rate(acf: AcfEstimate, spacing: float) -> float:

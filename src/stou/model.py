@@ -170,6 +170,17 @@ def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarra
     return v[: n_t - h_t, : n_x - h_x], v[h_t:, h_x:]
 
 
+def _axis_lags(lattice: Lattice, max_t: int, max_x: int) -> list[tuple]:
+    """(h_t, h_x, d_t, d_x, n) for each axis lag that has pairs, in fixed
+    order: temporal lags 1..max_t, then spatial lags 1..max_x.  h is in
+    grid steps, d in lattice units, and n counts the lag's pairs."""
+    n_t, n_x = lattice.n_t, lattice.n_x
+    steps = [(h, 0) for h in range(1, max_t + 1) if h < n_t]
+    steps += [(0, h) for h in range(1, max_x + 1) if h < n_x]
+    return [(h_t, h_x, h_t * lattice.dt, h_x * lattice.dx, (n_t - h_t) * (n_x - h_x))
+            for h_t, h_x in steps]
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """One realization of the field on a lattice, shaped (n_t, n_x)."""

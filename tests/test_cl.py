@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -514,6 +515,23 @@ class TestMaximizeCl:
         start = ThetaCL(lam=1.0, c_tilde=1e-14, sigma2=0.005, mu=0.4)
         assert maximize_cl(small_field, WEIGHTS, scen, start) == start
 
+    @pytest.mark.parametrize("free,pinned", [
+        (("c_tilde", "sigma2", "mu"), {"lam": 1e-17}),
+        (("lambda", "sigma2", "mu"), {"c_tilde": 1e-14}),
+    ])
+    def test_pinned_rate_at_unit_correlation_runs_no_search(self, small_field, base_params,
+                                                            free, pinned):
+        # the pinned rate alone puts every lag on its axis at correlation 1,
+        # so pl is undefined at every value of the free rate
+        start = dataclasses.replace(base_params, **pinned)
+        scen = EstimationScenario.pinned_at(free, start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert maximize_cl(small_field, WEIGHTS, scen, start) == start
+        with pytest.raises(CorrelationAtUnity):
+            sandwich_ci(small_field, WEIGHTS, WindowSpec(window_nx=7, window_nt=7), scen,
+                        start=start)
+
     def test_iteration_budget_warns(self, small_field, base_params):
         t = base_params
         scen = EstimationScenario(
@@ -528,9 +546,10 @@ class TestMaximizeCl:
 def summed_score(theta, field, weights):
     """score_u summed over all admissible pairs, and the sum of its
     absolute values, each of shape (4,)."""
-    lat = field.lattice
+    lat, d = field.lattice, weights.cutoff_d
     total, scale = np.zeros(4), np.zeros(4)
-    for h_t, h_x in cl._axis_lags(lat, weights):
+    lags = [(h, 0) for h in range(1, d + 1) if h < lat.n_t]
+    for h_t, h_x in lags + [(0, h) for h in range(1, d + 1) if h < lat.n_x]:
         yi, yj = cl._pair_ends(field.values, h_t, h_x)
         d_t, d_x = h_t * lat.dt, h_x * lat.dx
         rho = rho_of(theta, d_t, d_x)
@@ -744,9 +763,10 @@ class TestNelderMead:
 def old_lag_stats(field, weights):
     """Per-lag (d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab), as the
     four-dimensional fit summarized each lag."""
-    lat = field.lattice
+    lat, d = field.lattice, weights.cutoff_d
     out = []
-    for h_t, h_x in cl._axis_lags(lat, weights):
+    lags = [(h, 0) for h in range(1, d + 1) if h < lat.n_t]
+    for h_t, h_x in lags + [(0, h) for h in range(1, d + 1) if h < lat.n_x]:
         yi, yj = cl._pair_ends(field.values, h_t, h_x)
         out.append((
             h_t * lat.dt, h_x * lat.dx, yi.size,

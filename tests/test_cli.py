@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -174,11 +175,43 @@ class TestConfigParsing:
             ({"nx": 1}, "nx"),
             ({"method": "kriging"}, "method"),
             ({"nx": 200, "nt": 200}, "nx"),
+            ({"dx": 0.0}, "dx"),
+            ({"max_lag": 0}, "max_lag"),
+            ({"method": "cl-sandwich", "level": 0.0}, "level"),
+            ({"method": "cl-sandwich", "scenario": ()}, "scenario"),
+            ({"method": "cl-sandwich", "cutoff_d": 0}, "cutoff_d"),
+            ({"method": "cl-sandwich", "window_nx": 1}, "window_nx"),
+            ({"method": "cl-sandwich", "window_nt": 50}, "window_nt"),
+            ({"method": "cl-sandwich", "step_t": 0}, "step_t"),
+            ({"method": "mc-grid", "truncation_p": 0}, "truncation_p"),
+            ({"method": "mc-grid", "cells_per_obs_cell": 0}, "cells_per_obs_cell"),
         ],
     )
     def test_validation_errors_name_the_field(self, overrides, field):
         with pytest.raises(ConfigInvalid, match=field):
             ExperimentConfig.from_sources({}, overrides)
+
+    @pytest.mark.parametrize("values", [
+        {},
+        dict(lam=2.0, c=0.5, tau=0.2, mu_seed=-0.1, nx=21, nt=17, dx=0.1, dt=0.02,
+             method="mc-grid", scenario=("lambda", "mu"), B=40, n_datasets=12,
+             level=0.9, cutoff_d=2, window_nx=7, window_nt=5, step_x=2, step_t=3,
+             truncation_p=50, cells_per_obs_cell=2, max_lag=3, seed=11, workers=2,
+             out_dir="runs/x", only_dataset=4),
+    ], ids=["defaults", "every-key-changed"])
+    def test_every_key_round_trips_as_text(self, tmp_path, values):
+        expected = dataclasses.replace(ExperimentConfig(), **values)
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert not values or set(values) == set(names)
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(
+            f"{name} = {','.join(value) if name == 'scenario' else value}\n"
+            for name, value in ((name, getattr(expected, name)) for name in names)
+        ))
+        parsed = ExperimentConfig.from_sources(parse_config_file(str(path)), {})
+        assert parsed == expected
+        assert [type(getattr(parsed, name)) for name in names] == [
+            type(getattr(expected, name)) for name in names]
 
 
 class TestSimulateAndFit:
@@ -465,6 +498,22 @@ class TestExitCodes:
                        *(part for item in spacings.items() for part in item))
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value,named", [
+        ("fit-mm", "--max-lag", "0", "--max-lag"),
+        ("fit-cl", "--max-lag", "0", "--max-lag"),
+        ("ci", "--max-lag", "0", "--max-lag"),
+        ("fit-cl", "--level", "1.5", "level"),
+        ("ci", "--level", "1.5", "level"),
+        ("ci", "--B", "5", "B must"),
+    ])
+    def test_bad_setting_is_2_before_the_field_is_read(self, tmp_path, capsys, command,
+                                                       flag, value, named):
+        # the field file does not exist, so reading it first would exit 3
+        code = run_cli(command, "--field", str(tmp_path / "absent.csv"),
+                       "--dx", "0.05", "--dt", "0.05", flag, value)
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit-mm", "fit-cl", "ci"])
     def test_malformed_field_file_is_3(self, tmp_path, capsys, command):

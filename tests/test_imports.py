@@ -27,9 +27,45 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _names_read(node) -> list[str]:
+    """Every name a node reads: bare names, attributes and imported names."""
+    return [sub.id if isinstance(sub, ast.Name) else
+            sub.attr if isinstance(sub, ast.Attribute) else sub.name
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))]
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no code in any of
+    the sources reads, apart from their own bodies."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [name for tree in trees.values() for name in _names_read(tree)]
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads.count(node.name) == _names_read(node).count(node.name)
+    ]
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def test_finds_an_unreferenced_private_def():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n",
+        "b": "from a import _used\nclass _Lone:\n    pass\ndef public():\n    pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a:_recursive", "b:_Lone"]
+
+
+def test_modules_have_no_unreferenced_private_defs():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_modules_have_no_unused_imports():

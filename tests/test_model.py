@@ -14,6 +14,7 @@ from stou import (
     corr_separable,
     derived_moments,
 )
+from stou.model import _axis_lags
 
 
 def params(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01) -> StouParams:
@@ -194,6 +195,17 @@ class TestLattice:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             Lattice(**kwargs)
+
+    def test_axis_lags_temporal_first_and_only_with_pairs(self):
+        # n_t = 5 has temporal lags up to 4 and n_x = 3 spatial lags up to 2;
+        # the CL sums run in this order, so it fixes their last bits
+        lat = Lattice(n_x=3, n_t=5, dx=0.1, dt=0.2)
+        assert _axis_lags(lat, 6, 6) == [
+            (1, 0, 1 * 0.2, 0.0, 12), (2, 0, 2 * 0.2, 0.0, 9), (3, 0, 3 * 0.2, 0.0, 6),
+            (4, 0, 4 * 0.2, 0.0, 3), (0, 1, 0.0, 1 * 0.1, 10), (0, 2, 0.0, 2 * 0.1, 5),
+        ]
+        assert _axis_lags(lat, 2, 0) == [(1, 0, 0.2, 0.0, 12), (2, 0, 0.4, 0.0, 9)]
+        assert _axis_lags(lat, 0, 1) == [(0, 1, 0.0, 0.1, 10)]
 
 
 class TestFieldSample:
