@@ -355,8 +355,7 @@ def _score_fields(
     for h_t, h_x, d_t, d_x, _ in _axis_lags(field.lattice, d, d):
         yi, yj = _pair_ends(field.values, h_t, h_x)
         rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
-        grad = np.broadcast_to(np.array([-d_t * rho, -d_x * rho]), yi.shape + (2,))
-        u = score_u(theta, yi, yj, np.full(yi.shape, rho), grad)
+        u = score_u(theta, yi, yj, rho, np.array([-d_t * rho, -d_x * rho]))
         out.append((h_t, h_x, np.moveaxis(u, -1, 0)))
     return out
 
@@ -633,20 +632,10 @@ def sandwich_ci(
     ses: dict[str, float] = {}
     intervals: dict[str, IntervalEstimate] = {}
     theta_arr = theta_hat.as_array()
-    for k, idx in enumerate(free_idx):
-        name = PARAM_NAMES[idx]
-        se = math.sqrt(max(G_inv[k, k], 0.0))
-        ses[name] = se
-        point = float(theta_arr[idx])
-        intervals[name] = IntervalEstimate(
-            parameter=name,
-            point=point,
-            lower=point - z * se,
-            upper=point + z * se,
-            median=point,
-            level=level,
-        )
-    for name, value, grad in _derived_params(theta_hat):
+    # a free coordinate's gradient is its unit row
+    free_params = [(PARAM_NAMES[idx], float(theta_arr[idx]), np.eye(4)[idx])
+                   for idx in free_idx]
+    for name, value, grad in free_params + _derived_params(theta_hat):
         g = grad[free_idx]
         se = math.sqrt(max(g @ G_inv @ g, 0.0))
         ses[name] = se

@@ -34,42 +34,45 @@ from .model import FieldSample
 __all__ = ["main"]
 
 
-def _add_truth_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="lam", type=float, help="temporal decay rate")
-    parser.add_argument("--c", type=float, help="cone slope")
-    parser.add_argument("--tau", type=float, help="noise seed standard deviation")
-    parser.add_argument("--mu-seed", dest="mu_seed", type=float, help="noise seed mean")
+# help text of the config flags that have one
+_HELP = {
+    "lam": "temporal decay rate",
+    "c": "cone slope",
+    "tau": "noise seed standard deviation",
+    "mu_seed": "noise seed mean",
+    "nx": "spatial grid points",
+    "nt": "temporal grid points",
+    "dx": "spatial grid spacing",
+    "dt": "temporal grid spacing",
+    "truncation_p": "temporal kernel steps retained (grid simulator)",
+    "cells_per_obs_cell": "mesh subdivisions per observation cell (grid simulator)",
+    "scenario": "comma-separated free parameters, e.g. lambda,c_tilde",
+    "cutoff_d": "pair separation cutoff in grid steps",
+    "only_dataset": "replay a single dataset index",
+}
+
+_TRUTH_LATTICE = ("lam", "c", "tau", "mu_seed", "nx", "nt", "dx", "dt")
+_GRID = ("truncation_p", "cells_per_obs_cell")
+_CL = ("scenario", "cutoff_d", "window_nx", "window_nt", "step_x", "step_t")
 
 
-def _add_lattice_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nx", type=int, help="spatial grid points")
-    parser.add_argument("--nt", type=int, help="temporal grid points")
-    parser.add_argument("--dx", type=float, help="spatial grid spacing")
-    parser.add_argument("--dt", type=float, help="temporal grid spacing")
+def _add_config_flags(parser: argparse.ArgumentParser, *names: str,
+                      required: bool = False) -> None:
+    """One flag per ExperimentConfig field, named after it (--lambda for
+    lam).  Its default is None, so an omitted flag takes the field's
+    default and a command can tell which flags were given.  A flag whose
+    parser is a type converts its own text; the scenario's text is parsed
+    by ExperimentConfig.merged, as a config file's is."""
+    for name in names:
+        parse = _CONFIG_PARSERS[name]
+        flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=parse if isinstance(parse, type) else str,
+                            required=required, help=_HELP.get(name))
 
 
 def _add_field_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--field", required=True, help="field CSV (t_index,x_index,value)")
-    parser.add_argument("--dx", type=float, required=True, help="spatial grid spacing")
-    parser.add_argument("--dt", type=float, required=True, help="temporal grid spacing")
-
-
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--truncation-p", dest="truncation_p", type=int,
-                        help="temporal kernel steps retained (grid simulator)")
-    parser.add_argument("--cells-per-obs-cell", dest="cells_per_obs_cell", type=int,
-                        help="mesh subdivisions per observation cell (grid simulator)")
-
-
-def _add_cl_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", type=str,
-                        help="comma-separated free parameters, e.g. lambda,c_tilde")
-    parser.add_argument("--cutoff-d", dest="cutoff_d", type=int,
-                        help="pair separation cutoff in grid steps")
-    parser.add_argument("--window-nx", dest="window_nx", type=int)
-    parser.add_argument("--window-nt", dest="window_nt", type=int)
-    parser.add_argument("--step-x", dest="step_x", type=int)
-    parser.add_argument("--step-t", dest="step_t", type=int)
+    _add_config_flags(parser, "dx", "dt", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,36 +83,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate one field to a CSV file")
-    _add_truth_args(p)
-    _add_lattice_args(p)
+    _add_config_flags(p, *_TRUTH_LATTICE)
     p.add_argument("--method", choices=("exact", "grid"), default="exact")
-    _add_grid_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, *_GRID, "seed")
     p.add_argument("--out", default="field.csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit-mm", help="moment fit of one field file")
     _add_field_args(p)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
+    _add_config_flags(p, "max_lag")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_mm)
 
     p = sub.add_parser("fit-cl", help="composite-likelihood fit with sandwich CIs")
     _add_field_args(p)
-    _add_cl_args(p)
-    p.add_argument("--level", type=float, default=ExperimentConfig.level)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
+    _add_config_flags(p, *_CL, "level", "max_lag")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_cl)
 
     p = sub.add_parser("ci", help="parametric-bootstrap CIs for one field file")
     _add_field_args(p)
     p.add_argument("--method", choices=("mc-exact", "mc-grid"), default="mc-exact")
-    p.add_argument("--B", type=int, default=ExperimentConfig.B)
-    p.add_argument("--level", type=float, default=ExperimentConfig.level)
-    _add_grid_args(p)
-    p.add_argument("--max-lag", dest="max_lag", type=int, default=ExperimentConfig.max_lag)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, "B", "level", *_GRID, "max_lag", "seed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ci)
 
@@ -119,44 +114,33 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
-        _add_truth_args(p)
-        _add_lattice_args(p)
+        _add_config_flags(p, *_TRUTH_LATTICE)
         p.add_argument("--method", choices=("cl-sandwich", "mc-exact", "mc-grid"))
-        _add_cl_args(p)
-        _add_grid_args(p)
-        p.add_argument("--B", type=int)
-        p.add_argument("--n-datasets", dest="n_datasets", type=int)
-        p.add_argument("--level", type=float)
-        p.add_argument("--max-lag", dest="max_lag", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--only-dataset", dest="only_dataset", type=int,
-                       help="replay a single dataset index")
+        _add_config_flags(p, *_CL, *_GRID, "B", "n_datasets", "level", "max_lag", "seed",
+                          "workers", "out_dir", "only_dataset")
         p.set_defaults(func=_cmd_experiment)
 
     return parser
 
 
-def _settings(args) -> ExperimentConfig:
-    """ExperimentConfig's defaults with the flags given applied, each
-    parsed as its config-file text would be (only --scenario arrives as
-    text).  Not validated: each command checks the settings it uses."""
-    return ExperimentConfig(**{name: parse(getattr(args, name))
-                               for name, parse in _CONFIG_PARSERS.items()
-                               if getattr(args, name, None) is not None})
+def _settings(args, *sources: dict) -> ExperimentConfig:
+    """ExperimentConfig's defaults with the sources, then the flags given,
+    applied (see ExperimentConfig.merged).  Not validated: each command
+    checks the settings it uses."""
+    flags = {name: getattr(args, name, None) for name in _CONFIG_PARSERS}
+    return ExperimentConfig.merged(*sources, flags)
 
 
-def _field_from_args(args) -> FieldSample:
+def _field_from_args(args, settings: ExperimentConfig) -> FieldSample:
     """The --field file on the --dx/--dt lattice; the spacings and
     --max-lag are checked before the file is read, so they fail as
     configuration errors."""
-    for flag, value in (("--dx", args.dx), ("--dt", args.dt)):
+    for flag, value in (("--dx", settings.dx), ("--dt", settings.dt)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigInvalid(f"{flag} must be finite and > 0, got {value!r}")
-    if args.max_lag < 1:
-        raise ConfigInvalid(f"--max-lag must be >= 1, got {args.max_lag!r}")
-    return read_field(args.field, args.dx, args.dt)
+    if settings.max_lag < 1:
+        raise ConfigInvalid(f"--max-lag must be >= 1, got {settings.max_lag!r}")
+    return read_field(args.field, settings.dx, settings.dt)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -180,7 +164,7 @@ def _cmd_simulate(args) -> int:
     settings = _settings(args)
     params = _checked(settings.truth)
     lattice = _checked(settings.lattice)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     if args.method == "exact":
         _reject_grid_flags(args)
         factor = cholesky_factor(build_covariance(params, lattice))
@@ -193,8 +177,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_mm(args) -> int:
-    field = _field_from_args(args)
-    fitted = fit_mm(field, max_lag=args.max_lag)
+    settings = _settings(args)
+    fitted = fit_mm(_field_from_args(args, settings), max_lag=settings.max_lag)
     report = params_to_report(fitted)
     lines = ["parameter,estimate"]
     lines += [f"{name},{report[name]!r}" for name in REPORT_PARAMS]
@@ -205,13 +189,13 @@ def _cmd_fit_mm(args) -> int:
 def _cmd_fit_cl(args) -> int:
     settings = _settings(args)
     weights, windows = _checked(settings.weights), _checked(settings.windows)
-    _checked(check_sandwich_ci_args, args.level, settings.scenario)
-    field = _field_from_args(args)
-    start = fit_mm(field, max_lag=args.max_lag)
+    _checked(check_sandwich_ci_args, settings.level, settings.scenario)
+    field = _field_from_args(args, settings)
+    start = fit_mm(field, max_lag=settings.max_lag)
     # parameters left out of the scenario are pinned at their moment fits
     scenario = EstimationScenario.pinned_at(settings.scenario, start)
     result = sandwich_ci(field, weights, windows, scenario,
-                         level=args.level, start=start, max_lag=args.max_lag)
+                         level=settings.level, start=start, max_lag=settings.max_lag)
     lines = ["parameter,estimate,se,lower,upper"]
     for name, interval in result.intervals.items():
         se = result.standard_errors[name]
@@ -234,13 +218,13 @@ def _cmd_ci(args) -> int:
         # and one mesh cell per observation cell
         raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")
     simulator = settings.simulator()
-    _checked(check_mc_ci_args, args.B, args.level, simulator)
-    field = _field_from_args(args)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    _checked(check_mc_ci_args, settings.B, settings.level, simulator)
+    field = _field_from_args(args, settings)
+    rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     # with the settings checked, a ValueError from mc_ci comes from the
     # field (a single row or column), reported as a configuration error
-    result = _checked(mc_ci, field, args.B, args.level, simulator, rng,
-                      grid_config, args.max_lag)
+    result = _checked(mc_ci, field, settings.B, settings.level, simulator, rng,
+                      grid_config, settings.max_lag)
     lines = ["parameter,point,lower,median,upper"]
     for name in REPORT_PARAMS:
         iv = result.intervals[name]
@@ -251,15 +235,14 @@ def _cmd_ci(args) -> int:
 
 def _cmd_experiment(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in _CONFIG_PARSERS}
-    if overrides["workers"] is None and "workers" not in file_values:
-        env = os.environ.get("STOU_WORKERS")
-        if env is not None:
-            try:
-                overrides["workers"] = int(env)
-            except ValueError as exc:
-                raise ConfigInvalid(f"STOU_WORKERS: {env!r} is not an integer") from exc
-    config = ExperimentConfig.from_sources(file_values, overrides)
+    env = os.environ.get("STOU_WORKERS")
+    if args.workers is None and "workers" not in file_values and env is not None:
+        try:
+            file_values["workers"] = int(env)
+        except ValueError as exc:
+            raise ConfigInvalid(f"STOU_WORKERS: {env!r} is not an integer") from exc
+    config = _settings(args, file_values)
+    config.validate()
     paths = run(config, command=args.command)
     with open(paths["coverage"], encoding="utf-8") as handle:
         sys.stdout.write(handle.read())

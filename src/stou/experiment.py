@@ -14,6 +14,7 @@ replayed without rerunning the experiment.  Outputs depend only on
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import platform
@@ -121,16 +122,7 @@ class ExperimentConfig:
         def fail(field, why):
             raise ConfigInvalid(f"{field}: {why}")
 
-        for field in ("lam", "c", "tau"):
-            if not (math.isfinite(getattr(self, field)) and getattr(self, field) > 0):
-                fail(field, "must be finite and > 0")
-        if not math.isfinite(self.mu_seed):
-            fail("mu_seed", "must be finite")
-        try:  # lam**2 underflows below about 1e-154
-            self.truth()
-        except (ZeroDivisionError, ValueError) as exc:
-            fail("lam", f"{self.lam!r} implies a stationary mean or variance that is "
-                        f"not finite, or a variance that is not > 0 ({exc})")
+        _checked(self.truth)
         for field in ("nx", "nt"):
             if getattr(self, field) < 2:
                 fail(field, "must be >= 2")
@@ -163,21 +155,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "ExperimentConfig":
-        """Build from config-file values with CLI overrides winning; a text
-        value is parsed as its field's _CONFIG_PARSERS entry."""
-        merged = {}
-        for key, value in [*file_values.items(), *overrides.items()]:
-            if value is None:
-                continue
-            if key not in _CONFIG_PARSERS:
-                raise ConfigInvalid(f"{key}: unknown config key")
-            merged[key] = _CONFIG_PARSERS[key](value) if isinstance(value, str) else value
-        config = cls(**merged)
+        """Validated: config-file values with overrides winning (see merged)."""
+        config = cls.merged(file_values, overrides)
         config.validate()
         return config
 
+    @classmethod
+    def merged(cls, *sources: dict) -> "ExperimentConfig":
+        """Not validated: the defaults with each source applied in turn, a
+        later source winning.  A value of None is skipped; text is parsed
+        as its key's _CONFIG_PARSERS entry, and a failure names the key."""
+        values = {}
+        for source in sources:
+            for key, value in source.items():
+                if value is None:
+                    continue
+                if key not in _CONFIG_PARSERS:
+                    raise ConfigInvalid(f"{key}: unknown config key")
+                try:
+                    values[key] = _CONFIG_PARSERS[key](value) if isinstance(value, str) else value
+                except ValueError as exc:
+                    raise ConfigInvalid(f"{key}: {exc}") from exc
+        return cls(**values)
+
     def truth(self) -> StouParams:
-        return StouParams.natural(self.lam, self.c, self.mu_seed, self.tau**2)
+        """The natural truth (lam, c, tau, mu_seed) in canonical form;
+        ValueError names the first of them out of bounds."""
+        for field in ("lam", "c", "tau"):
+            if not (math.isfinite(getattr(self, field)) and getattr(self, field) > 0):
+                raise ValueError(f"{field}: must be finite and > 0")
+        if not math.isfinite(self.mu_seed):
+            raise ValueError("mu_seed: must be finite")
+        try:  # lam**2 underflows below about 1e-154
+            return StouParams.natural(self.lam, self.c, self.mu_seed, self.tau**2)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise ValueError(f"lam: {self.lam!r} implies a stationary mean or variance that "
+                             f"is not finite, or a variance that is not > 0 ({exc})") from exc
 
     def lattice(self) -> Lattice:
         return Lattice(n_x=self.nx, n_t=self.nt, dx=self.dx, dt=self.dt)
@@ -282,19 +295,10 @@ class CoverageReport:
     failures: tuple[tuple[int, str], ...]
 
 
-# one factor per (params, lattice) per worker process
-_FACTOR_CACHE: dict[tuple, CholeskyFactor] = {}
-
-
+# one factor per worker process: these are large
+@functools.lru_cache(maxsize=1)
 def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
-    key = (truth.lam, truth.c_tilde, truth.sigma2, truth.mu,
-           lattice.n_x, lattice.n_t, lattice.dx, lattice.dt)
-    factor = _FACTOR_CACHE.get(key)
-    if factor is None:
-        factor = cholesky_factor(build_covariance(truth, lattice))
-        _FACTOR_CACHE.clear()  # keep at most one; these are large
-        _FACTOR_CACHE[key] = factor
-    return factor
+    return cholesky_factor(build_covariance(truth, lattice))
 
 
 # An interval step maps (truth, truth factor, lattice, data stream,
@@ -375,7 +379,7 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_dataset_task, tasks))
     results = [_dataset_task(task) for task in tasks]
-    _FACTOR_CACHE.clear()  # up to 832 MB at 101 x 101; hold none past the run
+    _truth_factor.cache_clear()  # up to 832 MB at 101 x 101; hold none past the run
     return results
 
 

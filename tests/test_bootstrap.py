@@ -268,6 +268,22 @@ class TestCoverageExperiment:
                 eb.coverage, eb.mean_proxy, eb.proxy_se,
             )
 
+    def test_one_truth_factor_per_run_and_none_kept(self, base_params, monkeypatch):
+        # a dense factor is 832 MB at 101 x 101: the datasets share one,
+        # and the in-process run drops it when it ends
+        calls = []
+
+        def counted(cov):
+            calls.append(cov.n)
+            return cholesky_factor(cov)
+
+        monkeypatch.setattr(stou.experiment, "cholesky_factor", counted)
+        lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
+        coverage_experiment(base_params, lat, 10, 20, 0.9, "grid",
+                            rng=np.random.default_rng(31))
+        assert calls == [lat.n]
+        assert stou.experiment._truth_factor.cache_info().currsize == 0
+
     @pytest.mark.parametrize("simulator,grid_config", [
         ("exact", None),
         ("grid", None),

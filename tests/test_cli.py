@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import stou
 from stou import ConfigInvalid, FieldSample, Lattice
-from stou.cli import main
+from stou.cli import build_parser, main
 from stou.experiment import (
     ESTIMATES_HEADER,
     ExperimentConfig,
@@ -73,6 +74,90 @@ def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def _row(option, dest, kind="str", required=False, choices=None):
+    return (option, dest, kind, required, choices)
+
+
+_TRUTH_LATTICE = [
+    _row("--lambda", "lam", "float"), _row("--c", "c", "float"),
+    _row("--tau", "tau", "float"), _row("--mu-seed", "mu_seed", "float"),
+    _row("--nx", "nx", "int"), _row("--nt", "nt", "int"),
+    _row("--dx", "dx", "float"), _row("--dt", "dt", "float"),
+]
+_FIELD = [_row("--field", "field", required=True), _row("--dx", "dx", "float", True),
+          _row("--dt", "dt", "float", True)]
+_GRID = [_row("--truncation-p", "truncation_p", "int"),
+         _row("--cells-per-obs-cell", "cells_per_obs_cell", "int")]
+_CL = [_row("--scenario", "scenario"), _row("--cutoff-d", "cutoff_d", "int"),
+       _row("--window-nx", "window_nx", "int"), _row("--window-nt", "window_nt", "int"),
+       _row("--step-x", "step_x", "int"), _row("--step-t", "step_t", "int")]
+_EXPERIMENT = [
+    _row("--config", "config"), *_TRUTH_LATTICE,
+    _row("--method", "method", choices=("cl-sandwich", "mc-exact", "mc-grid")),
+    *_CL, *_GRID, _row("--B", "B", "int"), _row("--n-datasets", "n_datasets", "int"),
+    _row("--level", "level", "float"), _row("--max-lag", "max_lag", "int"),
+    _row("--seed", "seed", "int"), _row("--workers", "workers", "int"),
+    _row("--out-dir", "out_dir"), _row("--only-dataset", "only_dataset", "int"),
+]
+# (option, dest, type, required, choices) of every flag, in help order
+FLAG_TABLES = {
+    "simulate": [*_TRUTH_LATTICE, _row("--method", "method", choices=("exact", "grid")),
+                 *_GRID, _row("--seed", "seed", "int"), _row("--out", "out")],
+    "fit-mm": [*_FIELD, _row("--max-lag", "max_lag", "int"), _row("--out", "out")],
+    "fit-cl": [*_FIELD, *_CL, _row("--level", "level", "float"),
+               _row("--max-lag", "max_lag", "int"), _row("--out", "out")],
+    "ci": [*_FIELD, _row("--method", "method", choices=("mc-exact", "mc-grid")),
+           _row("--B", "B", "int"), _row("--level", "level", "float"), *_GRID,
+           _row("--max-lag", "max_lag", "int"), _row("--seed", "seed", "int"),
+           _row("--out", "out")],
+    "coverage": _EXPERIMENT,
+    "proxy": _EXPERIMENT,
+}
+FLAG_HELP = {
+    "--lambda": "temporal decay rate",
+    "--c": "cone slope",
+    "--tau": "noise seed standard deviation",
+    "--mu-seed": "noise seed mean",
+    "--nx": "spatial grid points",
+    "--nt": "temporal grid points",
+    "--dx": "spatial grid spacing",
+    "--dt": "temporal grid spacing",
+    "--truncation-p": "temporal kernel steps retained (grid simulator)",
+    "--cells-per-obs-cell": "mesh subdivisions per observation cell (grid simulator)",
+    "--scenario": "comma-separated free parameters, e.g. lambda,c_tilde",
+    "--cutoff-d": "pair separation cutoff in grid steps",
+    "--only-dataset": "replay a single dataset index",
+    "--field": "field CSV (t_index,x_index,value)",
+    "--config": "key=value config file",
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    def test_flag_tables(self):
+        commands = _subcommands()
+        assert list(commands) == list(FLAG_TABLES)
+        for name, sub in commands.items():
+            # argparse hands a flag without a type its text, as str would
+            table = [(a.option_strings[0], a.dest, (a.type or str).__name__, a.required,
+                      None if a.choices is None else tuple(a.choices))
+                     for a in sub._actions if a.option_strings and a.dest != "help"]
+            assert table == FLAG_TABLES[name], name
+
+    @pytest.mark.parametrize("command", list(FLAG_TABLES))
+    def test_help_renders_every_flag(self, command):
+        text = " ".join(_subcommands()[command].format_help().split())
+        for option, *_ in FLAG_TABLES[command]:
+            assert option in text
+            if option in FLAG_HELP:
+                assert f"{FLAG_HELP[option]}" in text, option
 
 
 class TestFieldFiles:
@@ -185,6 +270,8 @@ class TestConfigParsing:
             ({"method": "cl-sandwich", "step_t": 0}, "step_t"),
             ({"method": "mc-grid", "truncation_p": 0}, "truncation_p"),
             ({"method": "mc-grid", "cells_per_obs_cell": 0}, "cells_per_obs_cell"),
+            ({"nx": "1.5"}, "nx"),
+            ({"workers": "two"}, "workers"),
         ],
     )
     def test_validation_errors_name_the_field(self, overrides, field):
@@ -234,15 +321,18 @@ class TestSimulateAndFit:
                 "--truncation-p", d.truncation_p,
                 "--cells-per-obs-cell", d.cells_per_obs_cell,
             ],
+            "fit-mm": ["--max-lag", d.max_lag],
             "fit-cl": [
                 "--scenario", ",".join(d.scenario), "--cutoff-d", d.cutoff_d,
                 "--window-nx", d.window_nx, "--window-nt", d.window_nt,
                 "--step-x", d.step_x, "--step-t", d.step_t,
                 "--level", d.level, "--max-lag", d.max_lag,
             ],
+            "ci": ["--B", d.B, "--level", d.level, "--max-lag", d.max_lag, "--seed", d.seed],
         }
-        fixed = {"simulate": ["--method", "grid"],
-                 "fit-cl": ["--field", field_csv, "--dx", "0.05", "--dt", "0.05"]}
+        field_args = ["--field", field_csv, "--dx", "0.05", "--dt", "0.05"]
+        fixed = {"simulate": ["--method", "grid"], "fit-mm": field_args,
+                 "fit-cl": field_args, "ci": field_args}
         for command, flags in explicit.items():
             outs = [tmp_path / f"{command}-implicit.csv", tmp_path / f"{command}-explicit.csv"]
             for out, extra in zip(outs, ([], flags)):
@@ -467,14 +557,39 @@ class TestExitCodes:
         assert code == 2
         assert "level" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["1e-200", "1e-160"])
-    def test_unrepresentable_truth_is_2(self, tmp_path, capsys, no_worker_env, lam):
+    @pytest.mark.parametrize("command,flag,value,named", [
+        pytest.param("coverage", "--lambda", "1e-200", "lam", id="1e-200"),
+        pytest.param("coverage", "--lambda", "1e-160", "lam", id="1e-160"),
+        pytest.param("simulate", "--lambda", "1e-200", "lam", id="simulate-1e-200"),
+        pytest.param("simulate", "--tau", "-0.1", "tau", id="simulate-negative-tau"),
+    ])
+    def test_unrepresentable_truth_is_2(self, tmp_path, capsys, no_worker_env,
+                                        command, flag, value, named):
         # lam**2 underflows: the implied variance divides by 0 at 1e-200
-        # and overflows at 1e-160
-        code = run_cli("coverage", *EXPERIMENT_ARGS, "--lambda", lam,
-                       "--out-dir", str(tmp_path))
+        # and overflows at 1e-160; a negative tau would be squared away
+        out = tmp_path / "f.csv"
+        where = (["--out", str(out)] if command == "simulate"
+                 else [*EXPERIMENT_ARGS, "--out-dir", str(tmp_path)])
+        code = run_cli(command, *where, flag, value)
         assert code == 2
-        assert "lam" in capsys.readouterr().err
+        assert f"{named}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_text,env,named", [
+        ("nx = 1.5\n", None, "nx"),
+        ("workers = two\n", None, "workers"),
+        ("", "two", "STOU_WORKERS"),
+    ], ids=["config-nx", "config-workers", "env-workers"])
+    def test_unparseable_setting_is_2(self, tmp_path, monkeypatch, capsys,
+                                      config_text, env, named):
+        monkeypatch.delenv("STOU_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("STOU_WORKERS", env)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_text)
+        code = run_cli("coverage", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"{named}:" in capsys.readouterr().err
 
     def test_runtime_failure_is_3(self, tmp_path, capsys):
         lat = Lattice(n_x=6, n_t=6, dx=0.05, dt=0.05)
