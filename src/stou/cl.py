@@ -20,8 +20,9 @@ and SB_k(mu) the sum of B over them,
     mu_hat     = sum_k sum(y_i + y_j)_k / r_k  /  sum_k 2 n_k / r_k
     sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k.
 
-maximize_cl profiles the free ones out this way, so its simplex runs
-over (log lam, log c_tilde) only.
+maximize_cl profiles the free ones out this way, so its search runs
+over the free ones among (log lam, log c_tilde) only, by damped Newton
+steps on central-difference derivatives of the profile.
 
 Score components, with F = rho (a^2 + b^2) - (1 + rho^2) a b and
 one = 1 - rho^2 (all validated against central finite differences in
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import statistics
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -425,78 +426,69 @@ def _profile_objective(z: list[float], stats: list[tuple], free: list[int],
     return value if math.isfinite(value) else math.inf
 
 
-def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list, list]:
-    """Vertices and values in the order np.argsort gives the values.
+def _descent_step(f, z: list[float], fz: float) -> list[float]:
+    """The Newton step for f at z, from central differences of step 1e-4,
+    where the Hessian is positive definite; otherwise the steepest-descent
+    direction.  Where f is inf on one side of z, the gradient takes the
+    one-sided difference from the other side.  Any step longer than 1 is
+    cut to unit length: a longer Newton step comes from a nearly flat
+    profile, and can leap to large rates, where every correlation is 0
+    and the profile flat."""
+    h = 1e-4
+    fp = [f([zi + h * (i == k) for i, zi in enumerate(z)]) for k in range(len(z))]
+    fm = [f([zi - h * (i == k) for i, zi in enumerate(z)]) for k in range(len(z))]
+    g = [(p - m) / (2.0 * h) if p < math.inf and m < math.inf
+         else (p - fz) / h if p < math.inf
+         else (fz - m) / h if m < math.inf else 0.0
+         for p, m in zip(fp, fm)]
+    newton = None
+    if max(fp + fm) < math.inf:
+        d = [(p - 2.0 * fz + m) / (h * h) for p, m in zip(fp, fm)]
+        if len(z) == 1 and d[0] > 0.0:
+            newton = [-g[0] / d[0]]
+        elif len(z) == 2:
+            f_up = f([z[0] + h, z[1] + h])
+            f_down = f([z[0] - h, z[1] - h])
+            off = (f_up + f_down - sum(fp) - sum(fm) + 2.0 * fz) / (2.0 * h * h)
+            det = d[0] * d[1] - off * off
+            if d[0] > 0.0 and det > 0.0:  # positive definite (and finite)
+                newton = [(off * g[1] - d[1] * g[0]) / det,
+                          (off * g[0] - d[0] * g[1]) / det]
+    if newton is not None and math.hypot(*newton) <= 1.0:
+        return newton
+    step = [-gk for gk in g] if newton is None else newton
+    norm = math.hypot(*step)
+    return [sk / norm for sk in step] if norm > 0.0 else step
 
-    That sort is not stable on ties, and the order of tied vertices steers
-    later steps, so Python's sort stands in for it only when the values
-    come out strictly increasing: distinct and not NaN, so the order is
-    unique.
+
+def _newton(f, z: list[float], max_iter: int) -> tuple[list[float], bool]:
+    """Minimize f from z by damped Newton steps; returns (z, converged).
+
+    Each iteration halves _descent_step until it lowers f.  The search
+    has converged when no step of length 1e-6 or more lowers f, or when
+    the accepted step is shorter than that or lowers f by at most 1e-13
+    relative; it has not if max_iter iterations end first.  A z where f
+    is inf is returned as is.
     """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    ranked = [fsim[i] for i in order]
-    if not all(map(operator.lt, ranked, ranked[1:])):
-        order = np.argsort(fsim).tolist()
-        ranked = [fsim[i] for i in order]
-    return [sim[i] for i in order], ranked
-
-
-def _nelder_mead(f, x0: list[float], max_iter: int, xatol: float,
-                 fatol: float) -> tuple[list[float], float, bool]:
-    """Minimize f from x0 by simplex search; returns (x, f_min, converged).
-
-    Follows the rules of scipy.optimize.minimize(method="Nelder-Mead")
-    without bounds or adaptive coefficients: the same first simplex,
-    steps, vertex order and stopping test, in the same float operations,
-    so it visits the same points.  f_min is NaN if any vertex value is.
-    """
-    n = len(x0)
-    sim = [list(x0)]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(v) for v in sim]
-    sim, fsim = _by_value(*_by_value(sim, fsim))  # sorted twice, as scipy does
-    iterations = 1
-    while iterations < max_iter:
-        best = sim[0]
-        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
-            break
-        # centroid of all but the worst vertex, summed from vertex 0 on
-        xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
-        worst = sim[-1]
-
-        def towards(a: float, b: float) -> list[float]:
-            return [a * c + b * w for c, w in zip(xbar, worst)]
-
-        xr = towards(2.0, -1.0)
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = towards(3.0, -2.0)
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = towards(1.5, -0.5)
-                fxc = f(xc)
-                keep = fxc <= fxr
-            else:  # inside contraction
-                xc = towards(0.5, 0.5)
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = _by_value(sim, fsim)
-    return sim[0], float(np.min(fsim)), iterations < max_iter
+    fz = f(z)
+    if fz == math.inf:
+        return z, True
+    for _ in range(max_iter):
+        step = _descent_step(f, z, fz)
+        length = math.hypot(*step)
+        while True:
+            trial = [zk + sk for zk, sk in zip(z, step)]
+            f_trial = f(trial)
+            if f_trial < fz:
+                break
+            length *= 0.5
+            if length < 1e-6:
+                return z, True
+            step = [0.5 * sk for sk in step]
+        gain, z, fz = fz - f_trial, trial, f_trial
+        if gain <= 1e-13 * abs(fz) or length < 1e-6:
+            return z, True
+    return z, False
 
 
 def maximize_cl(
@@ -518,13 +510,17 @@ def maximize_cl(
 
     where -pl = sum_k n_k (log sigma2_hat + log(o_k) / 2) + N, N = sum_k n_k.
     Only the free rates among (log lambda, log c_tilde) are searched, by
-    Nelder-Mead simplex search (_nelder_mead, which takes the same steps
-    as scipy's Nelder-Mead, ties included; relative function tolerance
-    1e-8, one automatic restart from the incumbent); with no free rate
-    no search runs.  Fixed coordinates are pinned to the scenario
-    values.  The returned pl never falls below the pl at start; if the
-    iteration budget runs out first, an OptimizerDidNotConverge warning
-    is issued and the incumbent is returned anyway.
+    damped Newton steps (_newton): gradient and Hessian from central
+    differences of the profile, the Newton step where the Hessian is
+    positive definite and the steepest-descent direction elsewhere, at
+    most unit length, halved until it raises pl.  The search stops when
+    no step of length 1e-6 or more raises pl, or when the accepted step
+    is shorter than that or raises pl by at most 1e-13 relative.  No
+    search runs when no rate is free, or when the profile is inf at the
+    start's rates.  Fixed coordinates are pinned to the scenario values.
+    The returned pl never falls below the pl at start; if max_iter Newton
+    iterations end first, an OptimizerDidNotConverge warning is issued
+    and the incumbent is returned anyway.
     """
     pinned = scenario.pin(start).as_array().tolist()
     stats = _lag_stats(field, weights)
@@ -537,22 +533,13 @@ def maximize_cl(
     )
 
     z = [math.log(profiled[k]) for k in free]
-    # an axis lag's correlation depends on one rate (index 0 for temporal
-    # lags, 1 for spatial ones); if that rate is pinned and puts the lag
-    # at correlation 1, the objective is inf at every free rate
-    at_unity = any(math.exp(-lam * d_t - c_tilde * d_x) >= 1.0 - _RHO_TOL
-                   for d_t, d_x, *_ in stats if (0 if d_t else 1) not in free)
-    if free and not at_unity:
-        f0 = objective(z)
-        scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
-        for _ in range(2):  # one automatic restart from the incumbent
-            z, fun, converged = _nelder_mead(
-                objective, z, max_iter, xatol=1e-6, fatol=1e-8 * scale
-            )
-            scale = max(1.0, abs(fun)) if math.isfinite(fun) else scale
+    # where a pinned rate puts an axis lag at correlation 1, the objective
+    # is inf at every free rate, and _newton returns z without a search
+    if free:
+        z, converged = _newton(objective, z, max_iter)
         if not converged:
             warnings.warn(
-                "simplex search exhausted its iteration budget",
+                "Newton search exhausted its iteration budget",
                 OptimizerDidNotConverge,
                 stacklevel=2,
             )
@@ -626,9 +613,7 @@ def sandwich_ci(
     H_inv = np.linalg.inv(H_f)
     G_inv = W * (H_inv @ J_star[sub] @ H_inv)
 
-    import scipy.special  # loaded on first use: only CL intervals need ndtri
-
-    z = float(scipy.special.ndtri(0.5 * (1.0 + level)))
+    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
     ses: dict[str, float] = {}
     intervals: dict[str, IntervalEstimate] = {}
     theta_arr = theta_hat.as_array()

@@ -56,4 +56,4 @@ class CovarianceJitter(UserWarning):
 
 
 class OptimizerDidNotConverge(UserWarning):
-    """Simplex search hit its evaluation budget before meeting tolerance."""
+    """The CL fit's Newton search used up its iterations before it converged."""

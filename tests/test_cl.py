@@ -664,100 +664,55 @@ class TestProfile:
         assert pairwise_loglik(theta, small_field, WEIGHTS) == 0.0
 
 
-def scipy_nelder_mead(f, x0, max_iter, xatol, fatol):
-    """(x, fun, success) of scipy's Nelder-Mead from x0, as floats."""
-    import scipy.optimize
-
-    res = scipy.optimize.minimize(
-        f, np.array(x0), method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": xatol, "fatol": fatol},
-    )
-    return res.x.tolist(), float(res.fun), bool(res.success)
+BOWL_MIN = [18.0 / 11.0, -14.0 / 11.0]
 
 
-def assert_same_bytes(ours, oracle):
-    x, fun, success = ours
-    assert np.array(x).tobytes() == np.array(oracle[0]).tobytes()
-    assert np.float64(fun).tobytes() == np.float64(oracle[1]).tobytes()
-    assert success == oracle[2]
-
-
-def random_quadratic(rng, n):
-    """A convex quadratic in n coordinates, taking arrays or lists."""
-    a = rng.normal(size=(n, n))
-    hess = (a @ a.T + 0.1 * np.eye(n)).tolist()
-    centre = rng.normal(size=n).tolist()
-
-    def f(x):
-        d = [float(v) - c for v, c in zip(x, centre)]
-        return sum(d[i] * hess[i][j] * d[j] for i in range(n) for j in range(n))
-
-    return f
-
-
-def plateaus(x):
-    """Integer steps of 4 |x|^2, with ties everywhere and an inf half-plane."""
-    x = [float(v) for v in x]
-    if x[0] > 1.5:
+def walled_bowl(z):
+    """A convex quadratic, inf where z[0] < 0.  Its gradient,
+    (2 (z0 - 1) + z1, 6 (z1 + 1) + z0), vanishes at BOWL_MIN."""
+    if z[0] < 0.0:
         return math.inf
-    return float(math.floor(4.0 * sum(v * v for v in x)))
+    return (z[0] - 1.0) ** 2 + 3.0 * (z[1] + 1.0) ** 2 + z[0] * z[1]
 
 
-class TestNelderMead:
-    """cl._nelder_mead against scipy's Nelder-Mead, byte for byte."""
+class TestNewton:
+    def test_quadratic_minimized_by_one_newton_step(self):
+        calls = []
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_random_quadratics(self, n, max_iter):
-        rng = np.random.default_rng(10 * n + max_iter)
-        for _ in range(10):
-            f = random_quadratic(rng, n)
-            x0 = (rng.normal(size=n) * 3.0).tolist()
-            x0[rng.integers(n)] = 0.0  # a zero coordinate gets the absolute step
-            tol = float(10.0 ** rng.uniform(-10, -2))
-            assert_same_bytes(cl._nelder_mead(f, x0, max_iter, tol, tol),
-                              scipy_nelder_mead(f, x0, max_iter, tol, tol))
+        def f(z):
+            calls.append(z)
+            return walled_bowl(z)
 
-    @pytest.mark.parametrize("fsim", [
-        [2.0, 1.0, 1.0, 1.0, 0.0],
-        [1.0, math.nan, 0.5, math.inf, math.inf],
-        [0.0, -0.0, 3.0, 0.0, -1.0],
-    ])
-    def test_vertex_order_is_numpy_argsort(self, fsim):
-        sim = [[v] for v in range(len(fsim))]
-        order = np.argsort(fsim).tolist()
-        assert cl._by_value(sim, fsim)[0] == [[i] for i in order]
+        z, converged = cl._newton(f, [2.0, -0.5], max_iter=50)  # within unit length
+        assert converged
+        assert z == pytest.approx(BOWL_MIN, abs=1e-6)
+        # the first iteration lands there, the second finds nothing lower
+        assert len(calls) <= 1 + 2 * 7
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # scipy's inf - inf
-    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_tied_plateaus_and_inf_regions(self, n, max_iter):
-        rng = np.random.default_rng(n + max_iter)
-        for _ in range(40):
-            x0 = rng.uniform(-1.0, 1.6, size=n).tolist()
-            assert_same_bytes(cl._nelder_mead(plateaus, x0, max_iter, 1e-6, 1e-8),
-                              scipy_nelder_mead(plateaus, x0, max_iter, 1e-6, 1e-8))
+    def test_long_newton_steps_cut_to_unit_length(self):
+        z0 = [20.0, 20.0]
+        step = cl._descent_step(walled_bowl, z0, walled_bowl(z0))
+        assert math.hypot(*step) == pytest.approx(1.0)
+        assert cl._newton(walled_bowl, z0, max_iter=100)[0] == pytest.approx(BOWL_MIN, abs=1e-6)
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
-    def test_nan_objective(self, max_iter):
-        def partly_nan(x):
-            x = [float(v) for v in x]
-            return math.nan if x[1] < -0.3 else (x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2
+    def test_inf_on_one_side_of_the_start(self):
+        z0 = [5e-5, 0.5]  # z0 - 1e-4 on the first axis is in the inf region
+        assert walled_bowl([z0[0] - 1e-4, z0[1]]) == math.inf
+        step = cl._descent_step(walled_bowl, z0, walled_bowl(z0))
+        assert all(map(math.isfinite, step))
+        z, converged = cl._newton(walled_bowl, z0, max_iter=50)
+        assert converged
+        assert z == pytest.approx(BOWL_MIN, abs=1e-6)
 
-        rng = np.random.default_rng(max_iter)
-        for _ in range(10):
-            x0 = rng.uniform(-1.0, 1.0, size=2).tolist()
-            assert_same_bytes(cl._nelder_mead(partly_nan, x0, max_iter, 1e-6, 1e-8),
-                              scipy_nelder_mead(partly_nan, x0, max_iter, 1e-6, 1e-8))
+    def test_inf_start_returned_as_is(self):
+        assert cl._newton(walled_bowl, [-1.0, 0.0], max_iter=50) == ([-1.0, 0.0], True)
 
-    def test_all_nan_never_converges(self):
-        def nowhere(x):
-            return math.nan
+    def test_iteration_budget(self):
+        z, converged = cl._newton(walled_bowl, [3.0, 2.0], max_iter=1)
+        assert not converged and walled_bowl(z) < walled_bowl([3.0, 2.0])
 
-        x, fun, converged = cl._nelder_mead(nowhere, [0.5, 0.0], 50, 1e-6, 1e-8)
-        assert math.isnan(fun) and not converged
-        assert_same_bytes((x, fun, converged),
-                          scipy_nelder_mead(nowhere, [0.5, 0.0], 50, 1e-6, 1e-8))
+    def test_flat_objective_stops_at_once(self):
+        assert cl._newton(lambda z: 1.0, [0.3, 0.4], max_iter=50) == ([0.3, 0.4], True)
 
 
 def old_lag_stats(field, weights):
@@ -845,7 +800,88 @@ def fields_200(base_params):
     return [simulate_exact(factor, base_params.mu, lattice, rng) for _ in range(200)]
 
 
+def simplex_profile_fit(field, scenario, start, max_iter=2000):
+    """maximize_cl's profile searched by scipy's Nelder-Mead, with the
+    options of the simplex the fit ran before its Newton search: xatol
+    1e-6, fatol 1e-8 relative to the start's value, and one restart from
+    the incumbent."""
+    import scipy.optimize
+
+    stats, free, pinned = objective_args(field, scenario, start)
+    z = [math.log(pinned[k]) for k in free]
+    if free:
+        def objective(z):
+            return cl._profile_objective(z.tolist(), stats, free, pinned)
+
+        f0 = objective(np.array(z))
+        scale = max(1.0, abs(f0)) if math.isfinite(f0) else 1.0
+        for _ in range(2):
+            res = scipy.optimize.minimize(
+                objective, np.array(z), method="Nelder-Mead",
+                options={"maxiter": max_iter, "xatol": 1e-6, "fatol": 1e-8 * scale},
+            )
+            z = res.x.tolist()
+            scale = max(1.0, abs(res.fun)) if math.isfinite(res.fun) else scale
+    lam, c_tilde, s2, mu = cl._with_rates(z, free, pinned)
+    _, s2, mu = cl._neg_pl(lam, c_tilde, s2, mu, stats)
+    return ThetaCL(lam, c_tilde, s2, mu)
+
+
+def truth_pinned(base_params, free):
+    truth = dict(zip(PARAM_NAMES, base_params.as_array()))
+    return EstimationScenario(
+        free=free, fixed_values={n: truth[n] for n in PARAM_NAMES if n not in free}
+    )
+
+
 class TestMaximizeClMatchesScipy:
+    @pytest.mark.parametrize("free", [
+        PARAM_NAMES, ("lambda", "c_tilde"), ("sigma2",), ("lambda", "mu"),
+        ("c_tilde",), ("c_tilde", "sigma2", "mu"),
+    ])
+    def test_pl_never_below_simplex_over_200_fields(self, fields_200, base_params, free):
+        """The Newton search does at least as well as a simplex on the same
+        profile, up to rounding."""
+        scen = truth_pinned(base_params, free)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizerDidNotConverge)
+            for field in fields_200:
+                start = fit_mm(field, max_lag=5)
+                ours = pairwise_loglik(maximize_cl(field, WEIGHTS, scen, start), field, WEIGHTS)
+                oracle = pairwise_loglik(
+                    simplex_profile_fit(field, scen, start), field, WEIGHTS
+                )
+                assert ours >= oracle - 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("free", [("lambda",), ("lambda", "c_tilde", "sigma2")])
+    def test_start_beside_unit_correlation(self, small_field, base_params, free):
+        """A start whose lambda lies just above the value that puts the
+        lag-1 temporal correlation at 1, so the objective is inf one finite
+        difference step below it."""
+        scen = truth_pinned(base_params, free)
+        dt = small_field.lattice.dt
+        for factor in np.linspace(1.0, 1.001, 41):
+            start = dataclasses.replace(base_params, lam=factor * 1e-12 / dt)
+            stats, rates, pinned = objective_args(small_field, scen, start)
+            z = [math.log(pinned[k]) for k in rates]
+            below = [z[0] - 1e-4] + z[1:]
+            if (cl._profile_objective(below, stats, rates, pinned) == math.inf
+                    and cl._profile_objective(z, stats, rates, pinned) < math.inf):
+                break
+        else:
+            pytest.fail("no start beside the unit-correlation edge")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizerDidNotConverge)
+            est = maximize_cl(small_field, WEIGHTS, scen, start)
+        ours = pairwise_loglik(est, small_field, WEIGHTS)
+        # the same maximum as from the truth
+        from_truth = maximize_cl(small_field, WEIGHTS, scen, base_params)
+        assert ours == pytest.approx(pairwise_loglik(from_truth, small_field, WEIGHTS),
+                                     rel=1e-12)
+        oracle = pairwise_loglik(simplex_profile_fit(small_field, scen, start),
+                                 small_field, WEIGHTS)
+        assert ours >= oracle - 1e-12 * abs(oracle)
+
     @pytest.mark.parametrize("free", [
         PARAM_NAMES, ("lambda", "c_tilde"), ("sigma2",), ("lambda", "mu"),
     ])

@@ -44,8 +44,9 @@ def run_python(code: str) -> str:
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    # these modules add to every start; the commands that need scipy.fft,
-    # scipy.special or scipy.linalg (which loads numpy.f2py) import them on use
+    # these modules add to every start; the commands that need scipy.fft or
+    # scipy.linalg (which loads numpy.f2py) import them on use, and no
+    # command needs the others
     code = (
         "import sys, stou.cli; "
         "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize', "
@@ -63,13 +64,14 @@ def test_cli_import_leaves_out_slow_scipy_modules():
      "--out", "{tmp}/cl.csv"],
 ])
 def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
+    # the CL fit and its intervals need neither scipy.optimize nor scipy.special
     argv = [a.format(tmp=tmp_path, field=field_csv) for a in argv]
     code = (
         "import sys; from stou.cli import main; "
         f"code = main({argv!r}); "
-        "print(code, 'scipy.optimize' in sys.modules)"
+        "print(code, [m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
     )
-    assert run_python(code).splitlines()[-1] == "0 False"
+    assert run_python(code).splitlines()[-1] == "0 []"
 
 
 def run_cli(*argv) -> int:
