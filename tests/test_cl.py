@@ -715,6 +715,92 @@ class TestNewton:
         assert cl._newton(lambda z: 1.0, [0.3, 0.4], max_iter=50) == ([0.3, 0.4], True)
 
 
+def scipy_nelder_mead(f, x0, max_iter, xatol, fatol):
+    """(x, fun, success) of scipy's Nelder-Mead from x0, as floats."""
+    import scipy.optimize
+
+    res = scipy.optimize.minimize(
+        f, np.array(x0), method="Nelder-Mead",
+        options={"maxiter": max_iter, "xatol": xatol, "fatol": fatol},
+    )
+    return res.x.tolist(), float(res.fun), bool(res.success)
+
+
+def random_quadratic(rng, n):
+    """A convex quadratic in n coordinates, taking arrays or lists."""
+    a = rng.normal(size=(n, n))
+    hess = (a @ a.T + 0.1 * np.eye(n)).tolist()
+    centre = rng.normal(size=n).tolist()
+
+    def f(x):
+        d = [float(v) - c for v, c in zip(x, centre)]
+        return sum(d[i] * hess[i][j] * d[j] for i in range(n) for j in range(n))
+
+    return f
+
+
+def plateaus(x):
+    """Integer steps of 4 |x|^2, with ties everywhere and an inf half-plane."""
+    x = [float(v) for v in x]
+    if x[0] > 1.5:
+        return math.inf
+    return float(math.floor(4.0 * sum(v * v for v in x)))
+
+
+class TestNelderMead:
+    """cl._newton on the problems that once pinned the fit's simplex,
+    against scipy's Nelder-Mead where the two searches can be compared."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_quadratics(self, n, max_iter):
+        """Never worse than the simplex on the same iteration budget; with
+        a full budget, at the minimum to within the simplex's fatol."""
+        rng = np.random.default_rng(10 * n + max_iter)
+        for _ in range(10):
+            f = random_quadratic(rng, n)
+            x0 = (rng.normal(size=n) * 3.0).tolist()
+            x0[rng.integers(n)] = 0.0
+            tol = float(10.0 ** rng.uniform(-10, -2))
+            z, converged = cl._newton(f, x0, max_iter)
+            _, oracle, oracle_converged = scipy_nelder_mead(f, x0, max_iter, tol, tol)
+            assert f(z) <= f(x0)
+            assert f(z) <= oracle + (tol if oracle_converged else 0.0)
+            if max_iter == 2000:
+                assert converged and oracle_converged
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tied_plateaus_and_inf_regions(self, n, max_iter):
+        """A flat plateau stops the search as converged, and it never steps
+        into the inf region; an inf start is returned as is."""
+        rng = np.random.default_rng(n + max_iter)
+        for _ in range(40):
+            x0 = rng.uniform(-1.0, 1.6, size=n).tolist()
+            z, converged = cl._newton(plateaus, x0, max_iter)
+            assert converged
+            if plateaus(x0) == math.inf:
+                assert z == x0
+            else:
+                assert plateaus(z) <= plateaus(x0)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    def test_nan_objective(self, max_iter):
+        """A NaN region is never entered, and a NaN start is not left."""
+        def partly_nan(x):
+            x = [float(v) for v in x]
+            return math.nan if x[1] < -0.3 else (x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2
+
+        rng = np.random.default_rng(max_iter)
+        for _ in range(10):
+            x0 = rng.uniform(-1.0, 1.0, size=2).tolist()
+            z, _ = cl._newton(partly_nan, x0, max_iter)
+            if math.isnan(partly_nan(x0)):
+                assert z == x0
+            else:
+                assert partly_nan(z) <= partly_nan(x0)
+
+
 def old_lag_stats(field, weights):
     """Per-lag (d_t, d_x, n, s_a, s_b, s_aa, s_bb, s_ab), as the
     four-dimensional fit summarized each lag."""
