@@ -54,8 +54,10 @@ print("   small-domain effect that the later demos keep running into)")
 config = GridSimConfig(truncation_p=200, cells_per_obs_cell=1)
 approx = simulate_grid(params, lattice, config, rng)
 print("\napproximate (cone Riemann sum) simulator")
+# the cone widens with age, so depth x = lam p dt cuts (1 + x) e^{-x} of the mean
+x = params.lam * config.truncation_p * lattice.dt
 print(f"  truncation depth {config.truncation_p * lattice.dt:.1f} time units, "
-      f"discarded tail weight {np.exp(-params.lam * config.truncation_p * lattice.dt):.1e}")
+      f"share of the mean cut off {(1.0 + x) * np.exp(-x):.1e}")
 print(f"  sample mean {approx.values.mean():+.4f}   model mu {params.mu:+.4f}")
 print(f"  sample var  {approx.values.var():.5f}   model sigma2 {params.sigma2:.5f}")
 

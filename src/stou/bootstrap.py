@@ -25,7 +25,7 @@ import numpy as np
 
 from .cholesky import CholeskyFactor, build_covariance, cholesky_factor, simulate_exact
 from .errors import FailureRateExceeded, StouError
-from .gridsim import GridSimConfig, simulate_grid
+from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
 from .model import FieldSample, Lattice, StouParams
 
@@ -99,12 +99,6 @@ class McCiResult:
     level: float
 
 
-def _default_grid_config(fitted: StouParams, lattice: Lattice) -> GridSimConfig:
-    # depth lam * p * dt = 7 keeps the discarded tail below 1e-3
-    p = max(1, math.ceil(7.0 / (fitted.lam * lattice.dt)))
-    return GridSimConfig(truncation_p=p, cells_per_obs_cell=1)
-
-
 def quantile_interval(values, level: float) -> tuple[float, float, float]:
     """(lower, median, upper) empirical quantiles at (1 -/+ level)/2 and
     1/2, by linear interpolation of order statistics (position
@@ -141,18 +135,18 @@ def mc_ci(
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Replications
     whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
-    raises FailureRateExceeded.
+    raises FailureRateExceeded.  A grid_config of None is GridSimConfig(),
+    whose depth is then the grid simulator's default for the fitted model.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
     fitted = fit_mm(field, max_lag=max_lag)
 
     factor: CholeskyFactor | None = None
-    config = grid_config
     if simulator == "exact":
         factor = cholesky_factor(build_covariance(fitted, lattice))
-    elif config is None:
-        config = _default_grid_config(fitted, lattice)
+    else:
+        config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)
 
     streams = rng.spawn(B)
     refits = []

@@ -18,8 +18,9 @@ With r_k = 1 + rho_k and o_k = 1 - rho_k^2 at axis lag k, n_k pairs,
 and SB_k(mu) the sum of B over them,
 
     mu_hat     = sum_k sum(y_i + y_j)_k / r_k  /  sum_k 2 n_k / r_k
-    sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k.
+    sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k,
 
+where -pl = sum_k n_k (log sigma2_hat + log(o_k) / 2) + N, N = sum_k n_k.
 maximize_cl profiles the free ones out this way, so its search runs
 over the free ones among (log lam, log c_tilde) only, by damped Newton
 steps on central-difference derivatives of the profile.
@@ -500,19 +501,11 @@ def maximize_cl(
 ) -> StouParams:
     """Maximize the pairwise log-likelihood over the free coordinates.
 
-    Free sigma2 and mu are profiled out in closed form.  At fixed rates
-    (lambda, c_tilde), with r_k = 1 + rho_k and o_k = 1 - rho_k^2 at axis
-    lag k, n_k pairs, s_1k the sum of y_i + y_j and SB_k(mu) the sum of B
-    over its pairs, pl is maximized by
-
-        mu_hat     = sum_k s_1k / r_k  /  sum_k 2 n_k / r_k
-        sigma2_hat = sum_k SB_k(mu_hat) / o_k  /  2 sum_k n_k,
-
-    where -pl = sum_k n_k (log sigma2_hat + log(o_k) / 2) + N, N = sum_k n_k.
-    Only the free rates among (log lambda, log c_tilde) are searched, by
-    damped Newton steps (_newton): gradient and Hessian from central
-    differences of the profile, the Newton step where the Hessian is
-    positive definite and the steepest-descent direction elsewhere, at
+    Free sigma2 and mu are profiled out by the closed forms in the module
+    docstring.  Only the free rates among (log lambda, log c_tilde) are
+    searched, by damped Newton steps (_newton): gradient and Hessian from
+    central differences of the profile, the Newton step where the Hessian
+    is positive definite and the steepest-descent direction elsewhere, at
     most unit length, halved until it raises pl.  The search stops when
     no step of length 1e-6 or more raises pl, or when the accepted step
     is shorter than that or raises pl by at most 1e-13 relative.  No

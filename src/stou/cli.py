@@ -22,6 +22,7 @@ from .experiment import (
     _CONFIG_PARSERS,
     ExperimentConfig,
     _checked,
+    _write_lines,
     parse_config_file,
     read_field,
     run,
@@ -144,12 +145,10 @@ def _field_from_args(args, settings: ExperimentConfig) -> FieldSample:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_lines(out, lines)
 
 
 def _reject_grid_flags(args) -> None:
@@ -208,15 +207,9 @@ def _cmd_fit_cl(args) -> int:
 
 def _cmd_ci(args) -> int:
     settings = _settings(args)
-    grid_config = None
     if args.method == "mc-exact":
         _reject_grid_flags(args)
-    elif args.truncation_p is not None:
-        grid_config = _checked(settings.grid_config)
-    elif args.cells_per_obs_cell is not None:
-        # without --truncation-p, mc_ci picks the depth from the fitted field
-        # and one mesh cell per observation cell
-        raise ConfigInvalid("--cells-per-obs-cell needs --truncation-p as well")
+    grid_config = _checked(settings.grid_config)
     simulator = settings.simulator()
     _checked(check_mc_ci_args, settings.B, settings.level, simulator)
     field = _field_from_args(args, settings)

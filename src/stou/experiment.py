@@ -106,7 +106,7 @@ class ExperimentConfig:
     window_nt: int = 11
     step_x: int = 5
     step_t: int = 5
-    truncation_p: int = 300
+    truncation_p: int | None = None  # None: the grid simulator's default depth
     cells_per_obs_cell: int = 1
     max_lag: int = 5
     seed: int = 0
@@ -211,9 +211,10 @@ class ExperimentConfig:
         return self.method.removeprefix("mc-")
 
 
-# config key -> parser of its config-file text: the type of its default
-_CONFIG_PARSERS = {f.name: parse_scenario if f.name == "scenario" else type(f.default)
-                   for f in dataclass_fields(ExperimentConfig)}
+# config key -> parser of its config-file text: the type of its default,
+# int for the depth that defaults to None
+_CONFIG_PARSERS = {f.name: type(f.default) for f in dataclass_fields(ExperimentConfig)}
+_CONFIG_PARSERS.update(scenario=parse_scenario, truncation_p=int)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -241,8 +242,7 @@ def write_field(field: FieldSample, path: str) -> None:
     for t in range(field.lattice.n_t):
         for x in range(field.lattice.n_x):
             lines.append(f"{t},{x},{float(values[t, x])!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_field(path: str, dx: float, dt: float) -> FieldSample:

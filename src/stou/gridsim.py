@@ -15,7 +15,8 @@ backward cone, and the increment is shared by every observation point
 whose cone covers the cell.  Cells cut by the cone boundary enter with
 their exact intersected area, so the per-cell increment moments carry
 no boundary-mass error; the remaining bias is kernel variation within
-a cell (O(mesh)) plus the truncated tail (O(exp(-lam p dt))).
+a cell (O(mesh)) plus the truncated tail, (1 + x) exp(-x) of the mean at
+depth x = lam p dt, as the cone's area grows with age.
 
 The inner sum over cells is a 2-d cross-correlation of one shared
 noise array with a fixed kernel stencil, sampled back onto the
@@ -37,14 +38,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import TruncationTooShallow
 from .model import FieldSample, Lattice, StouParams
 
-__all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid"]
+__all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid", "with_default_depth"]
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,37 @@ class GridSimConfig:
     """Mesh controls for the grid simulator.
 
     truncation_p: temporal kernel steps retained; the kernel is set to
-    zero beyond p * dt time units.  Depth lam * p * dt >= 5 recommended.
+    zero beyond p * dt time units.  None takes the default depth of the
+    model simulated (see with_default_depth).
     cells_per_obs_cell: subdivision factor r >= 1; integration cells
     have size (dx/r, dt/r).
     """
 
-    truncation_p: int
+    truncation_p: int | None = None
     cells_per_obs_cell: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.truncation_p, (int, np.integer)) and self.truncation_p >= 1):
-            raise ValueError(f"truncation_p must be an integer >= 1, got {self.truncation_p!r}")
+        p = self.truncation_p
+        if not (p is None or isinstance(p, (int, np.integer)) and p >= 1):
+            raise ValueError(f"truncation_p must be None or an integer >= 1, got {p!r}")
         r = self.cells_per_obs_cell
         if not (isinstance(r, (int, np.integer)) and r >= 1):
             raise ValueError(f"cells_per_obs_cell must be an integer >= 1, got {r!r}")
+
+
+def _cut_share(depth: float) -> float:
+    """Share of the mean cut off by truncation at depth x = lam p dt: (1 + x) exp(-x)."""
+    return (1.0 + depth) * math.exp(-depth)
+
+
+def with_default_depth(config: GridSimConfig, params: StouParams,
+                       lattice: Lattice) -> GridSimConfig:
+    """config, with a truncation_p of None replaced by the default depth
+    p = ceil(9.24 / (lam dt)) for this model and lattice: at depth
+    lam p dt >= 9.24 the truncated tail carries at most 1e-3 of the mean."""
+    if config.truncation_p is not None:
+        return config
+    return replace(config, truncation_p=math.ceil(9.24 / (params.lam * lattice.dt)))
 
 
 def cone_cell_areas(c: float, dt_m: float, dx_m: float, n_steps: int) -> np.ndarray:
@@ -145,17 +163,18 @@ def simulate_grid(
     config: GridSimConfig,
     rng: np.random.Generator,
 ) -> FieldSample:
-    """One approximate field draw on the lattice.
+    """One approximate field draw on the lattice, at the default depth
+    when config has no truncation_p.
 
-    Warns TruncationTooShallow when exp(-lam * p * dt) > 1e-2, i.e.
-    when the discarded kernel tail is not negligible.
+    Warns TruncationTooShallow when the truncated kernel tail carries
+    more than 1e-2 of the mean (depth lam * p * dt below about 6.64).
     """
-    lam = params.lam
-    depth = config.truncation_p * lattice.dt
-    if math.exp(-lam * depth) > 1e-2:
+    config = with_default_depth(config, params, lattice)
+    depth = params.lam * config.truncation_p * lattice.dt
+    if _cut_share(depth) > 1e-2:
         warnings.warn(
-            f"truncation depth lam*p*dt = {lam * depth:.3g} < {math.log(100.0):.3g}; "
-            "kernel tail exceeds 1e-2",
+            f"truncation depth lam*p*dt = {depth:.3g} cuts {_cut_share(depth):.2g} "
+            "of the mean, more than 1e-2",
             TruncationTooShallow,
             stacklevel=2,
         )

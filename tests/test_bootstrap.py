@@ -318,11 +318,14 @@ class TestCoverageExperiment:
         assert got.failures == ((2, "InsufficientUsableLags: synthetic failure"),)
         assert got.entries["lambda"].n == 9
 
-    def test_reproduces_the_driver(self, tmp_path):
-        config = ExperimentConfig(nx=15, nt=15, n_datasets=10, B=20, seed=5)
+    @pytest.mark.parametrize("method", ["mc-exact", "mc-grid"])
+    def test_reproduces_the_driver(self, tmp_path, method):
+        # mc-grid at the driver's default depth and the library's grid_config=None
+        config = ExperimentConfig(nx=15, nt=15, n_datasets=10, B=20, seed=5, method=method)
         report = coverage_experiment(
             config.truth(), config.lattice(), config.n_datasets, config.B, config.level,
-            "exact", rng=np.random.default_rng(config.seed), max_lag=config.max_lag,
+            config.simulator(), rng=np.random.default_rng(config.seed),
+            max_lag=config.max_lag,
         )
         expected = {
             "coverage": [f"{e.parameter},{e.coverage!r},{e.se!r},{e.n}"

@@ -542,6 +542,26 @@ class TestMaximizeCl:
         with pytest.warns(OptimizerDidNotConverge):
             maximize_cl(small_field, WEIGHTS, scen, start, max_iter=1)
 
+    @pytest.mark.parametrize("edge", [
+        {"lam": 1e-9}, {"c_tilde": 1e-9}, {"lam": 1e-10, "c_tilde": 1e-10}, {"lam": 3e-11},
+    ])
+    def test_start_next_to_unit_correlation_reaches_the_moment_start_fit(
+            self, base_params, edge):
+        # the profile is inf where a lag's correlation reaches 1; from a start
+        # beside that edge the search must not stop on it
+        lattice = Lattice(n_x=41, n_t=41, dx=0.05, dt=0.05)
+        factor = cholesky_factor(build_covariance(base_params, lattice))
+        rng = np.random.default_rng(12)
+        scen = EstimationScenario(free=PARAM_NAMES)
+        for _ in range(5):
+            field = simulate_exact(factor, base_params.mu, lattice, rng)
+            start = fit_mm(field)
+            want = pairwise_loglik(maximize_cl(field, WEIGHTS, scen, start), field, WEIGHTS)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", OptimizerDidNotConverge)
+                est = maximize_cl(field, WEIGHTS, scen, dataclasses.replace(start, **edge))
+            assert pairwise_loglik(est, field, WEIGHTS) >= want - 1e-12 * abs(want)
+
 
 def summed_score(theta, field, weights):
     """score_u summed over all admissible pairs, and the sum of its

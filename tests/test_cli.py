@@ -18,6 +18,7 @@ from stou.experiment import (
     read_field,
     write_field,
 )
+from stou.gridsim import with_default_depth
 
 
 @pytest.fixture()
@@ -293,9 +294,11 @@ class TestConfigParsing:
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert not values or set(values) == set(names)
         path = tmp_path / "exp.cfg"
+        # a key whose default is None (truncation_p) has no text: it is left out
         path.write_text("".join(
             f"{name} = {','.join(value) if name == 'scenario' else value}\n"
             for name, value in ((name, getattr(expected, name)) for name in names)
+            if value is not None
         ))
         parsed = ExperimentConfig.from_sources(parse_config_file(str(path)), {})
         assert parsed == expected
@@ -316,11 +319,13 @@ class TestSimulateAndFit:
 
     def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
         d = ExperimentConfig()
+        # the grid simulator's depth for the default truth and lattice
+        depth = with_default_depth(d.grid_config(), d.truth(), d.lattice()).truncation_p
         explicit = {
             "simulate": [
                 "--lambda", d.lam, "--c", d.c, "--tau", d.tau, "--mu-seed", d.mu_seed,
                 "--nx", d.nx, "--nt", d.nt, "--dx", d.dx, "--dt", d.dt,
-                "--truncation-p", d.truncation_p,
+                "--truncation-p", depth,
                 "--cells-per-obs-cell", d.cells_per_obs_cell,
             ],
             "fit-mm": ["--max-lag", d.max_lag],
@@ -341,6 +346,14 @@ class TestSimulateAndFit:
                 argv = [command, *fixed[command], *map(str, extra), "--out", str(out)]
                 assert run_cli(*argv) == 0
             assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_simulate_grid_default_depth(self, tmp_path):
+        # ceil(9.24 / (lam dt)) = 185 at the default lambda and dt
+        outs = [tmp_path / "default.csv", tmp_path / "185.csv"]
+        for out, extra in zip(outs, ([], ["--truncation-p", "185"])):
+            assert run_cli("simulate", "--method", "grid", "--nx", "9", "--nt", "9",
+                           *extra, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_simulate_grid_method(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -384,14 +397,14 @@ class TestSimulateAndFit:
         names = {line.split(",")[0] for line in lines[1:]}
         assert {"lambda", "c_tilde"} <= names
 
-    def test_ci_grid_cells_without_truncation_rejected(self, field_csv, capsys):
-        code = run_cli(
+    def test_ci_grid_cells_without_truncation(self, field_csv, capsys):
+        # the depth is then the grid simulator's default for the fitted model
+        assert run_cli(
             "ci", "--field", field_csv, "--dx", "0.05", "--dt", "0.05",
-            "--method", "mc-grid", "--B", "5", "--cells-per-obs-cell", "2",
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--cells-per-obs-cell" in err and "--truncation-p" in err
+            "--method", "mc-grid", "--B", "20", "--cells-per-obs-cell", "2",
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "parameter,point,lower,median,upper" and len(lines) == 7
 
     @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
     def test_ci_exact_rejects_grid_flag(self, tmp_path, capsys, flag):

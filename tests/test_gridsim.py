@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.signal import correlate
 
 from stou import GridSimConfig, Lattice, StouParams, cone_cell_areas, simulate_grid
 from stou.errors import TruncationTooShallow
-from stou.gridsim import _grid_plan
+from stou.gridsim import _cut_share, _grid_plan, with_default_depth
 
 
 def deterministic_params(mu=0.4) -> StouParams:
@@ -41,6 +42,30 @@ class TestGridSimConfig:
     def test_defaults(self):
         cfg = GridSimConfig(truncation_p=300)
         assert cfg.cells_per_obs_cell == 1
+        assert GridSimConfig().truncation_p is None
+
+
+class TestDefaultDepth:
+    def test_rule(self):
+        p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=5, n_t=5, dx=0.05, dt=0.05)
+        assert _cut_share(9.24) <= 1e-3 < _cut_share(9.23)
+        # ceil(9.24 / (lam dt)) at the default truth and lattice
+        assert with_default_depth(GridSimConfig(cells_per_obs_cell=2), p, lat) == \
+            GridSimConfig(truncation_p=185, cells_per_obs_cell=2)
+        explicit = GridSimConfig(truncation_p=7)
+        assert with_default_depth(explicit, p, lat) is explicit
+
+    @pytest.mark.parametrize("lam", [0.2, 1.0, 4.0])
+    @pytest.mark.parametrize("dt", [0.02, 0.05, 0.1])
+    def test_mean_within_1e3_of_four_times_deeper(self, lam, dt):
+        # mean_part does not depend on dx; a coarse one keeps the stencil narrow
+        p = StouParams.natural(lam=lam, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=2, n_t=2, dx=100.0, dt=dt)
+        cfg = with_default_depth(GridSimConfig(), p, lat)
+        got = _grid_plan(p, lat, cfg).mean_part
+        deep = _grid_plan(p, lat, replace(cfg, truncation_p=4 * cfg.truncation_p)).mean_part
+        assert abs(got - deep) <= 1e-3 * abs(deep)
 
 
 class TestConeCellAreas:
@@ -143,6 +168,16 @@ class TestSimulateGrid:
         # lam p dt = 2.5, tail e^{-2.5} ~ 0.082 > 1e-2
         with pytest.warns(TruncationTooShallow):
             simulate_grid(p, lat, GridSimConfig(truncation_p=50), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p_steps,warns", [(132, True), (133, False)])
+    def test_warning_threshold_is_1e2_of_the_mean(self, p_steps, warns):
+        # (1 + x) e^{-x} = 1e-2 at depth x = 6.64: 1.04e-2 at 6.6, 9.9e-3 at 6.65
+        p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=5, n_t=5, dx=0.05, dt=0.05)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate_grid(p, lat, GridSimConfig(truncation_p=p_steps), np.random.default_rng(0))
+        assert any(w.category is TruncationTooShallow for w in caught) == warns
 
     def test_no_warning_when_truncation_deep(self):
         p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
