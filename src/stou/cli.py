@@ -17,7 +17,7 @@ import numpy as np
 from .bootstrap import REPORT_PARAMS, check_mc_ci_args, mc_ci, params_to_report
 from .cholesky import build_covariance, cholesky_factor, simulate_exact
 from .cl import EstimationScenario, check_sandwich_ci_args, sandwich_ci
-from .errors import ConfigInvalid, StouError
+from .errors import BudgetExceeded, ConfigInvalid, StouError
 from .experiment import (
     _CONFIG_PARSERS,
     ExperimentConfig,
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StouError, ValueError, OSError) as exc:

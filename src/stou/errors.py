@@ -6,7 +6,7 @@ class StouError(Exception):
 
 
 class BudgetExceeded(StouError):
-    """Requested lattice is larger than the dense-covariance budget."""
+    """A simulation exceeds its memory budget: exact-factor sites or grid noise cells."""
 
 
 class NotPositiveDefinite(StouError):

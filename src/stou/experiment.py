@@ -28,13 +28,8 @@ import numpy as np
 import scipy
 
 from .bootstrap import check_mc_ci_args, coverage_dataset, params_to_report
-from .cholesky import (
-    DEFAULT_MAX_POINTS,
-    CholeskyFactor,
-    build_covariance,
-    cholesky_factor,
-    simulate_exact,
-)
+from .cholesky import (DEFAULT_MAX_POINTS, CholeskyFactor, build_covariance, cholesky_factor,
+                       simulate_exact)
 from .cl import (
     PARAM_NAMES,
     EstimationScenario,
@@ -47,17 +42,8 @@ from .errors import ConfigInvalid, FailureRateExceeded, StouError
 from .gridsim import GridSimConfig
 from .model import FieldSample, Lattice, StouParams
 
-__all__ = [
-    "CoverageEntry",
-    "CoverageReport",
-    "ExperimentConfig",
-    "coverage_experiment",
-    "parse_config_file",
-    "parse_scenario",
-    "run",
-    "read_field",
-    "write_field",
-]
+__all__ = ["CoverageEntry", "CoverageReport", "ExperimentConfig", "coverage_experiment",
+           "parse_config_file", "parse_scenario", "run", "read_field", "write_field"]
 
 FIELD_FILE_HEADER = "t_index,x_index,value"
 ESTIMATES_HEADER = "dataset,seed,parameter,true_value,estimate,lower,upper,hit,error"
@@ -379,7 +365,7 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_dataset_task, tasks))
     results = [_dataset_task(task) for task in tasks]
-    _truth_factor.cache_clear()  # up to 832 MB at 101 x 101; hold none past the run
+    _truth_factor.cache_clear()  # about 0.42 GB at 101 x 101; hold none past the run
     return results
 
 

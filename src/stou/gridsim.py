@@ -42,10 +42,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TruncationTooShallow
+from .cholesky import DEFAULT_MAX_POINTS
+from .errors import BudgetExceeded, TruncationTooShallow
 from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid", "with_default_depth"]
+
+# cells in the largest noise array: the doubles the exact factor holds at its ceiling
+MAX_NOISE_CELLS = DEFAULT_MAX_POINTS**2 // 2
 
 
 @dataclass(frozen=True)
@@ -134,18 +138,21 @@ def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _
     dx_m = lattice.dx / r
     n_steps = config.truncation_p * r
 
+    # one shared noise value per mesh cell; rows run forward in time, and
+    # the columns span the lattice plus the cone's half-width on each side
+    v_half = math.ceil(c * n_steps * dt_m / dx_m)  # cone_cell_areas has 2 v_half columns
+    noise_shape = ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + 2 * v_half)
+    if noise_shape[0] * noise_shape[1] > MAX_NOISE_CELLS:
+        raise BudgetExceeded(f"grid noise array of {noise_shape[0]} x {noise_shape[1]} cells "
+                             f"(depth {config.truncation_p}) exceeds the budget of "
+                             f"{MAX_NOISE_CELLS}")
+
     areas = cone_cell_areas(c, dt_m, dx_m, n_steps)
-    v_half = areas.shape[1] // 2
     # midpoint kernel weight per age row
     weights = np.exp(-lam * (np.arange(n_steps) + 0.5) * dt_m)
 
     mean_part = params.mu_seed * float(weights @ areas.sum(axis=1))
 
-    # one shared noise value per mesh cell; rows run forward in time
-    noise_shape = (
-        (lattice.n_t - 1) * r + n_steps,
-        (lattice.n_x - 1) * r + 2 * v_half,
-    )
     fft_shape = tuple(scipy.fft.next_fast_len(n, real=True) for n in noise_shape)
 
     kernel = np.sqrt(params.tau2 * areas) * weights[:, None]

@@ -113,7 +113,7 @@ def test_criterion_2_expected_information_matches_monte_carlo():
     nrep = 20000
     rng = np.random.default_rng(314)
     Z = rng.standard_normal((factor.n, nrep))
-    fields = (theta.mu + (factor.entries @ Z).T).reshape(nrep, lat.n_t, lat.n_x)
+    fields = (theta.mu + (factor @ Z).T).reshape(nrep, lat.n_t, lat.n_x)
 
     # per-field pairwise log-likelihood from axis-lag sufficient statistics
     stats = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stou.bootstrap
 import stou.experiment
 from stou import (
+    BudgetExceeded,
     CoverageEntry,
     CoverageReport,
     ExperimentConfig,
@@ -122,6 +123,14 @@ class TestMcCi:
         )
         assert res.n_failed == 0
         assert res.intervals["lambda"].lower < res.intervals["lambda"].upper
+
+    def test_grid_noise_beyond_budget_is_a_typed_error(self, small_field, monkeypatch):
+        # a slowly decaying fit takes a deep default kernel: at lam = 0.01 the
+        # noise array would be 18500 x 36980 cells
+        slow = StouParams.natural(lam=0.01, c=1.0, mu_seed=0.2, tau2=0.01)
+        monkeypatch.setattr(stou.bootstrap, "fit_mm", lambda field, max_lag=5: slow)
+        with pytest.raises(BudgetExceeded):
+            mc_ci(small_field, B=20, level=0.9, simulator="grid", rng=np.random.default_rng(0))
 
     def test_failed_refits_counted_then_fatal(self, small_field, monkeypatch):
         real_fit = stou.bootstrap.fit_mm
@@ -269,7 +278,7 @@ class TestCoverageExperiment:
             )
 
     def test_one_truth_factor_per_run_and_none_kept(self, base_params, monkeypatch):
-        # a dense factor is 832 MB at 101 x 101: the datasets share one,
+        # the factor's coefficients are about 0.42 GB at 101 x 101: the datasets share one,
         # and the in-process run drops it when it ends
         calls = []
 

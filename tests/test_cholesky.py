@@ -6,6 +6,7 @@ import scipy.linalg
 
 from stou import (
     BudgetExceeded,
+    CholeskyFactor,
     CovarianceMatrix,
     DimensionMismatch,
     Lattice,
@@ -23,16 +24,33 @@ def params(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01) -> StouParams:
     return StouParams.natural(lam=lam, c=c, mu_seed=mu_seed, tau2=tau2)
 
 
+def dense_covariance(cov):
+    """The n x n site covariance assembled from the block-Toeplitz form:
+    block (t, s) is blocks[|t - s|]."""
+    n_t, n_x, _ = cov.blocks.shape
+    lag = np.abs(np.arange(n_t)[:, None] - np.arange(n_t)[None, :])
+    return cov.blocks[lag].transpose(0, 2, 1, 3).reshape(cov.n, cov.n)
+
+
+def dense_factor(fac):
+    """The n x n lower factor L, column by column."""
+    return fac @ np.eye(fac.n)
+
+
+def dense_oracle(cov):
+    """LAPACK's lower Cholesky factor of the assembled matrix."""
+    return scipy.linalg.cholesky(dense_covariance(cov), lower=True, check_finite=False)
+
+
 def blockwise_canonical_covariance(p, lat, block_rows=256):
     """Reference: the canonical covariance built row block by row block,
-    evaluating exp at every site pair."""
+    evaluating exp at every site pair, with time lag |t_a - t_b| * dt."""
     t_idx, x_idx = lat.site_indices()
-    tt = t_idx * lat.dt
     xx = x_idx * lat.dx
     out = np.empty((lat.n, lat.n))
     for i0 in range(0, lat.n, block_rows):
         rows = slice(i0, min(i0 + block_rows, lat.n))
-        d_t = np.abs(tt[rows, None] - tt[None, :])
+        d_t = np.abs(t_idx[rows, None] - t_idx[None, :]) * lat.dt
         d_x = np.abs(xx[rows, None] - xx[None, :])
         d_x /= p.c
         np.maximum(d_t, d_x, out=d_t)
@@ -83,49 +101,49 @@ class TestBuildCovariance:
         lat = Lattice(n_x=1, n_t=1, dx=0.05, dt=0.05)
         cov = build_covariance(p, lat)
         assert cov.n == 1
-        assert cov.entries[0, 0] == pytest.approx(p.sigma2)
+        assert dense_covariance(cov)[0, 0] == pytest.approx(p.sigma2)
 
     def test_two_point_temporal(self):
         p = params()
         lat = Lattice(n_x=1, n_t=2, dx=0.05, dt=0.05)
-        cov = build_covariance(p, lat)
-        assert cov.entries[0, 1] == pytest.approx(p.sigma2 * math.exp(-0.05))
-        assert cov.entries[0, 1] == cov.entries[1, 0]
+        cov = dense_covariance(build_covariance(p, lat))
+        assert cov[0, 1] == pytest.approx(p.sigma2 * math.exp(-0.05))
+        assert cov[0, 1] == cov[1, 0]
 
     def test_two_by_two_diagonal_lag(self):
         h = 0.07
         p = params()
         lat = Lattice(n_x=2, n_t=2, dx=h, dt=h)
-        cov = build_covariance(p, lat)
+        cov = dense_covariance(build_covariance(p, lat))
         # sites 0 and 3 differ by one step in both time and space
-        assert cov.entries[0, 3] == pytest.approx(p.sigma2 * math.exp(-h), rel=1e-12)
+        assert cov[0, 3] == pytest.approx(p.sigma2 * math.exp(-h), rel=1e-12)
 
     def test_entries_match_correlation(self):
         p = params(lam=1.4, c=0.6)
         lat = Lattice(n_x=3, n_t=4, dx=0.11, dt=0.07)
-        cov = build_covariance(p, lat)
+        cov = dense_covariance(build_covariance(p, lat))
         t_idx, x_idx = lat.site_indices()
         for k in range(lat.n):
             for kk in range(lat.n):
                 d_t = (t_idx[k] - t_idx[kk]) * lat.dt
                 d_x = (x_idx[k] - x_idx[kk]) * lat.dx
                 expected = p.sigma2 * corr_canonical(p, d_t, d_x)
-                assert cov.entries[k, kk] == pytest.approx(expected, rel=1e-12)
+                assert cov[k, kk] == pytest.approx(expected, rel=1e-12)
 
     def test_canonical_bit_identical_to_blockwise_loop(self):
         cases = oracle_cases(np.random.default_rng(20261018))
         assert len(cases) >= 1000
         for p, lat in cases:
             expected = blockwise_canonical_covariance(p, lat)
-            got = build_covariance(p, lat).entries
+            got = dense_covariance(build_covariance(p, lat))
             assert np.array_equal(got, expected), (p, lat)
 
     def test_symmetric_with_constant_diagonal(self):
         p = params(lam=2.0, c=0.5)
         lat = Lattice(n_x=5, n_t=4, dx=0.05, dt=0.05)
-        cov = build_covariance(p, lat)
-        assert np.max(np.abs(cov.entries - cov.entries.T)) <= 1e-14
-        np.testing.assert_allclose(np.diagonal(cov.entries), p.sigma2)
+        cov = dense_covariance(build_covariance(p, lat))
+        assert np.max(np.abs(cov - cov.T)) <= 1e-14
+        np.testing.assert_allclose(np.diagonal(cov), p.sigma2)
 
     def test_budget_enforced_before_work(self):
         p = params()
@@ -134,78 +152,104 @@ class TestBuildCovariance:
             build_covariance(p, Lattice(n_x=102, n_t=101, dx=0.05, dt=0.05))
 
 
+def one_block(entries):
+    """A covariance of one time row: the block is the whole matrix."""
+    return CovarianceMatrix(np.asarray(entries, dtype=float)[None])
+
+
 class TestCholeskyFactor:
     def test_identity(self):
-        cov = CovarianceMatrix(n=3, entries=np.eye(3))
-        fac = cholesky_factor(cov)
-        np.testing.assert_array_equal(fac.entries, np.eye(3))
+        fac = cholesky_factor(one_block(np.eye(3)))
+        np.testing.assert_array_equal(dense_factor(fac), np.eye(3))
 
     def test_hand_checked_two_by_two(self):
-        cov = CovarianceMatrix(n=2, entries=np.array([[4.0, 2.0], [2.0, 5.0]]))
-        fac = cholesky_factor(cov)
-        np.testing.assert_allclose(fac.entries, [[2.0, 0.0], [1.0, 2.0]])
+        fac = cholesky_factor(one_block([[4.0, 2.0], [2.0, 5.0]]))
+        np.testing.assert_allclose(dense_factor(fac), [[2.0, 0.0], [1.0, 2.0]])
 
     def test_lower_triangular(self):
         p = params()
         lat = Lattice(n_x=4, n_t=3, dx=0.05, dt=0.05)
         fac = cholesky_factor(build_covariance(p, lat))
-        assert np.all(fac.entries[np.triu_indices(fac.n, k=1)] == 0.0)
+        assert np.all(dense_factor(fac)[np.triu_indices(fac.n, k=1)] == 0.0)
 
     def test_reconstruction(self):
         p = params(lam=0.7, c=1.3)
         lat = Lattice(n_x=5, n_t=5, dx=0.05, dt=0.05)
         cov = build_covariance(p, lat)
-        fac = cholesky_factor(cov)
-        err = np.max(np.abs(fac.entries @ fac.entries.T - cov.entries))
+        L = dense_factor(cholesky_factor(cov))
+        err = np.max(np.abs(L @ L.T - dense_covariance(cov)))
         assert err <= 1e-10 * p.sigma2
 
     def test_jitter_retry_warns(self):
         # rank-1 matrix: PSD but singular, recoverable with jitter
-        cov = CovarianceMatrix(n=4, entries=np.ones((4, 4)))
         with pytest.warns(CovarianceJitter):
-            fac = cholesky_factor(cov)
+            fac = cholesky_factor(one_block(np.ones((4, 4))))
         assert fac.n == 4
 
     def test_jitter_retry_matches_identity_bump(self):
-        cov = CovarianceMatrix(n=4, entries=np.ones((4, 4)))
+        with pytest.warns(CovarianceJitter):
+            fac = cholesky_factor(one_block(np.ones((4, 4))))
+        bumped = np.ones((4, 4)) + 1e-12 * np.eye(4)  # jitter: 1e-12 * max diagonal
+        expected = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
+        assert np.array_equal(dense_factor(fac), expected)
+
+    def test_singular_two_blocks_match_the_jittered_dense_factor(self):
+        # Gamma(1) = Gamma(0): the second time row repeats the first, so the
+        # order-1 error covariance vanishes; the jitter goes on every
+        # diagonal block, as on the dense matrix's diagonal
+        gamma = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+        cov = CovarianceMatrix(np.stack([gamma, gamma]))
         with pytest.warns(CovarianceJitter):
             fac = cholesky_factor(cov)
-        bumped = cov.entries + 1e-12 * np.eye(4)  # jitter: 1e-12 * max diagonal
+        jitter = 1e-12 * 2.0
+        bumped = dense_covariance(cov) + jitter * np.eye(6)
         expected = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
-        assert np.array_equal(fac.entries, expected)
+        # the second row's innovation is of order sqrt(jitter); the matrix's
+        # condition number is about 1e12, so agree to 1e-3 of that scale
+        np.testing.assert_allclose(dense_factor(fac), expected, rtol=0.0,
+                                   atol=1e-3 * math.sqrt(jitter))
 
     def test_indefinite_fails_after_jitter(self):
-        cov = CovarianceMatrix(n=2, entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.warns(CovarianceJitter):
             with pytest.raises(NotPositiveDefinite):
-                cholesky_factor(cov)
+                cholesky_factor(one_block([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_blocks_must_be_square_and_stacked(self):
+        with pytest.raises(DimensionMismatch):
+            CovarianceMatrix(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            CovarianceMatrix(np.zeros((2, 3, 4)))
+
+
+def unit_factor(n_t, n_x, scale):
+    """A factor with zero predictors and roots scale * I."""
+    return CholeskyFactor(rows=tuple(
+        np.concatenate([np.zeros((n_x, t * n_x)), scale * np.eye(n_x)], axis=1)
+        for t in range(n_t)
+    ))
 
 
 class TestSimulateExact:
     def test_zero_factor_gives_constant_field(self):
         lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
-        from stou import CholeskyFactor
-
-        fac = CholeskyFactor(n=6, entries=np.zeros((6, 6)))
-        field = simulate_exact(fac, 0.4, lat, np.random.default_rng(0))
+        field = simulate_exact(unit_factor(2, 3, 0.0), 0.4, lat, np.random.default_rng(0))
         np.testing.assert_array_equal(field.values, 0.4)
 
     def test_identity_factor_returns_raw_draws(self):
         lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
-        from stou import CholeskyFactor
-
-        fac = CholeskyFactor(n=6, entries=np.eye(6))
-        field = simulate_exact(fac, 0.0, lat, np.random.default_rng(7))
+        field = simulate_exact(unit_factor(2, 3, 1.0), 0.0, lat, np.random.default_rng(7))
         expected = np.random.default_rng(7).standard_normal(6).reshape(2, 3)
         np.testing.assert_array_equal(field.values, expected)
 
     def test_dimension_mismatch(self):
-        from stou import CholeskyFactor
-
-        fac = CholeskyFactor(n=4, entries=np.eye(4))
         lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
         with pytest.raises(DimensionMismatch):
-            simulate_exact(fac, 0.0, lat, np.random.default_rng(0))
+            simulate_exact(unit_factor(2, 2, 1.0), 0.0, lat, np.random.default_rng(0))
+        # same site count, other shape
+        with pytest.raises(DimensionMismatch):
+            simulate_exact(unit_factor(3, 2, 1.0), 0.0, lat, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch):
+            unit_factor(2, 3, 1.0) @ np.zeros(5)
 
     def test_same_stream_state_is_bit_identical(self, base_params, small_lattice):
         fac = cholesky_factor(build_covariance(base_params, small_lattice))
@@ -217,29 +261,32 @@ class TestSimulateExact:
 
     @pytest.mark.parametrize("n_t,n_x,lam,c", [
         (1, 1, 1.0, 1.0), (5, 7, 0.4, 2.0), (13, 4, 3.0, 0.5), (21, 21, 1.0, 1.0),
+        (41, 41, 0.02, 1.0), (41, 41, 0.2, 1.0), (41, 41, 1.0, 1.0), (41, 41, 4.0, 1.0),
     ])
     def test_matches_dense_matvec(self, n_t, n_x, lam, c):
+        # the same unique Cholesky factor: draws agree with LAPACK's L z
+        # up to rounding, within 1e-8 standard deviations
         p = params(lam=lam, c=c)
-        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07)
-        fac = cholesky_factor(build_covariance(p, lat))
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07 if n_t < 41 else 0.05)
+        cov = build_covariance(p, lat)
+        fac = cholesky_factor(cov)
+        L = dense_oracle(cov)
         rng = np.random.default_rng(n_t * 100 + n_x)
         ref_rng = np.random.default_rng(n_t * 100 + n_x)
         for _ in range(5):
             field = simulate_exact(fac, p.mu, lat, rng)
-            expected = p.mu + fac.entries @ ref_rng.standard_normal(lat.n)
-            np.testing.assert_allclose(field.flat(), expected, rtol=1e-12, atol=0.0)
+            expected = p.mu + L @ ref_rng.standard_normal(lat.n)
+            err = np.max(np.abs(field.flat() - expected))
+            assert err <= 1e-8 * math.sqrt(p.sigma2)
 
-    def test_memory_order_does_not_change_draws(self, base_params, small_lattice):
-        from stou import CholeskyFactor
-
-        fortran = cholesky_factor(build_covariance(base_params, small_lattice))
-        c_order = CholeskyFactor(n=fortran.n, entries=np.ascontiguousarray(fortran.entries))
-        again = CholeskyFactor(n=fortran.n, entries=fortran.entries)
-        assert c_order.entries.flags.f_contiguous
-        assert again.entries is fortran.entries
-        a = simulate_exact(fortran, base_params.mu, small_lattice, np.random.default_rng(3))
-        b = simulate_exact(c_order, base_params.mu, small_lattice, np.random.default_rng(3))
-        assert np.array_equal(a.values, b.values)
+    def test_matrix_operand_is_columnwise(self, base_params):
+        lat = Lattice(n_x=6, n_t=5, dx=0.05, dt=0.05)
+        fac = cholesky_factor(build_covariance(base_params, lat))
+        Z = np.random.default_rng(2).standard_normal((lat.n, 3))
+        got = fac @ Z
+        assert got.shape == Z.shape
+        for k in range(3):
+            np.testing.assert_allclose(got[:, k], fac @ Z[:, k], rtol=1e-13, atol=1e-15)
 
     def test_mean_recovers_mu_over_replications(self):
         p = params()

@@ -45,15 +45,33 @@ def run_python(code: str) -> str:
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():
-    # these modules add to every start; the commands that need scipy.fft or
-    # scipy.linalg (which loads numpy.f2py) import them on use, and no
-    # command needs the others
+    # these modules add to every start; the commands that need scipy.fft
+    # import it on use, and no command needs the others
     code = (
         "import sys, stou.cli; "
         "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize', "
         "'scipy.special', 'scipy.linalg', 'numpy.f2py') if m in sys.modules])"
     )
     assert run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "exact", "--nx", "11", "--nt", "11", "--out", "{tmp}/f.csv"],
+    ["coverage", "--method", "mc-exact", "--nx", "11", "--nt", "11", "--n-datasets", "10",
+     "--B", "20", "--workers", "1", "--out-dir", "{tmp}"],
+    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
+     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
+     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
+])
+def test_exact_simulation_runs_without_scipy_linalg(argv, tmp_path):
+    # the exact factor and its draws are numpy only
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = (
+        "import sys; from stou.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, [m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules])"
+    )
+    assert run_python(code).splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [
@@ -354,6 +372,14 @@ class TestSimulateAndFit:
             assert run_cli("simulate", "--method", "grid", "--nx", "9", "--nt", "9",
                            *extra, "--out", str(out)) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_simulate_grid_noise_beyond_budget_exits_2(self, tmp_path, capsys):
+        # p = ceil(9.24 / (0.01 * 0.05)) = 18480: an 18520 x 37000 noise array
+        out = tmp_path / "g.csv"
+        assert run_cli("simulate", "--method", "grid", "--lambda", "0.01",
+                       "--out", str(out)) == 2
+        assert "exceeds the budget" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_grid_method(self, tmp_path):
         out = tmp_path / "g.csv"

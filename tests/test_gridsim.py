@@ -7,8 +7,9 @@ import pytest
 from scipy.signal import correlate
 
 from stou import GridSimConfig, Lattice, StouParams, cone_cell_areas, simulate_grid
-from stou.errors import TruncationTooShallow
-from stou.gridsim import _cut_share, _grid_plan, with_default_depth
+import stou.gridsim
+from stou.errors import BudgetExceeded, TruncationTooShallow
+from stou.gridsim import MAX_NOISE_CELLS, _cut_share, _grid_plan, with_default_depth
 
 
 def deterministic_params(mu=0.4) -> StouParams:
@@ -66,6 +67,33 @@ class TestDefaultDepth:
         got = _grid_plan(p, lat, cfg).mean_part
         deep = _grid_plan(p, lat, replace(cfg, truncation_p=4 * cfg.truncation_p)).mean_part
         assert abs(got - deep) <= 1e-3 * abs(deep)
+
+
+class TestNoiseBudget:
+    def test_raises_before_allocating(self, monkeypatch):
+        # the doubles the exact factor holds at its 101 x 101 ceiling
+        assert MAX_NOISE_CELLS == (101 * 101) ** 2 // 2
+        # at 41 x 41, c = 1, dx = dt: depth p needs (40 + p) x (40 + 2p) cells
+        p_max = max(p for p in range(1, 6000) if (40 + p) * (40 + 2 * p) <= MAX_NOISE_CELLS)
+
+        class Allocating(Exception):
+            pass
+
+        def refuse(*args):
+            raise Allocating
+
+        monkeypatch.setattr(stou.gridsim, "cone_cell_areas", refuse)
+        params = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=41, n_t=41, dx=0.05, dt=0.05)
+        rng = np.random.default_rng(0)
+        with pytest.raises(Allocating):
+            simulate_grid(params, lat, GridSimConfig(truncation_p=p_max), rng)
+        with pytest.raises(BudgetExceeded):
+            simulate_grid(params, lat, GridSimConfig(truncation_p=p_max + 1), rng)
+        # the default depth at a slowly decaying truth
+        slow = StouParams.natural(lam=0.01, c=1.0, mu_seed=0.2, tau2=0.01)
+        with pytest.raises(BudgetExceeded):
+            simulate_grid(slow, lat, GridSimConfig(), rng)
 
 
 class TestConeCellAreas:
