@@ -3,6 +3,9 @@ exact and grid-approximate simulation, moment and composite-likelihood
 estimation, and asymptotic-normal / parametric-bootstrap confidence
 intervals with coverage experiments and a bootstrap coverage proxy."""
 
+# set before the submodules load: experiment.py records it in manifest.txt
+__version__ = "0.1.0"
+
 from .bootstrap import (
     REPORT_PARAMS,
     IntervalEstimate,
@@ -64,5 +67,3 @@ from .model import (
     corr_separable,
     derived_moments,
 )
-
-__version__ = "0.1.0"

@@ -25,8 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-import scipy
 
+from . import __version__
 from .bootstrap import check_mc_ci_args, coverage_dataset, params_to_report
 from .cholesky import (DEFAULT_MAX_POINTS, CholeskyFactor, build_covariance, cholesky_factor,
                        simulate_exact)
@@ -512,10 +512,9 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> list[str]:
     lines = [
         f"command: {command}",
-        f"package_version: {_package_version()}",
+        f"package_version: {__version__}",
         f"python_version: {platform.python_version()}",
         f"numpy_version: {np.__version__}",
-        f"scipy_version: {scipy.__version__}",
     ]
     for field in dataclass_fields(ExperimentConfig):
         value = getattr(config, field.name)
@@ -535,9 +534,3 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> l
     for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
         lines.append(f"peak_rss_{who}_bytes: {resource.getrusage(flag).ru_maxrss * unit}")
     return lines
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__

@@ -87,7 +87,10 @@ def with_default_depth(config: GridSimConfig, params: StouParams,
     lam p dt >= 9.24 the truncated tail carries at most 1e-3 of the mean."""
     if config.truncation_p is not None:
         return config
-    return replace(config, truncation_p=math.ceil(9.24 / (params.lam * lattice.dt)))
+    rate = params.lam * lattice.dt
+    if not (rate > 0.0 and math.isfinite(9.24 / rate)):
+        raise BudgetExceeded(f"grid depth 9.24 / (lam dt) is not finite at lam dt = {rate!r}")
+    return replace(config, truncation_p=math.ceil(9.24 / rate))
 
 
 def cone_cell_areas(c: float, dt_m: float, dx_m: float, n_steps: int) -> np.ndarray:
@@ -128,19 +131,26 @@ class _GridPlan:
     kernel_spectrum: np.ndarray
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n; 30**64 is a multiple of each one below 2**64."""
+    smooth = 30**64
+    while smooth % n:
+        n += 1
+    return n
+
+
 @functools.lru_cache(maxsize=1)
 def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _GridPlan:
-    import scipy.fft
-
     lam, c = params.lam, params.c
     r = config.cells_per_obs_cell
     dt_m = lattice.dt / r
     dx_m = lattice.dx / r
     n_steps = config.truncation_p * r
 
-    # one shared noise value per mesh cell; rows run forward in time, and
-    # the columns span the lattice plus the cone's half-width on each side
-    v_half = math.ceil(c * n_steps * dt_m / dx_m)  # cone_cell_areas has 2 v_half columns
+    # one shared noise value per mesh cell; rows run forward in time, and the columns span
+    # the lattice plus the cone's half-width v_half (inf if dx_m is tiny) on each side
+    half_width = c * n_steps * dt_m / dx_m
+    v_half = math.ceil(half_width) if math.isfinite(half_width) else math.inf
     noise_shape = ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + 2 * v_half)
     if noise_shape[0] * noise_shape[1] > MAX_NOISE_CELLS:
         raise BudgetExceeded(f"grid noise array of {noise_shape[0]} x {noise_shape[1]} cells "
@@ -153,13 +163,12 @@ def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _
 
     mean_part = params.mu_seed * float(weights @ areas.sum(axis=1))
 
-    fft_shape = tuple(scipy.fft.next_fast_len(n, real=True) for n in noise_shape)
+    fft_shape = tuple(_fast_len(n) for n in noise_shape)
 
     kernel = np.sqrt(params.tau2 * areas) * weights[:, None]
     # out[T,X] = sum_q,v z[T+q, X+v] k[q, v]; row q of the flipped
     # kernel is age n_steps-1-q, so older rows sit earlier in z
-    kernel_flipped = kernel[::-1, :]
-    spectrum = np.conj(scipy.fft.rfft2(kernel_flipped, s=fft_shape))
+    spectrum = np.conj(np.fft.rfft2(kernel[::-1, :], s=fft_shape))
     spectrum.flags.writeable = False
     return _GridPlan(mean_part, noise_shape, fft_shape, spectrum)
 
@@ -186,13 +195,10 @@ def simulate_grid(
             stacklevel=2,
         )
 
-    import scipy.fft
-
     plan = _grid_plan(params, lattice, config)
     z = rng.standard_normal(plan.noise_shape)
-    noise_part = scipy.fft.irfft2(
-        scipy.fft.rfft2(z, s=plan.fft_shape) * plan.kernel_spectrum, s=plan.fft_shape
-    )
+    spectrum = np.fft.rfft2(z, s=plan.fft_shape) * plan.kernel_spectrum
+    noise_part = np.fft.irfft2(spectrum, s=plan.fft_shape)
 
     r = config.cells_per_obs_cell
     values = plan.mean_part + noise_part[

@@ -44,53 +44,38 @@ def run_python(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    # these modules add to every start; the commands that need scipy.fft
-    # import it on use, and no command needs the others
-    code = (
-        "import sys, stou.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.optimize', "
-        "'scipy.special', 'scipy.linalg', 'numpy.f2py') if m in sys.modules])"
-    )
-    assert run_python(code) == "[]"
+_LATTICE_11 = ["--nx", "11", "--nt", "11"]
+_FIELD_11 = ["--field", "{tmp}/field.csv", "--dx", "0.05", "--dt", "0.05", "--out", "{tmp}/o.csv"]
+_WINDOWS_7 = ["--window-nx", "7", "--window-nt", "7", "--step-x", "4", "--step-t", "4"]
+_EXPERIMENT_11 = [*_LATTICE_11, *_WINDOWS_7, "--n-datasets", "10", "--B", "20",
+                  "--workers", "1", "--out-dir", "{tmp}"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--method", "exact", "--nx", "11", "--nt", "11", "--out", "{tmp}/f.csv"],
-    ["coverage", "--method", "mc-exact", "--nx", "11", "--nt", "11", "--n-datasets", "10",
-     "--B", "20", "--workers", "1", "--out-dir", "{tmp}"],
-    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
-     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
-     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
+    pytest.param(["simulate", "--method", "exact", *_LATTICE_11, "--out", "{tmp}/f.csv"],
+                 id="simulate-exact"),
+    pytest.param(["simulate", "--method", "grid", *_LATTICE_11, "--out", "{tmp}/f.csv"],
+                 id="simulate-grid"),
+    pytest.param(["fit-mm", *_FIELD_11], id="fit-mm"),
+    pytest.param(["fit-cl", *_FIELD_11, *_WINDOWS_7], id="fit-cl"),
+    pytest.param(["ci", "--method", "mc-exact", *_FIELD_11, "--B", "20"], id="ci-mc-exact"),
+    pytest.param(["ci", "--method", "mc-grid", *_FIELD_11, "--B", "20"], id="ci-mc-grid"),
+    *(pytest.param(["coverage", "--method", method, *_EXPERIMENT_11], id=f"coverage-{method}")
+      for method in ("mc-exact", "mc-grid", "cl-sandwich")),
+    pytest.param(["proxy", "--method", "mc-exact", *_EXPERIMENT_11], id="proxy"),
 ])
-def test_exact_simulation_runs_without_scipy_linalg(argv, tmp_path):
-    # the exact factor and its draws are numpy only
+def test_every_command_runs_without_scipy(argv, tmp_path, base_params):
+    # scipy is needed by the tests only; numpy.f2py would add to every start
+    lattice = Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05)
+    field = stou.simulate_exact(stou.cholesky_factor(stou.build_covariance(base_params, lattice)),
+                                base_params.mu, lattice, np.random.default_rng(1))
+    write_field(field, str(tmp_path / "field.csv"))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = (
-        "import sys; from stou.cli import main; "
-        f"code = main({argv!r}); "
-        "print(code, [m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules])"
+        "import sys; sys.modules['scipy'] = None; from stou.cli import main; "
+        f"code = main({argv!r}); print(code, 'numpy.f2py' in sys.modules)"
     )
-    assert run_python(code).splitlines()[-1] == "0 []"
-
-
-@pytest.mark.parametrize("argv", [
-    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
-     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
-     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
-    ["fit-cl", "--field", "{field}", "--dx", "0.05", "--dt", "0.05",
-     "--window-nx", "7", "--window-nt", "7", "--step-x", "3", "--step-t", "3",
-     "--out", "{tmp}/cl.csv"],
-])
-def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
-    # the CL fit and its intervals need neither scipy.optimize nor scipy.special
-    argv = [a.format(tmp=tmp_path, field=field_csv) for a in argv]
-    code = (
-        "import sys; from stou.cli import main; "
-        f"code = main({argv!r}); "
-        "print(code, [m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
-    )
-    assert run_python(code).splitlines()[-1] == "0 []"
+    assert run_python(code).splitlines()[-1] == "0 False"
 
 
 def run_cli(*argv) -> int:
@@ -379,6 +364,18 @@ class TestSimulateAndFit:
         assert run_cli("simulate", "--method", "grid", "--lambda", "0.01",
                        "--out", str(out)) == 2
         assert "exceeds the budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "1e-150", "--dt", "1e-200"],  # lam dt underflows to 0
+        ["--lambda", "1e-150", "--dt", "1e-170"],  # 9.24 / (lam dt) overflows
+        ["--dx", "1e-308", "--dt", "10", "--truncation-p", "1"],  # cone half-width overflows
+    ])
+    def test_simulate_grid_size_not_finite_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "g.csv"
+        assert run_cli("simulate", "--method", "grid", "--nx", "3", "--nt", "3", *flags,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: grid ")
         assert not out.exists()
 
     def test_simulate_grid_method(self, tmp_path):

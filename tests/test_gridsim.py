@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import correlate
 
 from stou import GridSimConfig, Lattice, StouParams, cone_cell_areas, simulate_grid
 import stou.gridsim
 from stou.errors import BudgetExceeded, TruncationTooShallow
-from stou.gridsim import MAX_NOISE_CELLS, _cut_share, _grid_plan, with_default_depth
+from stou.gridsim import (MAX_NOISE_CELLS, _cut_share, _fast_len, _grid_plan,
+                          with_default_depth)
 
 
 def deterministic_params(mu=0.4) -> StouParams:
@@ -94,6 +96,28 @@ class TestNoiseBudget:
         slow = StouParams.natural(lam=0.01, c=1.0, mu_seed=0.2, tau2=0.01)
         with pytest.raises(BudgetExceeded):
             simulate_grid(slow, lat, GridSimConfig(), rng)
+
+    @pytest.mark.parametrize("lam, dx, dt, p", [
+        (1e-150, 0.05, 1e-200, None),  # lam dt underflows to 0
+        (1e-150, 0.05, 1e-170, None),  # 9.24 / (lam dt) overflows
+        (1.0, 1e-308, 10.0, 1),  # the cone half-width c p dt / dx overflows
+    ])
+    def test_size_not_finite_is_budget_exceeded(self, lam, dx, dt, p):
+        params = StouParams.natural(lam=lam, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=3, n_t=3, dx=dx, dt=dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTooShallow)
+            with pytest.raises(BudgetExceeded):
+                simulate_grid(params, lat, GridSimConfig(truncation_p=p), np.random.default_rng(0))
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        # every n a small lattice needs, and n up to the noise budget, where
+        # the gap between 2^a 3^b 5^c lengths is largest
+        near_budget = [51_200_001, 51_840_000, 51_840_001, MAX_NOISE_CELLS - 1, MAX_NOISE_CELLS]
+        for n in [*range(1, 100_001), *near_budget]:
+            assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 class TestConeCellAreas:
