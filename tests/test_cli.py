@@ -78,6 +78,47 @@ def test_every_command_runs_without_scipy(argv, tmp_path, base_params):
     assert run_python(code).splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "exact", "--nx", "11", "--nt", "11", "--out", "{tmp}/f.csv"],
+    ["coverage", "--method", "mc-exact", "--nx", "11", "--nt", "11", "--n-datasets", "10",
+     "--B", "20", "--workers", "1", "--out-dir", "{tmp}"],
+    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
+     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
+     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
+])
+def test_exact_simulation_runs_without_scipy_linalg(argv, tmp_path):
+    # the exact factor and its draws are numpy only; with scipy installed
+    # the run still imports none of it
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = (
+        "import sys; from stou.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, [m for m in ('scipy', 'scipy.linalg', 'numpy.f2py') if m in sys.modules])"
+    )
+    assert run_python(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--method", "cl-sandwich", "--nx", "11", "--nt", "11",
+     "--n-datasets", "10", "--window-nx", "7", "--window-nt", "7",
+     "--step-x", "4", "--step-t", "4", "--workers", "1", "--out-dir", "{tmp}"],
+    ["fit-cl", "--field", "{field}", "--dx", "0.05", "--dt", "0.05",
+     "--window-nx", "7", "--window-nt", "7", "--step-x", "3", "--step-t", "3",
+     "--out", "{tmp}/cl.csv"],
+])
+def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
+    # the CL fit and its intervals need neither scipy.optimize nor scipy.special;
+    # with scipy installed the run still imports none of it
+    argv = [a.format(tmp=tmp_path, field=field_csv) for a in argv]
+    code = (
+        "import sys; from stou.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, [m for m in ('scipy', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules])"
+    )
+    assert run_python(code).splitlines()[-1] == "0 []"
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
