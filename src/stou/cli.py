@@ -3,6 +3,8 @@
 Subcommands: simulate, fit-mm, fit-cl, ci, coverage, proxy.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 STOU_WORKERS sets the default worker count for coverage/proxy runs.
+Every subcommand runs numpy's BLAS on one thread, so the BLAS thread
+variables do not change its outputs; --workers is the parallelism.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .experiment import (
     _CONFIG_PARSERS,
     ExperimentConfig,
     _checked,
+    _OneBlasThread,
     _write_lines,
     parse_config_file,
     read_field,
@@ -247,7 +250,8 @@ def _cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _OneBlasThread():
+            return args.func(args)
     except (ConfigInvalid, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

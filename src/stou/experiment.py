@@ -9,12 +9,16 @@ streams, and the bootstrap stream is split again per replication inside
 mc_ci.  Every estimates.csv row records the dataset index and the
 dataset child's first 64-bit state word, so a single dataset can be
 replayed without rerunning the experiment.  Outputs depend only on
-(config, master seed), never on the worker count.
+(config, master seed), never on the worker count: the datasets run with
+numpy's BLAS on one thread, in this process and in every pool worker,
+so the BLAS thread variables change no output bit either.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib
 import math
 import os
 import platform
@@ -281,6 +285,59 @@ class CoverageReport:
     failures: tuple[tuple[int, str], ...]
 
 
+# numpy's OpenBLAS thread-count setters: scipy-openblas builds (numpy >= 2) first,
+# then plain OpenBLAS, each with and without the 64-bit-integer suffix
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_thread_calls():
+    """(set, get) of the thread count of the BLAS numpy links, or None
+    when no setter is found.  dlsym on numpy's own extension module also
+    searches the libraries it links."""
+    package = "numpy._core" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core"
+    try:
+        library = ctypes.CDLL(importlib.import_module(package + "._multiarray_umath").__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _BLAS_SETTERS:
+        if hasattr(library, name):
+            set_threads = getattr(library, name)
+            get_threads = getattr(library, name.replace("_set_", "_get_"))
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+def _blas_threads() -> int | None:
+    """numpy's BLAS thread count now, or None when it cannot be set."""
+    calls = _blas_thread_calls()
+    return None if calls is None else calls[1]()
+
+
+class _OneBlasThread:
+    """numpy's BLAS on one thread from construction on, with the count
+    found restored on leaving a with block; nothing when no setter is
+    found.  As a pool's initializer it pins each worker for its life.
+    One thread keeps the outputs' bits independent of the thread
+    variables, and idle OpenBLAS threads from spinning beside the many
+    small products of the exact draws."""
+
+    def __init__(self):
+        self._previous = _blas_threads()
+        if self._previous is not None:
+            _blas_thread_calls()[0](1)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._previous is not None:
+            _blas_thread_calls()[0](self._previous)
+
+
 # one factor per worker process: these are large
 @functools.lru_cache(maxsize=1)
 def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
@@ -329,6 +386,7 @@ class _DatasetResult:
     rows: tuple[tuple, ...]  # (parameter, true, estimate, lower, upper, hit)
     proxies: dict | None
     error: str | None
+    blas_threads: int | None  # numpy's BLAS thread count in the process that ran it
 
 
 def _dataset_task(args) -> _DatasetResult:
@@ -342,13 +400,14 @@ def _dataset_task(args) -> _DatasetResult:
     stream = np.random.default_rng(seed)
     display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
     data_rng, boot_rng = stream.spawn(2)
+    blas_threads = _blas_threads()
     try:
         factor = _truth_factor(truth, lattice)
         intervals, proxies = interval_step(truth, factor, lattice, data_rng, boot_rng)
     except (StouError, ValueError, np.linalg.LinAlgError) as exc:
         return _DatasetResult(
             index=index, seed=display_seed, rows=(), proxies=None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(exc).__name__}: {exc}", blas_threads=blas_threads,
         )
     truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
     rows = tuple(
@@ -357,14 +416,15 @@ def _dataset_task(args) -> _DatasetResult:
         for name, iv in intervals.items()
     )
     return _DatasetResult(index=index, seed=display_seed, rows=rows,
-                          proxies=proxies, error=None)
+                          proxies=proxies, error=None, blas_threads=blas_threads)
 
 
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))
-    results = [_dataset_task(task) for task in tasks]
+    with _OneBlasThread():
+        results = [_dataset_task(task) for task in tasks]
     _truth_factor.cache_clear()  # about 0.42 GB at 101 x 101; hold none past the run
     return results
 
@@ -416,7 +476,8 @@ def coverage_experiment(
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
     check_mc_ci_args(B, level, simulator)
-    _truth_factor(truth, lattice)  # budget and factorization errors end it here
+    with _OneBlasThread():  # the factor the datasets use
+        _truth_factor(truth, lattice)  # budget and factorization errors end it here
 
     step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
     results = _map_datasets([(index, stream, truth, lattice, step)
@@ -488,7 +549,7 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
     }
     _write_lines(paths["estimates"], estimate_lines)
     _write_lines(paths["coverage"], aggregate_lines)
-    _write_lines(paths["manifest"], _manifest_lines(config, command, started))
+    _write_lines(paths["manifest"], _manifest_lines(config, command, started, results))
     return paths
 
 
@@ -509,7 +570,8 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> list[str]:
+def _manifest_lines(config: ExperimentConfig, command: str, started: float,
+                    results: list[_DatasetResult]) -> list[str]:
     lines = [
         f"command: {command}",
         f"package_version: {__version__}",
@@ -529,6 +591,10 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float) -> l
         f"cpu_count: {os.cpu_count()}",
     ]
     lines += [f"{name}: {os.environ.get(name, 'unset')}" for name in _THREAD_VARS]
+    # the count the datasets ran with: 1 wherever numpy's BLAS could be set
+    counts = {"unknown" if res.blas_threads is None else str(res.blas_threads)
+              for res in results}
+    lines.append(f"blas_threads: {','.join(sorted(counts))}")
     # ru_maxrss counts KiB on Linux and bytes on macOS
     unit = 1 if sys.platform == "darwin" else 1024
     for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):

@@ -61,6 +61,8 @@ class GridSimConfig:
     model simulated (see with_default_depth).
     cells_per_obs_cell: subdivision factor r >= 1; integration cells
     have size (dx/r, dt/r).
+    Each is at most MAX_NOISE_CELLS: the noise array has at least p * r
+    rows and r columns, so a larger one never fits the budget.
     """
 
     truncation_p: int | None = None
@@ -68,11 +70,13 @@ class GridSimConfig:
 
     def __post_init__(self):
         p = self.truncation_p
-        if not (p is None or isinstance(p, (int, np.integer)) and p >= 1):
-            raise ValueError(f"truncation_p must be None or an integer >= 1, got {p!r}")
+        if not (p is None or isinstance(p, (int, np.integer)) and 1 <= p <= MAX_NOISE_CELLS):
+            raise ValueError(f"truncation_p must be None or an integer from 1 to "
+                             f"{MAX_NOISE_CELLS}, got {p!r}")
         r = self.cells_per_obs_cell
-        if not (isinstance(r, (int, np.integer)) and r >= 1):
-            raise ValueError(f"cells_per_obs_cell must be an integer >= 1, got {r!r}")
+        if not (isinstance(r, (int, np.integer)) and 1 <= r <= MAX_NOISE_CELLS):
+            raise ValueError(f"cells_per_obs_cell must be an integer from 1 to "
+                             f"{MAX_NOISE_CELLS}, got {r!r}")
 
 
 def _cut_share(depth: float) -> float:
@@ -88,8 +92,9 @@ def with_default_depth(config: GridSimConfig, params: StouParams,
     if config.truncation_p is not None:
         return config
     rate = params.lam * lattice.dt
-    if not (rate > 0.0 and math.isfinite(9.24 / rate)):
-        raise BudgetExceeded(f"grid depth 9.24 / (lam dt) is not finite at lam dt = {rate!r}")
+    if not (rate > 0.0 and 9.24 / rate <= MAX_NOISE_CELLS):
+        raise BudgetExceeded(f"grid depth 9.24 / (lam dt) exceeds the budget of "
+                             f"{MAX_NOISE_CELLS} at lam dt = {rate!r}")
     return replace(config, truncation_p=math.ceil(9.24 / rate))
 
 
@@ -148,8 +153,8 @@ def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _
     n_steps = config.truncation_p * r
 
     # one shared noise value per mesh cell; rows run forward in time, and the columns span
-    # the lattice plus the cone's half-width v_half (inf if dx_m is tiny) on each side
-    half_width = c * n_steps * dt_m / dx_m
+    # the lattice plus the cone's half-width v_half (inf if dx_m is tiny or 0) on each side
+    half_width = c * n_steps * dt_m / dx_m if dx_m > 0.0 else math.inf
     v_half = math.ceil(half_width) if math.isfinite(half_width) else math.inf
     noise_shape = ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + 2 * v_half)
     if noise_shape[0] * noise_shape[1] > MAX_NOISE_CELLS:

@@ -10,12 +10,16 @@ import pytest
 import stou
 from stou import ConfigInvalid, FieldSample, Lattice
 from stou.cli import build_parser, main
+import stou.experiment
 from stou.experiment import (
     ESTIMATES_HEADER,
     ExperimentConfig,
+    _blas_threads,
+    _OneBlasThread,
     parse_config_file,
     parse_scenario,
     read_field,
+    run,
     write_field,
 )
 from stou.gridsim import with_default_depth
@@ -33,13 +37,19 @@ def field_csv(tmp_path, small_field):
     return str(path)
 
 
-def run_python(code: str) -> str:
-    """stdout of `python -c code` with the package's source on the path."""
+def _env_with_src() -> dict[str, str]:
+    """This environment with the package's source on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stou.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code: str) -> str:
+    """stdout of `python -c code` with the package's source on the path."""
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+        check=True,
     )
     return out.stdout.strip()
 
@@ -411,12 +421,22 @@ class TestSimulateAndFit:
         ["--lambda", "1e-150", "--dt", "1e-200"],  # lam dt underflows to 0
         ["--lambda", "1e-150", "--dt", "1e-170"],  # 9.24 / (lam dt) overflows
         ["--dx", "1e-308", "--dt", "10", "--truncation-p", "1"],  # cone half-width overflows
+        # the mesh cell dx / r underflows to 0
+        ["--dx", "1e-320", "--cells-per-obs-cell", "100000", "--truncation-p", "1"],
     ])
     def test_simulate_grid_size_not_finite_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "g.csv"
         assert run_cli("simulate", "--method", "grid", "--nx", "3", "--nt", "3", *flags,
                        "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: grid ")
+        assert not out.exists()
+
+    def test_simulate_grid_depth_too_large_to_convert_exits_2(self, tmp_path, capsys):
+        # 10**320 is no float: lam p dt could not be formed
+        out = tmp_path / "g.csv"
+        assert run_cli("simulate", "--method", "grid", "--nx", "3", "--nt", "3",
+                       "--truncation-p", str(10**320), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: truncation_p must be")
         assert not out.exists()
 
     def test_simulate_grid_method(self, tmp_path):
@@ -723,3 +743,75 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--unknown-flag", "1")
         assert exc.value.code == 2
+
+
+@pytest.fixture()
+def blas_calls():
+    """(set, get) of numpy's BLAS thread count, with the count found
+    restored afterwards; skips where numpy's BLAS has no setter."""
+    calls = stou.experiment._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count setter here")
+    found = calls[1]()
+    yield calls
+    calls[0](found)
+
+
+class TestBlasThreads:
+    def test_thread_variables_do_not_change_outputs(self, tmp_path):
+        # 33 x 33 is the smallest square lattice whose estimates.csv differed
+        # between OPENBLAS_NUM_THREADS unset, 1 and 2 on a 2-core host while
+        # the thread count still followed the variable (32 x 32 did not)
+        outputs = []
+        for value in (None, "1", "2"):
+            env = _env_with_src()
+            env.pop("STOU_WORKERS", None)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if value is not None:
+                env["OPENBLAS_NUM_THREADS"] = value
+            out_dir = tmp_path / (value or "unset")
+            subprocess.run(
+                [sys.executable, "-m", "stou.cli", "coverage", "--method", "mc-exact",
+                 "--nx", "33", "--nt", "33", "--B", "20", "--n-datasets", "10",
+                 "--seed", "5", "--workers", "1", "--out-dir", str(out_dir)],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append((out_dir / "estimates.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pins_and_restores_the_count_found(self, monkeypatch):
+        state = {"threads": 3}
+        calls = (lambda n: state.update(threads=n), lambda: state["threads"])
+        monkeypatch.setattr(stou.experiment, "_blas_thread_calls", lambda: calls)
+        with _OneBlasThread():
+            assert state["threads"] == 1
+        assert state["threads"] == 3
+
+    def test_without_a_setter_it_does_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(stou.experiment, "_blas_thread_calls", lambda: None)
+        with _OneBlasThread():
+            assert _blas_threads() is None
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, out_dir=str(tmp_path))
+        manifest = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
+        assert "blas_threads: unknown" in manifest
+
+    def test_numpy_blas_count_is_restored(self, blas_calls):
+        set_threads, get_threads = blas_calls
+        set_threads(2)
+        raised = get_threads()
+        with _OneBlasThread():
+            assert get_threads() == 1
+        assert get_threads() == raised
+
+    def test_pool_workers_run_on_one_thread(self, blas_calls, tmp_path):
+        # two threads in this process: what a worker would inherit or start
+        # with if its initializer did not pin it
+        set_threads, get_threads = blas_calls
+        set_threads(2)
+        raised = get_threads()
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, workers=2,
+                                  out_dir=str(tmp_path))
+        manifest = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
+        # each dataset records the count of the process that ran it
+        assert "blas_threads: 1" in manifest
+        assert get_threads() == raised

@@ -42,6 +42,16 @@ class TestGridSimConfig:
         with pytest.raises(ValueError):
             GridSimConfig(truncation_p=10, cells_per_obs_cell=0)
 
+    def test_bounds_are_the_noise_budget(self):
+        # p * r rows and r columns at least: a larger p or r never fits the
+        # budget, and a 321-digit p would overflow when lam p dt is formed
+        GridSimConfig(truncation_p=MAX_NOISE_CELLS, cells_per_obs_cell=MAX_NOISE_CELLS)
+        for p in (MAX_NOISE_CELLS + 1, 10**320):
+            with pytest.raises(ValueError, match="truncation_p"):
+                GridSimConfig(truncation_p=p)
+        with pytest.raises(ValueError, match="cells_per_obs_cell"):
+            GridSimConfig(cells_per_obs_cell=MAX_NOISE_CELLS + 1)
+
     def test_defaults(self):
         cfg = GridSimConfig(truncation_p=300)
         assert cfg.cells_per_obs_cell == 1
@@ -109,6 +119,23 @@ class TestNoiseBudget:
             warnings.simplefilter("ignore", TruncationTooShallow)
             with pytest.raises(BudgetExceeded):
                 simulate_grid(params, lat, GridSimConfig(truncation_p=p), np.random.default_rng(0))
+
+    def test_default_depth_beyond_the_config_bound_is_budget_exceeded(self):
+        # 9.24 / (lam dt) = 1.8e8 is finite but above every GridSimConfig depth
+        params = StouParams.natural(lam=1e-6, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=3, n_t=3, dx=0.05, dt=0.05)
+        with pytest.raises(BudgetExceeded):
+            with_default_depth(GridSimConfig(), params, lat)
+
+    def test_mesh_cell_underflow_is_budget_exceeded(self):
+        # dx / r underflows to 0: an infinitely wide cone, not a division by 0
+        params = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=3, n_t=3, dx=1e-320, dt=0.05)
+        config = GridSimConfig(truncation_p=1, cells_per_obs_cell=100_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTooShallow)
+            with pytest.raises(BudgetExceeded):
+                simulate_grid(params, lat, config, np.random.default_rng(0))
 
 
 class TestFastLen:
