@@ -4,10 +4,10 @@ proxy.
 mc_ci fits a field by moments, simulates B fields from the fitted
 model, refits each, and reads CI bounds off the empirical quantiles of
 the B re-estimates (linear order-statistic interpolation, position
-1 + (B - 1) q).  coverage_dataset does that for one field drawn from a
-known truth.  coverage_proxy estimates the coverage a quantile interval
-would achieve without knowing the truth, by reflecting the interval
-around the bootstrap median:
+1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
+dataset's field from the truth and passes it to mc_ci.  coverage_proxy
+estimates the coverage a quantile interval would achieve without knowing
+the truth, by reflecting the interval around the bootstrap median:
 
     CP = ECDF(theta_E + (theta_M - theta_L)) - ECDF((theta_E - (theta_U - theta_M))^-),
 
@@ -27,7 +27,7 @@ from .cholesky import CholeskyFactor, build_covariance, cholesky_factor, simulat
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams
+from .model import FieldSample, StouParams
 
 __all__ = [
     "REPORT_PARAMS",
@@ -36,7 +36,6 @@ __all__ = [
     "params_to_report",
     "quantile_interval",
     "mc_ci",
-    "coverage_dataset",
     "coverage_proxy",
 ]
 
@@ -204,29 +203,3 @@ def coverage_proxy(bootstrap_estimates, theta_e: float, level: float = 0.95) -> 
     n_upper = int(np.count_nonzero(est <= upper))
     n_lower = int(np.count_nonzero(est < lower))
     return (n_upper - n_lower) / est.size
-
-
-def coverage_dataset(
-    truth: StouParams,
-    factor: CholeskyFactor,
-    lattice: Lattice,
-    B: int,
-    level: float,
-    simulator: str,
-    data_rng: np.random.Generator,
-    boot_rng: np.random.Generator,
-    grid_config: GridSimConfig | None = None,
-    max_lag: int = 5,
-) -> tuple[dict[str, IntervalEstimate], dict[str, float]]:
-    """One coverage-experiment dataset: exact field draw from the truth
-    factor, then bootstrap intervals and per-parameter proxies."""
-    data = simulate_exact(factor, truth.mu, lattice, data_rng)
-    result = mc_ci(
-        data, B, level, simulator, boot_rng,
-        grid_config=grid_config, max_lag=max_lag,
-    )
-    proxies = {
-        name: coverage_proxy(result.estimates[name], result.intervals[name].point, level)
-        for name in REPORT_PARAMS
-    }
-    return result.intervals, proxies

@@ -5,13 +5,14 @@ emission.
 
 Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
 child per dataset; child i is split by .spawn(2) into (data, bootstrap)
-streams, and the bootstrap stream is split again per replication inside
-mc_ci.  Every estimates.csv row records the dataset index and the
-dataset child's first 64-bit state word, so a single dataset can be
-replayed without rerunning the experiment.  Outputs depend only on
-(config, master seed), never on the worker count: the datasets run with
-numpy's BLAS on one thread, in this process and in every pool worker,
-so the BLAS thread variables change no output bit either.
+streams.  _dataset_task draws the field all methods see from the data
+stream; mc_ci splits the bootstrap stream per replication.  Every
+estimates.csv row records the dataset index and the dataset child's
+first 64-bit state word, so a single dataset can be replayed without
+rerunning the experiment.  Outputs depend only on (config, master seed),
+never on the worker count: the datasets run with numpy's BLAS on one
+thread, in this process and in every pool worker, so the BLAS thread
+variables change no output bit either.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from . import __version__
-from .bootstrap import check_mc_ci_args, coverage_dataset, params_to_report
+from .bootstrap import check_mc_ci_args, coverage_proxy, mc_ci, params_to_report
 from .cholesky import (DEFAULT_MAX_POINTS, CholeskyFactor, build_covariance, cholesky_factor,
                        simulate_exact)
 from .cl import (
@@ -344,10 +345,9 @@ def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
     return cholesky_factor(build_covariance(truth, lattice))
 
 
-# An interval step maps (truth, truth factor, lattice, data stream,
-# bootstrap stream) to the dataset's intervals by parameter and its
-# proxies by parameter (None without a bootstrap).  Steps hold only
-# settings, so they pickle into worker processes.
+# An interval step maps (truth, data field, bootstrap stream) to the
+# dataset's intervals and proxies by parameter (proxies None without a
+# bootstrap).  Steps hold only settings, so they pickle into workers.
 
 @dataclass(frozen=True)
 class _BootstrapStep:
@@ -357,20 +357,20 @@ class _BootstrapStep:
     grid_config: GridSimConfig | None
     max_lag: int
 
-    def __call__(self, truth, factor, lattice, data_rng, boot_rng):
-        return coverage_dataset(
-            truth, factor, lattice, self.B, self.level, self.simulator,
-            data_rng, boot_rng, grid_config=self.grid_config, max_lag=self.max_lag,
-        )
+    def __call__(self, truth, field, boot_rng):
+        result = mc_ci(field, self.B, self.level, self.simulator, boot_rng,
+                       grid_config=self.grid_config, max_lag=self.max_lag)
+        proxies = {name: coverage_proxy(result.estimates[name], iv.point, self.level)
+                   for name, iv in result.intervals.items()}
+        return result.intervals, proxies
 
 
 @dataclass(frozen=True)
 class _SandwichStep:
     config: ExperimentConfig
 
-    def __call__(self, truth, factor, lattice, data_rng, boot_rng):
+    def __call__(self, truth, field, boot_rng):
         config = self.config
-        field = simulate_exact(factor, truth.mu, lattice, data_rng)
         result = sandwich_ci(
             field, config.weights(), config.windows(),
             EstimationScenario.pinned_at(config.scenario, truth),
@@ -399,11 +399,11 @@ def _dataset_task(args) -> _DatasetResult:
     index, seed, truth, lattice, interval_step = args
     stream = np.random.default_rng(seed)
     display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
-    data_rng, boot_rng = stream.spawn(2)
     blas_threads = _blas_threads()
+    data_rng, boot_rng = stream.spawn(2)
     try:
-        factor = _truth_factor(truth, lattice)
-        intervals, proxies = interval_step(truth, factor, lattice, data_rng, boot_rng)
+        field = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice, data_rng)
+        intervals, proxies = interval_step(truth, field, boot_rng)
     except (StouError, ValueError, np.linalg.LinAlgError) as exc:
         return _DatasetResult(
             index=index, seed=display_seed, rows=(), proxies=None,
@@ -420,6 +420,7 @@ def _dataset_task(args) -> _DatasetResult:
 
 
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
+    workers = min(workers, len(tasks))  # a pool forks all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))
@@ -564,8 +565,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-# BLAS and OpenMP thread-count variables; their values can change the
-# last bits of the outputs
+# BLAS and OpenMP thread-count variables; they change the outputs' last
+# bits only where numpy's BLAS setter is not found (blas_threads: unknown)
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 

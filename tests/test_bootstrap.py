@@ -29,6 +29,7 @@ from stou import (
     params_to_report,
     quantile_interval,
     run,
+    simulate_exact,
 )
 from stou.errors import StouError
 
@@ -222,9 +223,9 @@ class TestCoverageDataset:
 
         monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
-        intervals, proxies = stou.bootstrap.coverage_dataset(
-            base_params, factor, small_lattice, 20, 0.9, "exact", data_rng, boot_rng,
-        )
+        field = simulate_exact(factor, base_params.mu, small_lattice, data_rng)
+        step = stou.experiment._BootstrapStep(20, 0.9, "exact", None, 5)
+        intervals, proxies = step(base_params, field, boot_rng)
         assert calls["n"] == 21
         assert set(intervals) == set(proxies) == set(REPORT_PARAMS)
         assert all(0.0 <= v <= 1.0 for v in proxies.values())
@@ -309,7 +310,7 @@ class TestCoverageExperiment:
 
     def test_failed_dataset_equals_the_library_loop(self, base_params, monkeypatch):
         lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
-        real_mc_ci = stou.bootstrap.mc_ci
+        real_mc_ci = mc_ci
         calls = {"n": 0}
 
         def mc_ci_failing_third(*args, **kwargs):
@@ -318,7 +319,9 @@ class TestCoverageExperiment:
                 raise InsufficientUsableLags("synthetic failure")
             return real_mc_ci(*args, **kwargs)
 
+        # the oracle calls mc_ci through stou.bootstrap, the engine through stou.experiment
         monkeypatch.setattr(stou.bootstrap, "mc_ci", mc_ci_failing_third)
+        monkeypatch.setattr(stou.experiment, "mc_ci", mc_ci_failing_third)
         args = (base_params, lat, 10, 20, 0.9, "exact")
         expected = oracle_coverage_experiment(*args, rng=np.random.default_rng(8))
         calls["n"] = 0
@@ -352,7 +355,7 @@ class TestCoverageExperiment:
         def mc_ci_failing(*args, **kwargs):
             raise InsufficientUsableLags("synthetic failure")
 
-        monkeypatch.setattr(stou.bootstrap, "mc_ci", mc_ci_failing)
+        monkeypatch.setattr(stou.experiment, "mc_ci", mc_ci_failing)
         lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
         with pytest.raises(FailureRateExceeded):
             coverage_experiment(base_params, lat, 10, 20, 0.9, "exact",
@@ -370,7 +373,8 @@ class TestCoverageExperiment:
 
 def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
                                rng, grid_config=None, max_lag=5):
-    """The library's own dataset loop before it shared the driver's engine."""
+    """The library's own dataset loop before it shared the driver's engine:
+    an exact draw, mc_ci and a proxy per parameter, written out here."""
     factor = cholesky_factor(build_covariance(truth, lattice))
     truth_values = params_to_report(truth)
     hits = {name: 0 for name in REPORT_PARAMS}
@@ -379,18 +383,18 @@ def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
     n_ok = 0
     for index, stream in enumerate(rng.spawn(n_datasets)):
         data_rng, boot_rng = stream.spawn(2)
+        data = simulate_exact(factor, truth.mu, lattice, data_rng)
         try:
-            intervals, dataset_proxies = stou.bootstrap.coverage_dataset(
-                truth, factor, lattice, B, level, simulator, data_rng, boot_rng,
-                grid_config=grid_config, max_lag=max_lag,
-            )
+            result = stou.bootstrap.mc_ci(data, B, level, simulator, boot_rng,
+                                          grid_config=grid_config, max_lag=max_lag)
         except StouError as exc:
             failures.append((index, f"{type(exc).__name__}: {exc}"))
             continue
         n_ok += 1
         for name in REPORT_PARAMS:
-            hits[name] += int(intervals[name].contains(truth_values[name]))
-            proxies[name].append(dataset_proxies[name])
+            interval = result.intervals[name]
+            hits[name] += int(interval.contains(truth_values[name]))
+            proxies[name].append(coverage_proxy(result.estimates[name], interval.point, level))
     entries = {}
     for name in REPORT_PARAMS:
         rate = hits[name] / n_ok

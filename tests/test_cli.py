@@ -597,17 +597,76 @@ class TestExperimentCommands:
         # free parameters plus the derived views
         assert names == ["lambda", "c_tilde", "c", "tau", "mu_seed"]
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, no_worker_env, capsys):
+    @pytest.mark.parametrize("method", ["mc-exact", "mc-grid", "cl-sandwich"])
+    def test_worker_count_does_not_change_outputs(self, tmp_path, no_worker_env, capsys,
+                                                  method):
         dirs = []
         for workers in ("1", "2"):
             out_dir = tmp_path / f"w{workers}"
             assert run_cli(
-                "coverage", *EXPERIMENT_ARGS, "--workers", workers,
+                "coverage", *EXPERIMENT_ARGS, "--method", method, "--workers", workers,
                 "--out-dir", str(out_dir),
             ) == 0
             dirs.append(out_dir)
         for name in ("estimates.csv", "coverage.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_every_method_is_given_the_same_fields(self, tmp_path, monkeypatch):
+        # the methods' coverage is compared dataset by dataset, so each must
+        # see the same draw from the truth
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                  window_nx=7, window_nt=7, step_x=4, step_t=4)
+        given = {}
+        for name in ("mc_ci", "sandwich_ci"):
+            real = getattr(stou.experiment, name)
+
+            def recording(field, *args, real=real, **kwargs):
+                given[method].append(field.values.copy())
+                return real(field, *args, **kwargs)
+
+            monkeypatch.setattr(stou.experiment, name, recording)
+        for method in ("mc-exact", "mc-grid", "cl-sandwich"):
+            given[method] = []
+            run(dataclasses.replace(config, method=method, out_dir=str(tmp_path / method)))
+
+        factor = stou.cholesky_factor(stou.build_covariance(config.truth(), config.lattice()))
+        expected = [
+            stou.simulate_exact(factor, config.truth().mu, config.lattice(),
+                                np.random.default_rng(child).spawn(2)[0]).values
+            for child in np.random.SeedSequence(config.seed).spawn(config.n_datasets)
+        ]
+        for method, fields in given.items():
+            assert len(fields) == config.n_datasets, method
+            for got, want in zip(fields, expected):
+                np.testing.assert_array_equal(got, want)
+
+    def test_pool_never_exceeds_the_datasets(self, tmp_path, monkeypatch):
+        # a stand-in pool that starts no process and runs nothing
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, func, tasks):
+                return list(tasks)
+
+        monkeypatch.setattr(stou.experiment, "ProcessPoolExecutor", RecordingPool)
+        assert stou.experiment._map_datasets(list("abcdefghij"), workers=8) == list("abcdefghij")
+        assert stou.experiment._map_datasets(["a", "b"], workers=8) == ["a", "b"]
+        assert sizes == [8, 2]
+        # one dataset runs in this process, whatever the worker count
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, workers=8,
+                                  only_dataset=3, out_dir=str(tmp_path))
+        rows = open(run(config)["estimates"], encoding="utf-8").read().splitlines()[1:]
+        assert sizes == [8, 2]
+        assert len(rows) == 6 and all(row.startswith("3,") for row in rows)
 
     def test_env_var_sets_default_workers(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STOU_WORKERS", "2")
