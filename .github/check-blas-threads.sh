@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# Every stou command runs numpy's BLAS on one thread, so the BLAS thread
+# variables must not change its outputs.  For each coverage method this
+# runs a small experiment at OPENBLAS_NUM_THREADS=1 and =4, checks that
+# manifest.txt records one thread, and compares the two estimates.csv
+# byte for byte.  Under numpy 1.x it checks the plain-OpenBLAS setter
+# names.  Run it from the repository root:
+#     bash .github/check-blas-threads.sh
+# Outputs go under $RUNNER_TEMP, or a new temporary directory.
+set -euo pipefail
+tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+for method in mc-exact mc-grid cl-sandwich; do
+  for threads in 1 4; do
+    out="$tmp/blas-$method-$threads"
+    OPENBLAS_NUM_THREADS=$threads PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+      python -m stou.cli coverage --method "$method" --nx 33 --nt 33 \
+      --n-datasets 10 --B 20 --seed 5 --workers 1 --out-dir "$out" > /dev/null
+    grep -qx "blas_threads: 1" "$out/manifest.txt"
+  done
+  cmp "$tmp/blas-$method-1/estimates.csv" "$tmp/blas-$method-4/estimates.csv"
+done
+echo "BLAS thread variables do not change outputs"

@@ -22,8 +22,8 @@ and SB_k(mu) the sum of B over them,
 
 where -pl = sum_k n_k (log sigma2_hat + log(o_k) / 2) + N, N = sum_k n_k.
 maximize_cl profiles the free ones out this way, so its search runs
-over the free ones among (log lam, log c_tilde) only, by damped Newton
-steps on central-difference derivatives of the profile.
+over the free ones among (log lam, log c_tilde) only, by Fisher scoring
+on the profile's gradient and expected information, from the formulas below.
 
 Score components, with F = rho (a^2 + b^2) - (1 + rho^2) a b and
 one = 1 - rho^2 (all validated against central finite differences in
@@ -83,6 +83,7 @@ __all__ = [
     "wsev_j",
     "maximize_cl",
     "sandwich_ci",
+    "total_pair_weight",
 ]
 
 # canonical coordinate order of theta
@@ -427,63 +428,60 @@ def _profile_objective(z: list[float], stats: list[tuple], free: list[int],
     return value if math.isfinite(value) else math.inf
 
 
-def _descent_step(f, z: list[float], fz: float) -> list[float]:
-    """The Newton step for f at z, from central differences of step 1e-4,
-    where the Hessian is positive definite; otherwise the steepest-descent
-    direction.  Where f is inf on one side of z, the gradient takes the
-    one-sided difference from the other side.  Any step longer than 1 is
-    cut to unit length: a longer Newton step comes from a nearly flat
-    profile, and can leap to large rates, where every correlation is 0
-    and the profile flat."""
-    h = 1e-4
-    fp = [f([zi + h * (i == k) for i, zi in enumerate(z)]) for k in range(len(z))]
-    fm = [f([zi - h * (i == k) for i, zi in enumerate(z)]) for k in range(len(z))]
-    g = [(p - m) / (2.0 * h) if p < math.inf and m < math.inf
-         else (p - fz) / h if p < math.inf
-         else (fz - m) / h if m < math.inf else 0.0
-         for p, m in zip(fp, fm)]
-    newton = None
-    if max(fp + fm) < math.inf:
-        d = [(p - 2.0 * fz + m) / (h * h) for p, m in zip(fp, fm)]
-        if len(z) == 1 and d[0] > 0.0:
-            newton = [-g[0] / d[0]]
-        elif len(z) == 2:
-            f_up = f([z[0] + h, z[1] + h])
-            f_down = f([z[0] - h, z[1] - h])
-            off = (f_up + f_down - sum(fp) - sum(fm) + 2.0 * fz) / (2.0 * h * h)
-            det = d[0] * d[1] - off * off
-            if d[0] > 0.0 and det > 0.0:  # positive definite (and finite)
-                newton = [(off * g[1] - d[1] * g[0]) / det,
-                          (off * g[0] - d[0] * g[1]) / det]
-    if newton is not None and math.hypot(*newton) <= 1.0:
-        return newton
-    step = [-gk for gk in g] if newton is None else newton
-    norm = math.hypot(*step)
-    return [sk / norm for sk in step] if norm > 0.0 else step
+def _fisher_terms(z: list[float], stats: list[tuple], free: list[int],
+                  pinned: list) -> tuple[np.ndarray, np.ndarray]:
+    """(g, I) at a z where _profile_objective is finite.  g is the
+    profile's gradient in (log lam, log c_tilde), by the envelope theorem
+    the partial of -pl at the profiled sigma2 and mu.  I is its expected
+    information: the rates' block of hessian_h in log rates, less its
+    sigma2 part (the Schur complement) where sigma2 is profiled; mu is
+    information-orthogonal."""
+    lam, c_tilde, s2, mu = _with_rates(z, free, pinned)
+    _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
+    g0 = g1 = a = b = c = x0 = x1 = 0.0
+    for d_t, d_x, n, s_1, s_2, s_ab in stats:
+        rho = math.exp(-lam * d_t - c_tilde * d_x)
+        one = 1.0 - rho * rho
+        # d rho / dz, 0 for a pinned rate as for a rate with no pairs on its axis
+        r0, r1 = -rho * lam * d_t * (0 in free), -rho * c_tilde * d_x * (1 in free)
+        # -dl/drho summed over the lag's pairs: the brackets sum a^2 + b^2 and a b
+        slope = ((rho * (s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu)
+                  - (1.0 + rho * rho) * (s_ab - mu * s_1 + n * mu * mu)) / (one * one) / s2
+                 - n * rho / one)
+        w, x = n * (1.0 + rho * rho) / (one * one), n * rho / one
+        g0, g1, x0, x1 = g0 + slope * r0, g1 + slope * r1, x0 + x * r0, x1 + x * r1
+        a, b, c = a + w * r0 * r0, b + w * r0 * r1, c + w * r1 * r1
+    if pinned[2] is None:  # less the sigma2 part (x/s2)(x/s2)^T / (n_all/s2^2); s2 cancels
+        n_all = sum(n for _, _, n, *_ in stats)
+        a, b, c = a - x0 * x0 / n_all, b - x0 * x1 / n_all, c - x1 * x1 / n_all
+    return np.array([g0, g1]), np.array([[a, b], [b, c]])
 
 
-def _newton(f, z: list[float], max_iter: int) -> tuple[list[float], bool]:
-    """Minimize f from z by damped Newton steps; returns (z, converged).
+def _newton(f, step_at, z: list[float], max_iter: int) -> tuple[list[float], bool]:
+    """Minimize f from z by damped steps; returns (z, converged).
 
-    Each iteration halves _descent_step until it lowers f.  The search
-    has converged when no step of length 1e-6 or more lowers f, or when
-    the accepted step is shorter than that or lowers f by at most 1e-13
-    relative; it has not if max_iter iterations end first.  A z where f
-    is inf is returned as is.
+    Each iteration cuts step_at(z) to unit length (a longer step comes
+    from a nearly flat f, and can leap to rates where every correlation
+    is 0) and halves it until it lowers f.  The search has converged when
+    no step of length 1e-6 or more lowers f, or when the accepted step is
+    shorter than that or lowers f by at most 1e-13 relative; it has not
+    if max_iter iterations end first.  A z where f is inf is returned as is.
     """
     fz = f(z)
     if fz == math.inf:
         return z, True
     for _ in range(max_iter):
-        step = _descent_step(f, z, fz)
+        step = step_at(z)
         length = math.hypot(*step)
+        if length > 1.0:
+            step, length = [sk / length for sk in step], 1.0
         while True:
             trial = [zk + sk for zk, sk in zip(z, step)]
             f_trial = f(trial)
             if f_trial < fz:
                 break
             length *= 0.5
-            if length < 1e-6:
+            if not length >= 1e-6:  # a NaN step ends here too
                 return z, True
             step = [0.5 * sk for sk in step]
         gain, z, fz = fz - f_trial, trial, f_trial
@@ -503,15 +501,12 @@ def maximize_cl(
 
     Free sigma2 and mu are profiled out by the closed forms in the module
     docstring.  Only the free rates among (log lambda, log c_tilde) are
-    searched, by damped Newton steps (_newton): gradient and Hessian from
-    central differences of the profile, the Newton step where the Hessian
-    is positive definite and the steepest-descent direction elsewhere, at
-    most unit length, halved until it raises pl.  The search stops when
-    no step of length 1e-6 or more raises pl, or when the accepted step
-    is shorter than that or raises pl by at most 1e-13 relative.  No
+    searched, by Fisher scoring: each step solves I s = -g for the
+    profile's analytic gradient g and expected information I
+    (_fisher_terms), and _newton damps it and stops the search.  No
     search runs when no rate is free, or when the profile is inf at the
     start's rates.  Fixed coordinates are pinned to the scenario values.
-    The returned pl never falls below the pl at start; if max_iter Newton
+    The returned pl never falls below the pl at start; if max_iter
     iterations end first, an OptimizerDidNotConverge warning is issued
     and the incumbent is returned anyway.
     """
@@ -525,14 +520,21 @@ def maximize_cl(
         _profile_objective, stats=stats, free=free, pinned=profiled
     )
 
+    def fisher_step(z):
+        # the minimum-norm solution of I s = -g, an eigenvalue of I below 1e-15
+        # of the larger taken as 0: a pinned rate, or one with no pairs on its
+        # axis, has a zero row and column in I, and is not moved
+        g, info = _fisher_terms(z, stats, free, profiled)
+        return np.linalg.lstsq(info, -g, rcond=1e-15)[0][free].tolist()
+
     z = [math.log(profiled[k]) for k in free]
     # where a pinned rate puts an axis lag at correlation 1, the objective
     # is inf at every free rate, and _newton returns z without a search
     if free:
-        z, converged = _newton(objective, z, max_iter)
+        z, converged = _newton(objective, fisher_step, z, max_iter)
         if not converged:
             warnings.warn(
-                "Newton search exhausted its iteration budget",
+                "Fisher-scoring search exhausted its iteration budget",
                 OptimizerDidNotConverge,
                 stacklevel=2,
             )

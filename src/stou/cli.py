@@ -217,10 +217,8 @@ def _cmd_ci(args) -> int:
     _checked(check_mc_ci_args, settings.B, settings.level, simulator)
     field = _field_from_args(args, settings)
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
-    # with the settings checked, a ValueError from mc_ci comes from the
-    # field (a single row or column), reported as a configuration error
-    result = _checked(mc_ci, field, settings.B, settings.level, simulator, rng,
-                      grid_config, settings.max_lag)
+    result = mc_ci(field, settings.B, settings.level, simulator, rng, grid_config,
+                   settings.max_lag)
     lines = ["parameter,point,lower,median,upper"]
     for name in REPORT_PARAMS:
         iv = result.intervals[name]
@@ -238,7 +236,6 @@ def _cmd_experiment(args) -> int:
         except ValueError as exc:
             raise ConfigInvalid(f"STOU_WORKERS: {env!r} is not an integer") from exc
     config = _settings(args, file_values)
-    config.validate()
     paths = run(config, command=args.command)
     with open(paths["coverage"], encoding="utf-8") as handle:
         sys.stdout.write(handle.read())

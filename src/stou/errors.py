@@ -56,4 +56,4 @@ class CovarianceJitter(UserWarning):
 
 
 class OptimizerDidNotConverge(UserWarning):
-    """The CL fit's Newton search used up its iterations before it converged."""
+    """The CL fit's Fisher-scoring search used up its iterations before it converged."""

@@ -684,15 +684,86 @@ class TestProfile:
         assert pairwise_loglik(theta, small_field, WEIGHTS) == 0.0
 
 
+FISHER_SCENARIOS = SCENARIOS + [
+    EstimationScenario(free=("lambda", "c_tilde", "mu"), fixed_values={"sigma2": 0.006}),
+]
+
+
+class TestFisherTerms:
+    """The Fisher-scoring step's gradient and information against the
+    module's references."""
+
+    @pytest.mark.parametrize("scenario", FISHER_SCENARIOS)
+    def test_gradient_matches_central_differences(self, small_field, scenario):
+        rng = np.random.default_rng(len(scenario.free))
+        h = 1e-5
+        for _ in range(10):
+            stats, free, pinned = objective_args(small_field, scenario, random_theta(rng))
+            z = rng.normal(scale=0.5, size=len(free)).tolist()
+            g, _ = cl._fisher_terms(z, stats, free, pinned)
+            for k, rate in enumerate(free):
+                up, down = ([zi + s * h * (i == k) for i, zi in enumerate(z)] for s in (1, -1))
+                want = (cl._profile_objective(up, stats, free, pinned)
+                        - cl._profile_objective(down, stats, free, pinned)) / (2.0 * h)
+                assert g[rate] == pytest.approx(want, rel=1e-6, abs=1e-6)
+            # a pinned rate has no gradient
+            assert all(g[k] == 0.0 for k in (0, 1) if k not in free)
+
+    @pytest.mark.parametrize("scenario", FISHER_SCENARIOS)
+    def test_information_is_the_schur_complement_of_hessian_h(self, small_field, scenario):
+        rng = np.random.default_rng(len(scenario.free))
+        for _ in range(10):
+            stats, free, pinned = objective_args(small_field, scenario, random_theta(rng))
+            z = rng.normal(scale=0.5, size=len(free)).tolist()
+            _, info = cl._fisher_terms(z, stats, free, pinned)
+            lam, c_tilde, s2, mu = cl._with_rates(z, free, pinned)
+            _, s2, mu = cl._neg_pl(lam, c_tilde, s2, mu, stats)
+            H = hessian_h(ThetaCL(lam, c_tilde, s2, mu), small_field.lattice, WEIGHTS)
+            # in log rates: the rate block scaled by the rates on both sides
+            want = H[:2, :2] * np.outer([lam, c_tilde], [lam, c_tilde])
+            if "sigma2" in scenario.free:
+                cross = H[:2, 2] * [lam, c_tilde]
+                want -= np.outer(cross, cross) / H[2, 2]
+            sub = np.ix_(free, free)
+            np.testing.assert_allclose(info[sub], want[sub], rtol=1e-12)
+            # a pinned rate has a zero row and column
+            pinned_rates = [k for k in (0, 1) if k not in free]
+            assert not info[pinned_rates].any() and not info[:, pinned_rates].any()
+
+    def test_rate_without_pairs_is_not_moved(self):
+        """With one column there are no spatial pairs: both rates free give
+        the lambda-only fit's lambda."""
+        p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=1, n_t=60, dx=0.05, dt=0.05)
+        fac = cholesky_factor(build_covariance(p, lat))
+        field = simulate_exact(fac, p.mu, lat, np.random.default_rng(1))
+        start = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=p.sigma2, mu=p.mu)
+        both = EstimationScenario.pinned_at(("lambda", "c_tilde"), start)
+        lam_only = EstimationScenario.pinned_at(("lambda",), start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizerDidNotConverge)
+            est = maximize_cl(field, WEIGHTS, both, start)
+            want = maximize_cl(field, WEIGHTS, lam_only, start)
+        assert est.c_tilde == start.c_tilde
+        assert est.lam == pytest.approx(want.lam, rel=1e-12)
+
+
 BOWL_MIN = [18.0 / 11.0, -14.0 / 11.0]
 
 
 def walled_bowl(z):
     """A convex quadratic, inf where z[0] < 0.  Its gradient,
-    (2 (z0 - 1) + z1, 6 (z1 + 1) + z0), vanishes at BOWL_MIN."""
+    (2 (z0 - 1) + z1, 6 (z1 + 1) + z0), vanishes at BOWL_MIN, and its
+    Hessian is [[2, 1], [1, 6]]."""
     if z[0] < 0.0:
         return math.inf
     return (z[0] - 1.0) ** 2 + 3.0 * (z[1] + 1.0) ** 2 + z[0] * z[1]
+
+
+def bowl_step(z):
+    """The exact Newton step of walled_bowl's quadratic at z."""
+    g = [2.0 * (z[0] - 1.0) + z[1], 6.0 * (z[1] + 1.0) + z[0]]
+    return (-np.linalg.solve([[2.0, 1.0], [1.0, 6.0]], g)).tolist()
 
 
 class TestNewton:
@@ -703,7 +774,7 @@ class TestNewton:
             calls.append(z)
             return walled_bowl(z)
 
-        z, converged = cl._newton(f, [2.0, -0.5], max_iter=50)  # within unit length
+        z, converged = cl._newton(f, bowl_step, [2.0, -0.5], max_iter=50)  # within unit length
         assert converged
         assert z == pytest.approx(BOWL_MIN, abs=1e-6)
         # the first iteration lands there, the second finds nothing lower
@@ -711,28 +782,27 @@ class TestNewton:
 
     def test_long_newton_steps_cut_to_unit_length(self):
         z0 = [20.0, 20.0]
-        step = cl._descent_step(walled_bowl, z0, walled_bowl(z0))
-        assert math.hypot(*step) == pytest.approx(1.0)
-        assert cl._newton(walled_bowl, z0, max_iter=100)[0] == pytest.approx(BOWL_MIN, abs=1e-6)
+        trials = []
 
-    def test_inf_on_one_side_of_the_start(self):
-        z0 = [5e-5, 0.5]  # z0 - 1e-4 on the first axis is in the inf region
-        assert walled_bowl([z0[0] - 1e-4, z0[1]]) == math.inf
-        step = cl._descent_step(walled_bowl, z0, walled_bowl(z0))
-        assert all(map(math.isfinite, step))
-        z, converged = cl._newton(walled_bowl, z0, max_iter=50)
-        assert converged
-        assert z == pytest.approx(BOWL_MIN, abs=1e-6)
+        def f(z):
+            trials.append(z)
+            return walled_bowl(z)
+
+        assert math.hypot(*bowl_step(z0)) > 1.0
+        assert cl._newton(f, bowl_step, z0, max_iter=100)[0] == pytest.approx(BOWL_MIN, abs=1e-6)
+        # the first trial point, after the start, is one step away
+        assert math.dist(trials[1], z0) == pytest.approx(1.0)
 
     def test_inf_start_returned_as_is(self):
-        assert cl._newton(walled_bowl, [-1.0, 0.0], max_iter=50) == ([-1.0, 0.0], True)
+        assert cl._newton(walled_bowl, bowl_step, [-1.0, 0.0], max_iter=50) == ([-1.0, 0.0], True)
 
     def test_iteration_budget(self):
-        z, converged = cl._newton(walled_bowl, [3.0, 2.0], max_iter=1)
+        z, converged = cl._newton(walled_bowl, bowl_step, [3.0, 2.0], max_iter=1)
         assert not converged and walled_bowl(z) < walled_bowl([3.0, 2.0])
 
     def test_flat_objective_stops_at_once(self):
-        assert cl._newton(lambda z: 1.0, [0.3, 0.4], max_iter=50) == ([0.3, 0.4], True)
+        result = cl._newton(lambda z: 1.0, lambda z: [0.0, 0.0], [0.3, 0.4], max_iter=50)
+        assert result == ([0.3, 0.4], True)
 
 
 def scipy_nelder_mead(f, x0, max_iter, xatol, fatol):
@@ -747,7 +817,8 @@ def scipy_nelder_mead(f, x0, max_iter, xatol, fatol):
 
 
 def random_quadratic(rng, n):
-    """A convex quadratic in n coordinates, taking arrays or lists."""
+    """A convex quadratic in n coordinates, taking arrays or lists, and
+    its exact Newton step."""
     a = rng.normal(size=(n, n))
     hess = (a @ a.T + 0.1 * np.eye(n)).tolist()
     centre = rng.normal(size=n).tolist()
@@ -756,7 +827,7 @@ def random_quadratic(rng, n):
         d = [float(v) - c for v, c in zip(x, centre)]
         return sum(d[i] * hess[i][j] * d[j] for i in range(n) for j in range(n))
 
-    return f
+    return f, lambda x: [c - float(v) for v, c in zip(x, centre)]
 
 
 def plateaus(x):
@@ -765,6 +836,11 @@ def plateaus(x):
     if x[0] > 1.5:
         return math.inf
     return float(math.floor(4.0 * sum(v * v for v in x)))
+
+
+def plateaus_step(x):
+    """The Newton step of plateaus' smooth quadratic 4 |x|^2."""
+    return [-float(v) for v in x]
 
 
 class TestNelderMead:
@@ -778,11 +854,11 @@ class TestNelderMead:
         a full budget, at the minimum to within the simplex's fatol."""
         rng = np.random.default_rng(10 * n + max_iter)
         for _ in range(10):
-            f = random_quadratic(rng, n)
+            f, step = random_quadratic(rng, n)
             x0 = (rng.normal(size=n) * 3.0).tolist()
             x0[rng.integers(n)] = 0.0
             tol = float(10.0 ** rng.uniform(-10, -2))
-            z, converged = cl._newton(f, x0, max_iter)
+            z, converged = cl._newton(f, step, x0, max_iter)
             _, oracle, oracle_converged = scipy_nelder_mead(f, x0, max_iter, tol, tol)
             assert f(z) <= f(x0)
             assert f(z) <= oracle + (tol if oracle_converged else 0.0)
@@ -792,13 +868,15 @@ class TestNelderMead:
     @pytest.mark.parametrize("max_iter", [1, 2, 2000])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tied_plateaus_and_inf_regions(self, n, max_iter):
-        """A flat plateau stops the search as converged, and it never steps
-        into the inf region; an inf start is returned as is."""
+        """A flat plateau stops the search as converged: the bottom one at
+        once, any other start once the search reaches the bottom.  It never
+        steps into the inf region; an inf start is returned as is."""
         rng = np.random.default_rng(n + max_iter)
         for _ in range(40):
             x0 = rng.uniform(-1.0, 1.6, size=n).tolist()
-            z, converged = cl._newton(plateaus, x0, max_iter)
-            assert converged
+            z, converged = cl._newton(plateaus, plateaus_step, x0, max_iter)
+            if max_iter == 2000 or plateaus(x0) in (0.0, math.inf):
+                assert converged
             if plateaus(x0) == math.inf:
                 assert z == x0
             else:
@@ -811,10 +889,13 @@ class TestNelderMead:
             x = [float(v) for v in x]
             return math.nan if x[1] < -0.3 else (x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2
 
+        def smooth_step(x):  # the Newton step of the quadratic
+            return [1.0 - float(x[0]), -1.0 - float(x[1])]
+
         rng = np.random.default_rng(max_iter)
         for _ in range(10):
             x0 = rng.uniform(-1.0, 1.0, size=2).tolist()
-            z, _ = cl._newton(partly_nan, x0, max_iter)
+            z, _ = cl._newton(partly_nan, smooth_step, x0, max_iter)
             if math.isnan(partly_nan(x0)):
                 assert z == x0
             else:
@@ -946,8 +1027,8 @@ class TestMaximizeClMatchesScipy:
         ("c_tilde",), ("c_tilde", "sigma2", "mu"),
     ])
     def test_pl_never_below_simplex_over_200_fields(self, fields_200, base_params, free):
-        """The Newton search does at least as well as a simplex on the same
-        profile, up to rounding."""
+        """The Fisher-scoring search does at least as well as a simplex on
+        the same profile, up to rounding."""
         scen = truth_pinned(base_params, free)
         with warnings.catch_warnings():
             warnings.simplefilter("error", OptimizerDidNotConverge)

@@ -788,10 +788,19 @@ class TestExitCodes:
         assert code == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fit-mm", "fit-cl", "ci"])
-    def test_malformed_field_file_is_3(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,content", [
+        pytest.param(command, content, id=command + suffix)
+        for suffix, content in [
+            ("", "t,x,v\n0,0,1.0\n"),
+            # a well-formed file whose field has one column, too few points
+            ("-one-column",
+             "t_index,x_index,value\n" + "".join(f"{t},0,{0.1 * t}\n" for t in range(6))),
+        ]
+        for command in ["fit-mm", "fit-cl", "ci"]
+    ])
+    def test_malformed_field_file_is_3(self, tmp_path, capsys, command, content):
         path = tmp_path / "bad.csv"
-        path.write_text("t,x,v\n0,0,1.0\n")
+        path.write_text(content)
         code = run_cli(command, "--field", str(path), "--dx", "0.05", "--dt", "0.05")
         assert code == 3
 

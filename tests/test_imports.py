@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import stou
@@ -76,3 +77,23 @@ def test_modules_have_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def star_exports(module) -> list[str]:
+    """The names `from module import *` binds: __all__, or without one
+    every public name."""
+    return getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")])
+
+
+def test_package_exports_are_in_their_modules_all():
+    """Every name stou/__init__.py imports from a module is one the module
+    exports: in its __all__ where it has one (errors.py has none)."""
+    tree = ast.parse(pathlib.Path(stou.__file__).read_text(encoding="utf-8"))
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in star_exports(importlib.import_module(f"stou.{node.module}"))
+    ]
+    assert missing == []
