@@ -3,20 +3,24 @@
 # variables must not change its outputs.  For each coverage method this
 # runs a small experiment at OPENBLAS_NUM_THREADS=1 and =4, checks that
 # manifest.txt records one thread, and compares the two estimates.csv
-# byte for byte.  Under numpy 1.x it checks the plain-OpenBLAS setter
-# names.  Run it from the repository root:
+# byte for byte.  It does so on an odd and an even number of sites per
+# row, the two shapes of the exact factor's mirror split.  Under numpy
+# 1.x it checks the plain-OpenBLAS setter names.  Run it from the
+# repository root:
 #     bash .github/check-blas-threads.sh
 # Outputs go under $RUNNER_TEMP, or a new temporary directory.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
-for method in mc-exact mc-grid cl-sandwich; do
-  for threads in 1 4; do
-    out="$tmp/blas-$method-$threads"
-    OPENBLAS_NUM_THREADS=$threads PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-      python -m stou.cli coverage --method "$method" --nx 33 --nt 33 \
-      --n-datasets 10 --B 20 --seed 5 --workers 1 --out-dir "$out" > /dev/null
-    grep -qx "blas_threads: 1" "$out/manifest.txt"
+for nx in 33 34; do
+  for method in mc-exact mc-grid cl-sandwich; do
+    for threads in 1 4; do
+      out="$tmp/blas-$nx-$method-$threads"
+      OPENBLAS_NUM_THREADS=$threads PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+        python -m stou.cli coverage --method "$method" --nx "$nx" --nt 33 \
+        --n-datasets 10 --B 20 --seed 5 --workers 1 --out-dir "$out" > /dev/null
+      grep -qx "blas_threads: 1" "$out/manifest.txt"
+    done
+    cmp "$tmp/blas-$nx-$method-1/estimates.csv" "$tmp/blas-$nx-$method-4/estimates.csv"
   done
-  cmp "$tmp/blas-$method-1/estimates.csv" "$tmp/blas-$method-4/estimates.csv"
 done
 echo "BLAS thread variables do not change outputs"

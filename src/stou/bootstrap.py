@@ -162,10 +162,8 @@ def mc_ci(
     if n_failed > MAX_FAIL_FRAC * B:
         raise FailureRateExceeded(f"{n_failed} of {B} bootstrap refits failed")
 
-    estimates = {
-        name: np.array([params_to_report(p)[name] for p in refits])
-        for name in REPORT_PARAMS
-    }
+    reports = [params_to_report(p) for p in refits]
+    estimates = {name: np.array([r[name] for r in reports]) for name in REPORT_PARAMS}
     points = params_to_report(fitted)
     intervals = {}
     for name in REPORT_PARAMS:

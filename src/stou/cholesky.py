@@ -14,13 +14,28 @@ factor L,
 with A_{t,j} the order-t predictor of X_t from its past and C_t the lower
 Cholesky factor of its error covariance V_t.  The blocks are symmetric, so
 the process is time-reversible and the forward predictor serves as the
-backward one.  The factor costs O(n_t^2 n_x^3) time and n_t^2 n_x^2 / 2
-doubles, numpy only; callers drawing many fields on one lattice should
-build it once.  A draw mu + L z costs one matrix-vector product per row.
+backward one.
+
+Each Gamma(k) depends on |x_a - x_b| only, so it is centrosymmetric: it
+commutes with the mirror x_a -> x_{n_x-1-a}, and the field splits into a
+mirror-even and a mirror-odd part that no block couples (Cantoni & Butler
+1976, Linear Algebra Appl. 13:275-288).  In an orthonormal basis of the
+two parts every Gamma(k) is block diagonal, so the recursion runs on two
+halves ceil(n_x / 2) wide, stacked (a zero column pads the odd half when
+n_x is odd).  Each half costs a quarter of the whole recursion's
+O(n_t^2 n_x^3) flops.  The factor stores the predictors in the split
+basis, about n_t^2 n_x^2 / 4 doubles, half of what the whole recursion's
+hold, and each C_t as the Cholesky factor of V_t recombined in site order,
+so L is still the unique lower Cholesky factor.  A draw mu + L z keeps its
+history in the split basis, at one batched product per time row; callers
+drawing many fields on one lattice should build the factor once.  A
+hand-built CovarianceMatrix is one part in the identity basis, through the
+same recursion and draw.  numpy only.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,22 +48,31 @@ __all__ = ["DEFAULT_MAX_POINTS", "CovarianceMatrix", "CholeskyFactor", "build_co
            "cholesky_factor", "simulate_exact"]
 
 # The factor of 101 x 101 sites (the largest lattice exercised in the source
-# experiments) holds about 0.42 GB of coefficients: the default ceiling.
+# experiments) holds about 0.21 GB of coefficients: the default ceiling.
 DEFAULT_MAX_POINTS = 101 * 101
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Site covariance in block-Toeplitz form: blocks[k] is the symmetric
-    n_x x n_x covariance of time rows k steps apart, k = 0..n_t-1."""
+    n_x x n_x covariance of time rows k steps apart, k = 0..n_t-1.
+    basis[p] is the n_x x m array of part p's orthonormal columns, parts
+    that no block couples; a zero column pads a narrower part.  None is
+    the identity: one part."""
 
     blocks: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or len(blocks) < 1:
             raise DimensionMismatch(f"blocks shape {blocks.shape}, expected (n_t, n_x, n_x)")
+        n_x = blocks.shape[1]
+        basis = np.eye(n_x)[None] if self.basis is None else np.asarray(self.basis, dtype=float)
+        if basis.ndim != 3 or basis.shape[1] != n_x:
+            raise DimensionMismatch(f"basis shape {basis.shape}, expected (parts, {n_x}, m)")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def n(self) -> int:
@@ -58,16 +82,19 @@ class CovarianceMatrix:
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower Cholesky factor L of a block-Toeplitz covariance, in
-    innovations form: rows[t] is the n_x x (t+1) n_x block row
-    [A_{t,t}, ..., A_{t,1}, C_t], which meets X_0, ..., X_{t-1}, z_t.
-    `factor @ z` is L z for z of shape (n,) or (n, k)."""
+    innovations form on the parts of its basis (see CovarianceMatrix):
+    predictors[t][p] is part p's m x t m block row [A_{t,t}, ..., A_{t,1}],
+    which meets basis[p]^T X_s for s = 0..t-1, and roots[p, t] is
+    basis[p]^T C_t.  `factor @ z` is L z for z of shape (n,) or (n, k)."""
 
-    rows: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    predictors: tuple[np.ndarray, ...]
+    roots: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         """(n_t, n_x) of the lattice the factor was built for."""
-        return len(self.rows), self.rows[0].shape[0]
+        return self.roots.shape[1], self.basis.shape[1]
 
     @property
     def n(self) -> int:
@@ -78,19 +105,36 @@ class CholeskyFactor:
         if z.shape[:1] != (self.n,):
             raise DimensionMismatch(f"operand shape {z.shape}, factor has {self.n} rows")
         n_t, n_x = self.shape
-        rest = z.shape[1:]
-        # time row t holds z_t until X_t replaces it: one product per row
-        out = z.reshape(n_t, n_x, *rest).copy()
-        for t, row in enumerate(self.rows):
-            out[t] = row @ out[: t + 1].reshape((t + 1) * n_x, *rest)
-        return out.reshape(z.shape)
+        parts, _, m = self.basis.shape
+        k = math.prod(z.shape[1:])
+        # y[:, t] holds basis^T C_t z_t until basis^T X_t replaces it: one
+        # product per row serves every part
+        y = self.roots @ z.reshape(n_t, n_x, k)
+        for t in range(1, n_t):
+            y[:, t] += self.predictors[t] @ y[:, :t].reshape(parts, t * m, k)
+        return (self.basis[:, None] @ y).sum(axis=0).reshape(z.shape)
+
+
+def _mirror_basis(n_x: int) -> np.ndarray:
+    """The mirror-even and mirror-odd parts, ceil(n_x / 2) columns each:
+    (e_a +- e_{n_x-1-a}) / sqrt(2) for a < n_x // 2, then, when n_x is odd,
+    the middle site's e_a in the even part and a zero column in the odd."""
+    half, m = n_x // 2, (n_x + 1) // 2
+    basis = np.zeros((2, n_x, m))
+    a = np.arange(half)
+    basis[:, a, a] = math.sqrt(0.5)
+    basis[:, n_x - 1 - a, a] = [[math.sqrt(0.5)], [-math.sqrt(0.5)]]
+    if n_x % 2:
+        basis[0, half, half] = 1.0
+    return basis
 
 
 def build_covariance(params: StouParams, lattice: Lattice) -> CovarianceMatrix:
     """Block-Toeplitz covariance of the field at all lattice sites:
     blocks[k][a, b] is sigma2 * rho(k dt, |x_a - x_b|) with rho the
-    canonical correlation.  Raises BudgetExceeded when lattice.n >
-    DEFAULT_MAX_POINTS before allocating anything."""
+    canonical correlation, with the mirror-even and mirror-odd parts as
+    its basis.  Raises BudgetExceeded when lattice.n > DEFAULT_MAX_POINTS before
+    allocating anything."""
     if lattice.n > DEFAULT_MAX_POINTS:
         raise BudgetExceeded(f"lattice has {lattice.n} sites, budget is {DEFAULT_MAX_POINTS}; "
                              "use the grid simulator for larger lattices")
@@ -101,30 +145,48 @@ def build_covariance(params: StouParams, lattice: Lattice) -> CovarianceMatrix:
     # space-lag table is sigma2 * exp(-lam * max(k dt, d_x / c)) to the bit.
     time_table = params.sigma2 * np.exp(-params.lam * (np.arange(lattice.n_t) * lattice.dt))
     space_table = params.sigma2 * np.exp(-params.lam * (d_x / params.c))
-    return CovarianceMatrix(np.minimum(time_table[:, None, None], space_table[None]))
+    return CovarianceMatrix(np.minimum(time_table[:, None, None], space_table[None]),
+                            _mirror_basis(lattice.n_x))
 
 
-def _levinson(blocks: np.ndarray) -> CholeskyFactor:
+def _site_root(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis[p]^T C for C the lower Cholesky factor of the error covariance
+    sum_p basis[p] v[p] basis[p]^T, whose parts are v; LinAlgError when it
+    is not positive definite."""
+    basis_t = basis.swapaxes(1, 2)
+    return basis_t @ np.linalg.cholesky((basis @ v @ basis_t).sum(axis=0))
+
+
+def _levinson(blocks: np.ndarray, basis: np.ndarray) -> CholeskyFactor:
     """The innovations form; LinAlgError when some V_t is not positive definite."""
     n_t, n_x, _ = blocks.shape
-    v = blocks[0]
-    rows = [np.linalg.cholesky(v)]
+    parts, _, m = basis.shape
+    # gamma[:, k] stacks the parts' own blocks basis[p]^T Gamma(k) basis[p];
+    # a padding column is white noise of unit variance, which no predictor meets
+    gamma = basis.swapaxes(1, 2)[:, None] @ blocks @ basis[:, None]
+    pad_part, pad_col = np.nonzero(~basis.any(axis=1))
+    gamma[pad_part, 0, pad_col, pad_col] = 1.0
+    v = gamma[:, 0]
+    predictors = [np.empty((parts, m, 0))]
+    roots = np.empty((parts, n_t, m, n_x))
+    roots[:, 0] = _site_root(v, basis)
     for p in range(n_t - 1):
-        a = rows[-1][:, :-n_x]  # [A_{p,p}, ..., A_{p,1}]
+        a = predictors[-1]  # [A_{p,p}, ..., A_{p,1}] of each part
         # order p -> p + 1: delta = Gamma(p+1) - sum_j A_{p,j} Gamma(p+1-j)
         # is the covariance of the forward and backward errors
-        delta = blocks[p + 1] - a @ blocks[1 : p + 1].reshape(p * n_x, n_x)
-        gain = np.linalg.solve(v, delta.T).T  # A_{p+1,p+1} = delta V_p^-1
+        delta = gamma[:, p + 1] - a @ gamma[:, 1 : p + 1].reshape(parts, p * m, m)
+        # A_{p+1,p+1} = delta V_p^-1
+        gain = np.linalg.solve(v, delta.swapaxes(1, 2)).swapaxes(1, 2)
         # A_{p+1,j} = A_{p,j} - gain A_{p,p+1-j}: the backward predictor is
         # the forward one, so gain @ a is read back in reverse block order
-        row = np.empty((n_x, (p + 2) * n_x))
-        row[:, :n_x] = gain
-        np.subtract(a.reshape(n_x, p, n_x), (gain @ a).reshape(n_x, p, n_x)[:, ::-1],
-                     out=row[:, n_x:-n_x].reshape(n_x, p, n_x))
-        v = v - gain @ delta.T
-        row[:, -n_x:] = np.linalg.cholesky(v)
-        rows.append(row)
-    return CholeskyFactor(rows=tuple(rows))
+        row = np.empty((parts, m, (p + 1) * m))
+        row[:, :, :m] = gain
+        np.subtract(a.reshape(parts, m, p, m), (gain @ a).reshape(parts, m, p, m)[:, :, ::-1],
+                    out=row[:, :, m:].reshape(parts, m, p, m))
+        v = v - gain @ delta.swapaxes(1, 2)
+        roots[:, p + 1] = _site_root(v, basis)
+        predictors.append(row)
+    return CholeskyFactor(basis=basis, predictors=tuple(predictors), roots=roots)
 
 
 def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
@@ -133,7 +195,7 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
     which is every diagonal block of the full matrix (warning CovarianceJitter); a
     second failure raises NotPositiveDefinite."""
     try:
-        return _levinson(cov.blocks)
+        return _levinson(cov.blocks, cov.basis)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * float(np.max(np.diagonal(cov.blocks[0])))
         warnings.warn(f"covariance not positive definite, retrying with jitter {jitter:.3e}",
@@ -141,7 +203,7 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
         bumped = cov.blocks.copy()
         bumped[0].flat[:: bumped.shape[1] + 1] += jitter
         try:
-            return _levinson(bumped)
+            return _levinson(bumped, cov.basis)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("factorization failed after jitter retry") from exc
 

@@ -26,7 +26,6 @@ import platform
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -422,11 +421,13 @@ def _dataset_task(args) -> _DatasetResult:
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
     workers = min(workers, len(tasks))  # a pool forks all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only runs with a pool import it
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))
     with _OneBlasThread():
         results = [_dataset_task(task) for task in tasks]
-    _truth_factor.cache_clear()  # about 0.42 GB at 101 x 101; hold none past the run
+    _truth_factor.cache_clear()  # about 0.21 GB at 101 x 101; hold none past the run
     return results
 
 

@@ -48,7 +48,7 @@ from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid", "with_default_depth"]
 
-# cells in the largest noise array: the doubles the exact factor holds at its ceiling
+# cells in the largest noise array, 0.42 GB of doubles: twice the exact factor at its ceiling
 MAX_NOISE_CELLS = DEFAULT_MAX_POINTS**2 // 2
 
 

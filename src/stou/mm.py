@@ -49,6 +49,29 @@ class AcfEstimate:
         object.__setattr__(self, "values", values)
 
 
+def _axis_acf(dev: np.ndarray, s2: float, lattice, axis: str,
+              max_lag: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """(axis, lags, values) of the lag-1..max_lag axis ACF, from the
+    deviations dev and their 1/n variance s2 > 0."""
+    acf = np.empty(max_lag)
+    steps = (max_lag, 0) if axis == "temporal" else (0, max_lag)
+    for i, (h_t, h_x, _, _, n) in enumerate(_axis_lags(lattice, *steps)):
+        a, b = _pair_ends(dev, h_t, h_x)
+        acf[i] = (a * b).sum() / (n * s2)
+    return axis, np.arange(1, max_lag + 1), np.clip(acf, -1.0, 1.0)
+
+
+def _deviations(field: FieldSample) -> tuple[float, np.ndarray, float]:
+    """Sample mean, deviations from it and their 1/n variance; raises
+    DegenerateSample when the variance is zero."""
+    mean = field.values.mean()
+    dev = field.values - mean
+    s2 = float(np.mean(dev * dev))
+    if s2 <= 0.0:
+        raise DegenerateSample("sample variance is zero")
+    return float(mean), dev, s2
+
+
 def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     """Axis ACF: lag-h value is the pair-averaged product of deviations
     from the full-sample mean, normalized by the 1/n sample variance.
@@ -58,35 +81,33 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    temporal = axis == "temporal"
-    extent = field.values.shape[0 if temporal else 1]
+    extent = field.values.shape[0 if axis == "temporal" else 1]
     if not 1 <= max_lag < extent:
         raise ValueError(f"max_lag must be in [1, {extent - 1}], got {max_lag}")
-
-    dev = field.values - field.values.mean()
-    s2 = float(np.mean(dev * dev))
-    if s2 <= 0.0:
-        raise DegenerateSample("sample variance is zero")
-
-    acf = np.empty(max_lag)
-    steps = (max_lag, 0) if temporal else (0, max_lag)
-    for i, (h_t, h_x, _, _, n) in enumerate(_axis_lags(field.lattice, *steps)):
-        a, b = _pair_ends(dev, h_t, h_x)
-        acf[i] = (a * b).sum() / (n * s2)
-    return AcfEstimate(axis=axis, lags=np.arange(1, max_lag + 1),
-                       values=np.clip(acf, -1.0, 1.0))
+    _, dev, s2 = _deviations(field)
+    return AcfEstimate(*_axis_acf(dev, s2, field.lattice, axis, max_lag))
 
 
-def _decay_rate(acf: AcfEstimate, spacing: float) -> float:
-    usable = (acf.values > 0.0) & (acf.values < 1.0)
+def _decay_rate(axis: str, lags: np.ndarray, values: np.ndarray, spacing: float) -> float:
+    usable = (values > 0.0) & (values < 1.0)
     if not np.any(usable):
         raise InsufficientUsableLags(
-            f"no {acf.axis} lag with autocorrelation strictly inside (0, 1)"
+            f"no {axis} lag with autocorrelation strictly inside (0, 1)"
         )
-    x = acf.lags[usable] * spacing
-    y = -np.log(acf.values[usable])
+    x = lags[usable] * spacing
+    y = -np.log(values[usable])
     # no-intercept LS: the model forces rho(0) = 1
     return float((x @ y) / (x @ x))
+
+
+def _invert(acf_t: tuple, acf_x: tuple, mean: float, var: float, dt: float,
+            dx: float) -> StouParams:
+    """mm_from_moments on (axis, lags, values) triples."""
+    if not (math.isfinite(var) and var > 0.0):
+        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
+    lam = _decay_rate(*acf_t, dt)
+    c_tilde = _decay_rate(*acf_x, dx)
+    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=var, mu=mean)
 
 
 def mm_from_moments(
@@ -98,11 +119,8 @@ def mm_from_moments(
     dx: float,
 ) -> StouParams:
     """Invert axis ACFs and sample moments to an STOU parameter set."""
-    if not (math.isfinite(var) and var > 0.0):
-        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
-    lam = _decay_rate(acf_t, dt)
-    c_tilde = _decay_rate(acf_x, dx)
-    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=var, mu=mean)
+    return _invert((acf_t.axis, acf_t.lags, acf_t.values), (acf_x.axis, acf_x.lags, acf_x.values),
+                   mean, var, dt, dx)
 
 
 def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
@@ -114,8 +132,8 @@ def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
     lat = field.lattice
     if lat.n_t < 2 or lat.n_x < 2:
         raise ValueError("field must have at least 2 points on each axis")
-    acf_t = empirical_acf(field, "temporal", min(max_lag, lat.n_t - 1))
-    acf_x = empirical_acf(field, "spatial", min(max_lag, lat.n_x - 1))
-    mean = float(field.values.mean())
-    var = float(field.values.var())
-    return mm_from_moments(acf_t, acf_x, mean, var, lat.dt, lat.dx)
+    # one pass: the mean, deviations and variance serve both axes and the fit
+    mean, dev, var = _deviations(field)
+    acf_t = _axis_acf(dev, var, lat, "temporal", min(max_lag, lat.n_t - 1))
+    acf_x = _axis_acf(dev, var, lat, "spatial", min(max_lag, lat.n_x - 1))
+    return _invert(acf_t, acf_x, mean, var, lat.dt, lat.dx)

@@ -221,12 +221,61 @@ class TestCholeskyFactor:
             CovarianceMatrix(np.zeros((2, 3, 4)))
 
 
+class TestMirrorSplit:
+    @pytest.mark.parametrize("n_x", [1, 2, 3, 4, 40, 41])
+    @pytest.mark.parametrize("n_t", [1, 6])
+    def test_matches_the_dense_oracle(self, n_t, n_x):
+        # odd, even and single-column widths: the two halves recombine
+        # into LAPACK's lower factor, entry by entry
+        p = params(lam=0.7, c=1.3)
+        cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
+        err = np.max(np.abs(dense_factor(cholesky_factor(cov)) - dense_oracle(cov)))
+        assert err <= 1e-12 * math.sqrt(p.sigma2)
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3, 4, 40, 41])
+    def test_no_block_couples_the_two_parts(self, n_x):
+        p = params(lam=0.7, c=1.3)
+        cov = build_covariance(p, Lattice(n_x=n_x, n_t=4, dx=0.05, dt=0.07))
+        even, odd = cov.basis
+        # orthonormal columns, the odd part padded by a zero column when n_x is odd
+        np.testing.assert_allclose(np.concatenate([even, odd], axis=1) @
+                                   np.concatenate([even, odd], axis=1).T, np.eye(n_x),
+                                   atol=1e-15)
+        assert np.max(np.abs(even.T @ cov.blocks @ odd)) <= 1e-15 * p.sigma2
+
+    @pytest.mark.parametrize("n_t,n_x,lam", [
+        (5, 7, 1.0), (13, 4, 1.0), (40, 41, 4.0), (41, 40, 4.0), (41, 41, 4.0),
+    ])
+    def test_draws_match_the_one_part_factor(self, n_t, n_x, lam):
+        # the same blocks in one part, the identity basis; both carry the
+        # recursion's rounding, which grows with the condition number (at
+        # lam = 0.02 both sit about 6e-10 sigma from LAPACK's L z)
+        p = params(lam=lam)
+        cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05))
+        split = cholesky_factor(cov)
+        one = cholesky_factor(CovarianceMatrix(cov.blocks))
+        assert one.basis.shape == (1, n_x, n_x) and split.basis.shape[0] == 2
+        z = np.random.default_rng(n_t * 100 + n_x).standard_normal((cov.n, 5))
+        assert np.max(np.abs(split @ z - one @ z)) <= 1e-12 * math.sqrt(p.sigma2)
+
+    def test_holds_half_the_coefficients(self):
+        # n_x^2 n_t (n_t - 1) / 2 predictor doubles in one part, 2 ceil(n_x / 2)^2
+        # n_t (n_t - 1) / 2 in two
+        for n_x in (40, 41):
+            lat = Lattice(n_x=n_x, n_t=41, dx=0.05, dt=0.05)
+            cov = build_covariance(params(), lat)
+            split = sum(a.size for a in cholesky_factor(cov).predictors)
+            whole = sum(a.size for a in cholesky_factor(CovarianceMatrix(cov.blocks)).predictors)
+            assert whole == n_x**2 * 41 * 40 // 2
+            assert split == 2 * ((n_x + 1) // 2) ** 2 * 41 * 40 // 2 <= 0.53 * whole
+
+
 def unit_factor(n_t, n_x, scale):
-    """A factor with zero predictors and roots scale * I."""
-    return CholeskyFactor(rows=tuple(
-        np.concatenate([np.zeros((n_x, t * n_x)), scale * np.eye(n_x)], axis=1)
-        for t in range(n_t)
-    ))
+    """A factor of one part in the identity basis, with zero predictors
+    and roots scale * I."""
+    return CholeskyFactor(basis=np.eye(n_x)[None],
+                          predictors=tuple(np.zeros((1, n_x, t * n_x)) for t in range(n_t)),
+                          roots=np.tile(scale * np.eye(n_x), (1, n_t, 1, 1)))
 
 
 class TestSimulateExact:

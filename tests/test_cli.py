@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -127,6 +128,14 @@ def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
         "if m in sys.modules])"
     )
     assert run_python(code).splitlines()[-1] == "0 []"
+
+
+def test_cli_import_leaves_the_process_pool_unimported():
+    # every invocation pays for the CLI's imports; only a pool run needs the pool's
+    code = ("import sys, stou.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    assert run_python(code) == "[]"
 
 
 def run_cli(*argv) -> int:
@@ -370,6 +379,20 @@ class TestSimulateAndFit:
                 "--out", str(out),
             ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_exact_draw_at_the_site_ceiling_peaks_under_350_mb(self, tmp_path):
+        # the 101 x 101 factor holds about 0.21 GB; the whole process peaked
+        # at 455 MB when the factor held both mirror parts in one recursion
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stou.cli", "simulate", "--method", "exact",
+             "--nx", "101", "--nt", "101", "--out", str(tmp_path / "field.csv")],
+            env=_env_with_src(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_maxrss / 1024 < 350
 
     def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
         d = ExperimentConfig()
@@ -657,7 +680,7 @@ class TestExperimentCommands:
             def map(self, func, tasks):
                 return list(tasks)
 
-        monkeypatch.setattr(stou.experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert stou.experiment._map_datasets(list("abcdefghij"), workers=8) == list("abcdefghij")
         assert stou.experiment._map_datasets(["a", "b"], workers=8) == ["a", "b"]
         assert sizes == [8, 2]

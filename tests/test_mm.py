@@ -166,6 +166,28 @@ class TestFitMm:
         assert shifted.sigma2 == pytest.approx(base.sigma2, rel=1e-9)
         assert shifted.mu == pytest.approx(base.mu + 1.5, rel=1e-9)
 
+    def test_equals_the_fit_from_its_parts_bitwise(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n_t, n_x = (int(v) for v in rng.integers(2, 30, size=2))
+            values = rng.normal(rng.uniform(-5, 5), 10 ** rng.uniform(-3, 3), size=(n_t, n_x))
+            values += np.cumsum(rng.normal(size=(n_t, n_x)), axis=0)  # some temporal persistence
+            field = make_field(values)
+            max_lag = int(rng.integers(1, 8))
+            try:
+                expected = mm_from_moments(
+                    empirical_acf(field, "temporal", min(max_lag, n_t - 1)),
+                    empirical_acf(field, "spatial", min(max_lag, n_x - 1)),
+                    float(values.mean()), float(values.var()), 0.05, 0.05,
+                )
+            except InsufficientUsableLags:
+                with pytest.raises(InsufficientUsableLags):
+                    fit_mm(field, max_lag=max_lag)
+                continue
+            got = fit_mm(field, max_lag=max_lag)
+            for name in ("lam", "c_tilde", "sigma2", "mu"):
+                assert getattr(got, name) == getattr(expected, name)
+
     def test_median_estimate_at_observation_scale(self):
         # strong decay keeps the correlation length well inside the
         # lattice, so the moment fit centres on the truth
