@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,22 +57,19 @@ class CovarianceMatrix:
     """Site covariance in block-Toeplitz form: blocks[k] is the symmetric
     n_x x n_x covariance of time rows k steps apart, k = 0..n_t-1.
     basis[p] is the n_x x m array of part p's orthonormal columns, parts
-    that no block couples; a zero column pads a narrower part.  None is
-    the identity: one part."""
+    that no block couples; a zero column pads a narrower part.  It is the
+    identity, one part, except that build_covariance sets the mirror split
+    on the read-only blocks it builds."""
 
     blocks: np.ndarray
-    basis: np.ndarray | None = None
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or len(blocks) < 1:
             raise DimensionMismatch(f"blocks shape {blocks.shape}, expected (n_t, n_x, n_x)")
-        n_x = blocks.shape[1]
-        basis = np.eye(n_x)[None] if self.basis is None else np.asarray(self.basis, dtype=float)
-        if basis.ndim != 3 or basis.shape[1] != n_x:
-            raise DimensionMismatch(f"basis shape {basis.shape}, expected (parts, {n_x}, m)")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", np.eye(blocks.shape[1])[None])
 
     @property
     def n(self) -> int:
@@ -145,8 +142,12 @@ def build_covariance(params: StouParams, lattice: Lattice) -> CovarianceMatrix:
     # space-lag table is sigma2 * exp(-lam * max(k dt, d_x / c)) to the bit.
     time_table = params.sigma2 * np.exp(-params.lam * (np.arange(lattice.n_t) * lattice.dt))
     space_table = params.sigma2 * np.exp(-params.lam * (d_x / params.c))
-    return CovarianceMatrix(np.minimum(time_table[:, None, None], space_table[None]),
-                            _mirror_basis(lattice.n_x))
+    blocks = np.minimum(time_table[:, None, None], space_table[None])
+    # the split holds only while the blocks stay functions of |x_a - x_b|
+    blocks.flags.writeable = False
+    cov = CovarianceMatrix(blocks)
+    object.__setattr__(cov, "basis", _mirror_basis(lattice.n_x))
+    return cov
 
 
 def _site_root(v: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -421,7 +421,8 @@ def _dataset_task(args) -> _DatasetResult:
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
     workers = min(workers, len(tasks))  # a pool forks all its workers at once
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only runs with a pool import it
+        # imported here, so that runs without a pool, and import stou.cli, skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))

@@ -88,26 +88,16 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     return AcfEstimate(*_axis_acf(dev, s2, field.lattice, axis, max_lag))
 
 
-def _decay_rate(axis: str, lags: np.ndarray, values: np.ndarray, spacing: float) -> float:
-    usable = (values > 0.0) & (values < 1.0)
+def _decay_rate(acf: AcfEstimate, spacing: float) -> float:
+    usable = (acf.values > 0.0) & (acf.values < 1.0)
     if not np.any(usable):
         raise InsufficientUsableLags(
-            f"no {axis} lag with autocorrelation strictly inside (0, 1)"
+            f"no {acf.axis} lag with autocorrelation strictly inside (0, 1)"
         )
-    x = lags[usable] * spacing
-    y = -np.log(values[usable])
+    x = acf.lags[usable] * spacing
+    y = -np.log(acf.values[usable])
     # no-intercept LS: the model forces rho(0) = 1
     return float((x @ y) / (x @ x))
-
-
-def _invert(acf_t: tuple, acf_x: tuple, mean: float, var: float, dt: float,
-            dx: float) -> StouParams:
-    """mm_from_moments on (axis, lags, values) triples."""
-    if not (math.isfinite(var) and var > 0.0):
-        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
-    lam = _decay_rate(*acf_t, dt)
-    c_tilde = _decay_rate(*acf_x, dx)
-    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=var, mu=mean)
 
 
 def mm_from_moments(
@@ -119,8 +109,11 @@ def mm_from_moments(
     dx: float,
 ) -> StouParams:
     """Invert axis ACFs and sample moments to an STOU parameter set."""
-    return _invert((acf_t.axis, acf_t.lags, acf_t.values), (acf_x.axis, acf_x.lags, acf_x.values),
-                   mean, var, dt, dx)
+    if not (math.isfinite(var) and var > 0.0):
+        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
+    lam = _decay_rate(acf_t, dt)
+    c_tilde = _decay_rate(acf_x, dx)
+    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=var, mu=mean)
 
 
 def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
@@ -134,6 +127,6 @@ def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
         raise ValueError("field must have at least 2 points on each axis")
     # one pass: the mean, deviations and variance serve both axes and the fit
     mean, dev, var = _deviations(field)
-    acf_t = _axis_acf(dev, var, lat, "temporal", min(max_lag, lat.n_t - 1))
-    acf_x = _axis_acf(dev, var, lat, "spatial", min(max_lag, lat.n_x - 1))
-    return _invert(acf_t, acf_x, mean, var, lat.dt, lat.dx)
+    acf_t = AcfEstimate(*_axis_acf(dev, var, lat, "temporal", min(max_lag, lat.n_t - 1)))
+    acf_x = AcfEstimate(*_axis_acf(dev, var, lat, "spatial", min(max_lag, lat.n_x - 1)))
+    return mm_from_moments(acf_t, acf_x, mean, var, lat.dt, lat.dx)

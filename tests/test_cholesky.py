@@ -258,6 +258,21 @@ class TestMirrorSplit:
         z = np.random.default_rng(n_t * 100 + n_x).standard_normal((cov.n, 5))
         assert np.max(np.abs(split @ z - one @ z)) <= 1e-12 * math.sqrt(p.sigma2)
 
+    def test_the_split_cannot_outlive_the_symmetry(self):
+        # only build_covariance sets the split, on blocks it made read-only;
+        # blocks no longer mirror-symmetric go through one part
+        cov = build_covariance(params(), Lattice(n_x=6, n_t=4, dx=0.05, dt=0.05))
+        with pytest.raises(TypeError):
+            CovarianceMatrix(cov.blocks, cov.basis)
+        with pytest.raises(ValueError):
+            cov.blocks[0, 0, 0] += 1.0
+        nugget = cov.blocks.copy()
+        nugget[0] += np.diag(np.linspace(0.0, 0.5, 6)) * params().sigma2
+        bent = CovarianceMatrix(nugget)
+        assert bent.basis.shape == (1, 6, 6)
+        err = np.max(np.abs(dense_factor(cholesky_factor(bent)) - dense_oracle(bent)))
+        assert err <= 1e-12 * math.sqrt(params().sigma2)
+
     def test_holds_half_the_coefficients(self):
         # n_x^2 n_t (n_t - 1) / 2 predictor doubles in one part, 2 ceil(n_x / 2)^2
         # n_t (n_t - 1) / 2 in two
