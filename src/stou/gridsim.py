@@ -24,13 +24,21 @@ observation lattice.  Everything that does not depend on the draw (cone
 areas, kernel weights, the mean term and the conjugate real FFT of the
 flipped kernel) is built once per (params, lattice, config) and cached,
 so a run of draws from one model pays for the kernel transform once.
-Each draw then costs one forward and one inverse real FFT at the noise
-array's own size (rounded up to a fast length), not at the full linear
-correlation size.  That circular correlation is exact on the region
+
+A draw never fills the noise array in space.  It draws white noise on
+the whole R x C torus (R x C the noise array's size rounded up to fast
+FFT lengths) as its real FFT: the real FFT of i.i.d. N(0, 1) values is
+itself white in the frequency domain (Dietrich & Newsam 1997), up to
+the columns that are the spectra of real sequences (see
+_white_spectrum).  The draw multiplies that spectrum by the kernel's,
+inverts along the time axis, and finishes the inverse only on the rows
+the lattice samples.  The circular correlation is exact on the region
 that is sampled: the noise array is at least as large as the kernel in
 both axes, and every sampled output (T, X) reads z[T + q, X + v] only
-for q, v inside the kernel, indices that never pass the end of the
-noise array, so no term wraps around.
+for q, v inside the kernel, cells of the noise array that never pass
+its end, so no term wraps around.  Those cells are i.i.d. N(0, 1), so
+the sampled field has the law of the linear correlation over the noise
+array; the torus cells beyond it are never read.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid", "with_default_depth"]
 
-# cells in the largest noise array, 0.42 GB of doubles: twice the exact factor at its ceiling
+# mesh cells under the largest cone-swept noise array, 0.42 GB as doubles: twice the exact
+# factor at its ceiling.  A draw fills no such array; its spectrum is about as large
 MAX_NOISE_CELLS = DEFAULT_MAX_POINTS**2 // 2
 
 
@@ -130,9 +139,10 @@ class _GridPlan:
     """The draw-independent part of simulate_grid for one model."""
 
     mean_part: float
-    noise_shape: tuple[int, int]
+    # the torus the noise is drawn on: the noise array rounded up to fast FFT lengths
     fft_shape: tuple[int, int]
-    # conjugate real FFT of the flipped kernel at fft_shape; read-only
+    # conjugate real FFT of the flipped kernel at fft_shape, times sqrt(R C / 2) to
+    # undo _white_spectrum's scale; read-only
     kernel_spectrum: np.ndarray
 
 
@@ -174,8 +184,25 @@ def _grid_plan(params: StouParams, lattice: Lattice, config: GridSimConfig) -> _
     # out[T,X] = sum_q,v z[T+q, X+v] k[q, v]; row q of the flipped
     # kernel is age n_steps-1-q, so older rows sit earlier in z
     spectrum = np.conj(np.fft.rfft2(kernel[::-1, :], s=fft_shape))
+    spectrum *= math.sqrt(fft_shape[0] * fft_shape[1] / 2)
     spectrum.flags.writeable = False
-    return _GridPlan(mean_part, noise_shape, fft_shape, spectrum)
+    return _GridPlan(mean_part, fft_shape, spectrum)
+
+
+def _white_spectrum(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """The real FFT of R x C i.i.d. N(0, 1) values, divided by sqrt(R C / 2),
+    drawn directly from R * 2 (C // 2 + 1) normals.
+
+    Every column but the real-sequence spectra is i.i.d. complex normal
+    with unit-variance parts.  Column 0, and column C / 2 when C is even,
+    is the FFT of a real sequence: the FFT of its real parts, scaled to
+    match, is Hermitian along axis 0, and its imaginary parts go unused.
+    """
+    R, C = shape
+    w = rng.standard_normal((R, 2 * (C // 2 + 1))).view(np.complex128)
+    for col in (0, C // 2) if C % 2 == 0 else (0,):
+        w[:, col] = math.sqrt(2.0 / R) * np.fft.fft(w[:, col].real)
+    return w
 
 
 def simulate_grid(
@@ -201,12 +228,12 @@ def simulate_grid(
         )
 
     plan = _grid_plan(params, lattice, config)
-    z = rng.standard_normal(plan.noise_shape)
-    spectrum = np.fft.rfft2(z, s=plan.fft_shape) * plan.kernel_spectrum
-    noise_part = np.fft.irfft2(spectrum, s=plan.fft_shape)
+    spectrum = _white_spectrum(rng, plan.fft_shape)
+    spectrum *= plan.kernel_spectrum
 
+    # irfft2's two passes, the second on the sampled rows only
     r = config.cells_per_obs_cell
-    values = plan.mean_part + noise_part[
-        : (lattice.n_t - 1) * r + 1 : r, : (lattice.n_x - 1) * r + 1 : r
-    ]
+    rows = np.fft.ifft(spectrum, axis=0)[: (lattice.n_t - 1) * r + 1 : r]
+    noise_part = np.fft.irfft(rows, n=plan.fft_shape[1], axis=1)
+    values = plan.mean_part + noise_part[:, : (lattice.n_x - 1) * r + 1 : r]
     return FieldSample(lattice=lattice, values=values)

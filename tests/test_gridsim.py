@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import correlate
 
 from stou import GridSimConfig, Lattice, StouParams, cone_cell_areas, simulate_grid
 import stou.gridsim
-from stou.errors import BudgetExceeded, TruncationTooShallow
+from stou.errors import BudgetExceeded, StouError, TruncationTooShallow
 from stou.gridsim import (MAX_NOISE_CELLS, _cut_share, _fast_len, _grid_plan,
-                          with_default_depth)
+                          _white_spectrum, with_default_depth)
 
 
 def deterministic_params(mu=0.4) -> StouParams:
@@ -21,16 +23,19 @@ def deterministic_params(mu=0.4) -> StouParams:
 
 def linear_correlation_grid(params, lattice, config, rng):
     """The grid field by direct linear correlation over the full noise
-    array, kept as the oracle for the cached-spectrum simulator."""
+    array, kept as the oracle for the cached-spectrum simulator.  The
+    noise is the draw's own: the inverse real FFT of the white spectrum
+    drawn from rng on the fast-length torus, cropped to the noise array."""
     r = config.cells_per_obs_cell
     dt_m, dx_m = lattice.dt / r, lattice.dx / r
     n_steps = config.truncation_p * r
     areas = cone_cell_areas(params.c, dt_m, dx_m, n_steps)
     weights = np.exp(-params.lam * (np.arange(n_steps) + 0.5) * dt_m)
     mean_part = params.mu_seed * float(weights @ areas.sum(axis=1))
-    z = rng.standard_normal(
-        ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + areas.shape[1])
-    )
+    noise_shape = ((lattice.n_t - 1) * r + n_steps, (lattice.n_x - 1) * r + areas.shape[1])
+    R, C = (scipy.fft.next_fast_len(n, real=True) for n in noise_shape)
+    torus = np.fft.irfft2(_white_spectrum(rng, (R, C)) * math.sqrt(R * C / 2), s=(R, C))
+    z = torus[: noise_shape[0], : noise_shape[1]]
     kernel = np.sqrt(params.tau2 * areas) * weights[:, None]
     return mean_part + correlate(z, kernel[::-1], mode="valid")[::r, ::r]
 
@@ -290,6 +295,19 @@ class TestCachedSpectrum:
         assert got.shape == want.shape == (n_t, n_x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.3])
+    @pytest.mark.parametrize("n_t,n_x,r", [(41, 41, 1), (11, 5, 2)])
+    def test_matches_linear_correlation_at_default_depth(self, n_t, n_x, r, c, lam):
+        # the default depth at 41 x 41 pads the 225 x 410 noise array to 225 x 432
+        p = StouParams.natural(lam=lam, c=c, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
+        cfg = with_default_depth(GridSimConfig(cells_per_obs_cell=r), p, lat)
+        got = simulate_grid(p, lat, cfg, np.random.default_rng(8)).values
+        want = linear_correlation_grid(p, lat, cfg, np.random.default_rng(8))
+        assert got.shape == want.shape == (n_t, n_x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_cache_keyed_on_every_model_input(self):
         lat = Lattice(n_x=9, n_t=7, dx=0.05, dt=0.05)
         cfg = GridSimConfig(truncation_p=140)
@@ -323,3 +341,54 @@ class TestCachedSpectrum:
         with pytest.warns(TruncationTooShallow):
             simulate_grid(p, lat, cfg, np.random.default_rng(1))
         assert _grid_plan.cache_info().hits == hits + 1
+
+
+class _UnitNormals:
+    """A generator stub whose standard_normal is the i-th unit vector."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, shape):
+        e = np.zeros(shape)
+        e.flat[self.i] = 1.0
+        return e
+
+
+class TestWhiteSpectrum:
+    @pytest.mark.parametrize("R,C", [(1, 2), (2, 2), (1, 3), (3, 2), (4, 5), (5, 4),
+                                     (6, 6), (7, 9), (8, 10)])
+    def test_inverse_is_iid_standard_normal_on_the_torus(self, R, C):
+        # column i of M is the torus noise the i-th normal alone makes; the noise's
+        # covariance is M M^T, exactly, for every parity of R and C
+        n = R * 2 * (C // 2 + 1)
+        M = np.stack([
+            np.fft.irfft2(_white_spectrum(_UnitNormals(i), (R, C)) * math.sqrt(R * C / 2),
+                          s=(R, C)).ravel()
+            for i in range(n)
+        ], axis=1)
+        np.testing.assert_allclose(M @ M.T, np.eye(R * C), rtol=0.0, atol=1e-12)
+
+
+class TestRegime:
+    @given(
+        n_x=st.integers(1, 12), n_t=st.integers(1, 12), r=st.integers(1, 3),
+        p=st.integers(1, 60), c=st.floats(0.1, 5.0), lam=st.floats(0.05, 20.0),
+        dx=st.floats(0.01, 1.0), dt=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_finite_draw_or_typed_error(self, n_x, n_t, r, p, c, lam, dx, dt):
+        params = StouParams.natural(lam=lam, c=c, mu_seed=0.2, tau2=0.01)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=dx, dt=dt)
+        config = GridSimConfig(truncation_p=p, cells_per_obs_cell=r)
+        # a wide cone (c p r dt / dx up to 90,000) would need 3.8e7 noise cells; a budget
+        # of 2^20 keeps every example small and makes those BudgetExceeded
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(stou.gridsim, "MAX_NOISE_CELLS", 2**20)
+            warnings.simplefilter("ignore", TruncationTooShallow)
+            try:
+                values = simulate_grid(params, lat, config, np.random.default_rng(0)).values
+            except StouError:
+                return
+        assert values.shape == (n_t, n_x)
+        assert np.all(np.isfinite(values))
