@@ -8,9 +8,15 @@
 # 1.x it checks the plain-OpenBLAS setter names.  Run it from the
 # repository root:
 #     bash .github/check-blas-threads.sh
-# Outputs go under $RUNNER_TEMP, or a new temporary directory.
+# Outputs go under $RUNNER_TEMP, or a new temporary directory that is
+# removed when the script exits.
 set -euo pipefail
-tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+if [ -n "${RUNNER_TEMP:-}" ]; then
+  tmp="$RUNNER_TEMP"
+else
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+fi
 for nx in 33 34; do
   for method in mc-exact mc-grid cl-sandwich; do
     for threads in 1 4; do

@@ -33,7 +33,13 @@ the test suite):
     dl/dsigma2 = -1 / sigma2 + B / (2 sigma2^2 one)
     dl/dmu     = (a + b) / (sigma2 (1 + rho))
 
-and dl/d(lam, c_tilde) follows by the chain rule with
+Each is a polynomial in S = a + b, A = a^2 + b^2 and C = a b whose
+coefficients are constant within a lag, so one per-lag function,
+_lag_sums, maps n and the sums of S, A and C over n pairs of a lag to
+the sums of B and of the three components.  score_u is its n = 1 case,
+the fit takes sum B and sum dl/drho from the whole field's lag sums,
+and the window variance below takes each window's summed score from
+that window's sums.  dl/d(lam, c_tilde) follows by the chain rule with
 grad rho = (-|d_t|, -|d_x|) rho.  The expected per-pair information
 block (the negative expected Hessian) is deterministic,
 
@@ -201,11 +207,39 @@ class SandwichResult:
     level: float
 
 
-def _check_rho(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
+def _rho(lam: float, c_tilde: float, d_t: float, d_x: float) -> float:
+    """Pair correlation at axis lag (d_t, d_x); CorrelationAtUnity near 1."""
+    rho = math.exp(-lam * d_t - c_tilde * d_x)
+    if rho >= 1.0 - _RHO_TOL:
+        raise CorrelationAtUnity("pair correlation too close to 1")
+    return rho
+
+
+def _lag_sums(rho, s2, mu, n, s_1, s_2, s_ab) -> tuple:
+    """(sum B, sum dl/drho, sum dl/dsigma2, sum dl/dmu) over n pairs at
+    correlation rho, from s_1 = sum (y_i + y_j), s_2 = sum (y_i^2 + y_j^2)
+    and s_ab = sum y_i y_j, elementwise over arrays.  Centring at mu gives
+    S, A and C, the sums of a + b, a^2 + b^2 and a b; sum B does not
+    depend on s2."""
+    S, C = s_1 - 2 * n * mu, s_ab - mu * s_1 + n * mu * mu
+    A = s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu
+    one = 1.0 - rho * rho
+    sum_B = A - 2.0 * rho * C
+    return (sum_B,
+            n * rho / one - (rho * A - (1.0 + rho * rho) * C) / (one * one) / s2,
+            -n / s2 + sum_B / (2.0 * s2 * s2 * one),
+            S / (s2 * (1.0 + rho)))
+
+
+def _pair_sums(theta: StouParams, y_i, y_j, rho_ij) -> tuple:
+    """(rho, _lag_sums of single pairs), elementwise over broadcast inputs;
+    CorrelationAtUnity where a |rho| is near 1."""
+    rho = np.asarray(rho_ij, dtype=float)
     if np.any(np.abs(rho) >= 1.0 - _RHO_TOL):
         raise CorrelationAtUnity("pair correlation too close to +/-1")
-    return rho
+    a = np.asarray(y_i, dtype=float) - theta.mu
+    b = np.asarray(y_j, dtype=float) - theta.mu
+    return rho, _lag_sums(rho, theta.sigma2, 0.0, 1, a + b, a * a + b * b, a * b)
 
 
 def l_pair(theta: StouParams, y_i, y_j, rho_ij):
@@ -213,11 +247,8 @@ def l_pair(theta: StouParams, y_i, y_j, rho_ij):
 
     Equals the bivariate normal log-density at (y_i, y_j) plus log(2 pi).
     """
-    rho = _check_rho(rho_ij)
-    a = np.asarray(y_i, dtype=float) - theta.mu
-    b = np.asarray(y_j, dtype=float) - theta.mu
+    rho, (B, *_) = _pair_sums(theta, y_i, y_j, rho_ij)
     one = 1.0 - rho * rho
-    B = a * a + b * b - 2.0 * rho * a * b
     return -0.5 * (
         2.0 * math.log(theta.sigma2) + np.log(one) + B / (theta.sigma2 * one)
     )
@@ -230,25 +261,10 @@ def score_u(theta: StouParams, y_i, y_j, rho_ij, grad_rho) -> np.ndarray:
     axis; under the separable correlation at lag (d_t, d_x) it is
     (-|d_t|, -|d_x|) * rho.
     """
-    rho = _check_rho(rho_ij)
-    s2 = theta.sigma2
-    a = np.asarray(y_i, dtype=float) - theta.mu
-    b = np.asarray(y_j, dtype=float) - theta.mu
-    one = 1.0 - rho * rho
-    B = a * a + b * b - 2.0 * rho * a * b
-    F = rho * (a * a + b * b) - (1.0 + rho * rho) * a * b
-
-    dl_drho = rho / one - F / (s2 * one * one)
-    dl_ds2 = -1.0 / s2 + B / (2.0 * s2 * s2 * one)
-    dl_dmu = (a + b) / (s2 * (1.0 + rho))
-
+    _, (_, dl_drho, dl_ds2, dl_dmu) = _pair_sums(theta, y_i, y_j, rho_ij)
     grad_rho = np.asarray(grad_rho, dtype=float)
-    out = np.empty(np.broadcast(a, b, rho).shape + (4,))
-    out[..., 0] = dl_drho * grad_rho[..., 0]
-    out[..., 1] = dl_drho * grad_rho[..., 1]
-    out[..., 2] = dl_ds2
-    out[..., 3] = dl_dmu
-    return out
+    return np.stack(np.broadcast_arrays(
+        dl_drho * grad_rho[..., 0], dl_drho * grad_rho[..., 1], dl_ds2, dl_dmu), axis=-1)
 
 
 def _lag_stats(field: FieldSample, weights: PairWeightSpec) -> list[tuple]:
@@ -274,25 +290,18 @@ def _neg_pl(lam: float, c_tilde: float, s2: float | None, mu: float | None,
     these rates (see maximize_cl).  The lag terms are added left to
     right, so the value does not depend on how a Python version sums.
     """
-    lags = []
-    for d_t, d_x, n, s_1, s_2, s_ab in stats:
-        rho = math.exp(-lam * d_t - c_tilde * d_x)
-        if rho >= 1.0 - _RHO_TOL:
-            raise CorrelationAtUnity("pair correlation too close to 1")
-        lags.append((rho, 1.0 - rho * rho))
+    rhos = [_rho(lam, c_tilde, d_t, d_x) for d_t, d_x, *_ in stats]
     if mu is None:
         num = den = 0.0
-        for (rho, _), (_, _, n, s_1, _, _) in zip(lags, stats):
+        for rho, (_, _, n, s_1, _, _) in zip(rhos, stats):
             num += s_1 / (1.0 + rho)
             den += 2 * n / (1.0 + rho)
         mu = num / den
     n_all = 0
     q = log_o = 0.0
-    for (rho, one), (_, _, n, s_1, s_2, s_ab) in zip(lags, stats):
-        # B summed over the lag's pairs, a = y_i - mu and b = y_j - mu
-        sum_B = (s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu
-                 - 2.0 * rho * (s_ab - mu * s_1 + n * mu * mu))
-        q += sum_B / one
+    for rho, (_, _, n, *sums) in zip(rhos, stats):
+        one = 1.0 - rho * rho
+        q += _lag_sums(rho, 1.0, mu, n, *sums)[0] / one
         log_o += n * math.log(one)
         n_all += n
     if s2 is None:
@@ -314,9 +323,7 @@ def pairwise_loglik(theta: StouParams, field: FieldSample, weights: PairWeightSp
 
 def _pair_information(theta: StouParams, d_t: float, d_x: float) -> np.ndarray:
     """Expected information block of one pair at the given lag."""
-    rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
-    if rho >= 1.0 - _RHO_TOL:
-        raise CorrelationAtUnity("pair correlation too close to 1")
+    rho = _rho(theta.lam, theta.c_tilde, d_t, d_x)
     s2 = theta.sigma2
     one = 1.0 - rho * rho
     g = np.array([-d_t * rho, -d_x * rho])
@@ -345,24 +352,6 @@ def hessian_h(theta: StouParams, lattice: Lattice, weights: PairWeightSpec) -> n
     return H
 
 
-def _score_fields(
-    theta: StouParams, field: FieldSample, weights: PairWeightSpec
-) -> list[tuple[int, int, np.ndarray]]:
-    """Per-lag arrays of pair scores, keyed by pair anchor position.
-
-    Returns (h_t, h_x, U) with U shaped (4, n_t - h_t, n_x - h_x); the
-    pair anchored at (t, x) joins (t, x) with (t + h_t, x + h_x).
-    """
-    d = weights.cutoff_d
-    out = []
-    for h_t, h_x, d_t, d_x, _ in _axis_lags(field.lattice, d, d):
-        yi, yj = _pair_ends(field.values, h_t, h_x)
-        rho = math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
-        u = score_u(theta, yi, yj, rho, np.array([-d_t * rho, -d_x * rho]))
-        out.append((h_t, h_x, np.moveaxis(u, -1, 0)))
-    return out
-
-
 def wsev_j(
     theta_hat: StouParams,
     field: FieldSample,
@@ -384,20 +373,28 @@ def wsev_j(
 
     # integral images over pair-anchor grids make each window rectangle
     # O(1); at window origin (t0, x0) the anchors whose pairs lie inside
-    # span [t0, t0 + window_nt - h_t) x [x0, x0 + window_nx - h_x)
+    # span [t0, t0 + window_nt - h_t) x [x0, x0 + window_nx - h_x).  They
+    # sum the lag's (a + b, a^2 + b^2, a b) about mu_hat, as raw sums would
+    # lose about log10(mu^2 / sigma2) digits, so _lag_sums runs at mu = 0
+    dev = field.values - theta_hat.mu
     S = np.zeros((4, t0s.size, x0s.size))
     w = 0
-    for h_t, h_x, u in _score_fields(theta_hat, field, weights):
+    d = weights.cutoff_d
+    for h_t, h_x, d_t, d_x, _ in _axis_lags(lat, d, d):
         n_in_t, n_in_x = windows.window_nt - h_t, windows.window_nx - h_x
         if n_in_t <= 0 or n_in_x <= 0:
             continue
-        p = np.zeros((4, u.shape[1] + 1, u.shape[2] + 1))
-        np.cumsum(u, axis=1, out=p[:, 1:, 1:])
+        yi, yj = _pair_ends(dev, h_t, h_x)
+        p = np.zeros((3, yi.shape[0] + 1, yi.shape[1] + 1))
+        np.cumsum((yi + yj, yi * yi + yj * yj, yi * yj), axis=1, out=p[:, 1:, 1:])
         np.cumsum(p[:, 1:, 1:], axis=2, out=p[:, 1:, 1:])
         ta, tb = t0s[:, None], t0s[:, None] + n_in_t
         xa, xb = x0s, x0s + n_in_x
-        S += p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
-        w += n_in_t * n_in_x
+        sums = p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
+        rho, n = _rho(theta_hat.lam, theta_hat.c_tilde, d_t, d_x), n_in_t * n_in_x
+        _, dl_drho, dl_ds2, dl_dmu = _lag_sums(rho, theta_hat.sigma2, 0.0, n, *sums)
+        S += (dl_drho * (-d_t * rho), dl_drho * (-d_x * rho), dl_ds2, dl_dmu)
+        w += n
     if w == 0:
         raise NoValidWindows("every window has zero pair weight")
     # every window has pair weight w; sum the windows in row-major origin
@@ -439,15 +436,12 @@ def _fisher_terms(z: list[float], stats: list[tuple], free: list[int],
     lam, c_tilde, s2, mu = _with_rates(z, free, pinned)
     _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
     g0 = g1 = a = b = c = x0 = x1 = 0.0
-    for d_t, d_x, n, s_1, s_2, s_ab in stats:
-        rho = math.exp(-lam * d_t - c_tilde * d_x)
+    for d_t, d_x, n, *sums in stats:
+        rho = _rho(lam, c_tilde, d_t, d_x)
         one = 1.0 - rho * rho
         # d rho / dz, 0 for a pinned rate as for a rate with no pairs on its axis
         r0, r1 = -rho * lam * d_t * (0 in free), -rho * c_tilde * d_x * (1 in free)
-        # -dl/drho summed over the lag's pairs: the brackets sum a^2 + b^2 and a b
-        slope = ((rho * (s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu)
-                  - (1.0 + rho * rho) * (s_ab - mu * s_1 + n * mu * mu)) / (one * one) / s2
-                 - n * rho / one)
+        slope = -_lag_sums(rho, s2, mu, n, *sums)[1]
         w, x = n * (1.0 + rho * rho) / (one * one), n * rho / one
         g0, g1, x0, x1 = g0 + slope * r0, g1 + slope * r1, x0 + x * r0, x1 + x * r1
         a, b, c = a + w * r0 * r0, b + w * r0 * r1, c + w * r1 * r1

@@ -34,7 +34,7 @@ from stou import (
 )
 from stou import cl
 from stou.cl import PARAM_NAMES
-from stou.errors import OptimizerDidNotConverge
+from stou.errors import CovarianceJitter, OptimizerDidNotConverge, StouError
 
 WEIGHTS = PairWeightSpec(cutoff_d=3)
 
@@ -84,32 +84,72 @@ def brute_force_pairs(lattice: Lattice, cutoff_d: int):
 
 
 def window_loop_j(theta, field, weights, windows) -> np.ndarray:
-    """J* summed one window and one lag at a time, in origin order."""
+    """J* summed one window and one lag at a time, in origin order, each
+    window's summed score from its lag sums through cl._lag_sums."""
     t0s, x0s = windows.origins(field.lattice)
-    prefixes = []
-    for h_t, h_x, u in cl._score_fields(theta, field, weights):
-        p = np.zeros((4, u.shape[1] + 1, u.shape[2] + 1))
-        np.cumsum(u, axis=1, out=p[:, 1:, 1:])
+    d = weights.cutoff_d
+    lags = []
+    for h_t, h_x, d_t, d_x, _ in cl._axis_lags(field.lattice, d, d):
+        # integral images of the pair sums of a + b, a^2 + b^2 and a b
+        yi, yj = cl._pair_ends(field.values - theta.mu, h_t, h_x)
+        p = np.zeros((3, yi.shape[0] + 1, yi.shape[1] + 1))
+        np.cumsum((yi + yj, yi * yi + yj * yj, yi * yj), axis=1, out=p[:, 1:, 1:])
         np.cumsum(p[:, 1:, 1:], axis=2, out=p[:, 1:, 1:])
-        prefixes.append((h_t, h_x, p))
+        lags.append((h_t, h_x, d_t, d_x, p))
     J = np.zeros((4, 4))
     m = 0
     for t0 in t0s:
         for x0 in x0s:
             s_k = np.zeros(4)
             w_k = 0
-            for h_t, h_x, p in prefixes:
+            for h_t, h_x, d_t, d_x, p in lags:
                 ta, tb = t0, t0 + windows.window_nt - h_t
                 xa, xb = x0, x0 + windows.window_nx - h_x
                 if tb <= ta or xb <= xa:
                     continue
-                s_k += p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
-                w_k += (tb - ta) * (xb - xa)
+                sums = p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
+                rho = rho_of(theta, d_t, d_x)
+                n = (tb - ta) * (xb - xa)
+                _, dl_drho, dl_ds2, dl_dmu = cl._lag_sums(rho, theta.sigma2, 0.0, n, *sums)
+                s_k += [dl_drho * (-d_t * rho), dl_drho * (-d_x * rho), dl_ds2, dl_dmu]
+                w_k += n
             if w_k == 0:
                 continue
             J += np.outer(s_k, s_k) / w_k
             m += 1
     return J / m
+
+
+def score_fields(theta, field, weights):
+    """Per-lag arrays of pair scores from score_u, keyed by pair anchor
+    position: (h_t, h_x, U) with U shaped (4, n_t - h_t, n_x - h_x)."""
+    d = weights.cutoff_d
+    out = []
+    for h_t, h_x, d_t, d_x, _ in cl._axis_lags(field.lattice, d, d):
+        yi, yj = cl._pair_ends(field.values, h_t, h_x)
+        rho = rho_of(theta, d_t, d_x)
+        u = score_u(theta, yi, yj, rho, np.array([-d_t * rho, -d_x * rho]))
+        out.append((h_t, h_x, np.moveaxis(u, -1, 0)))
+    return out
+
+
+def per_pair_j(theta, field, weights, windows) -> np.ndarray:
+    """J* from integral images of the per-pair scores of score_fields."""
+    t0s, x0s = windows.origins(field.lattice)
+    S = np.zeros((4, t0s.size, x0s.size))
+    w = 0
+    for h_t, h_x, u in score_fields(theta, field, weights):
+        n_in_t, n_in_x = windows.window_nt - h_t, windows.window_nx - h_x
+        if n_in_t <= 0 or n_in_x <= 0:
+            continue
+        p = np.zeros((4, u.shape[1] + 1, u.shape[2] + 1))
+        p[:, 1:, 1:] = u.cumsum(axis=1).cumsum(axis=2)
+        ta, tb = t0s[:, None], t0s[:, None] + n_in_t
+        xa, xb = x0s, x0s + n_in_x
+        S += p[:, tb, xb] - p[:, ta, xb] - p[:, tb, xa] + p[:, ta, xa]
+        w += n_in_t * n_in_x
+    s = S.reshape(4, -1)
+    return s @ s.T / w / s.shape[1]
 
 
 class TestThetaCL:
@@ -748,6 +788,39 @@ class TestFisherTerms:
         assert est.lam == pytest.approx(want.lam, rel=1e-12)
 
 
+class TestWsevJMatchesPerPairScores:
+    """wsev_j's window sums against J from score_u's per-pair scores."""
+
+    WINDOWS = [WindowSpec(window_nx=7, window_nt=7, step_x=3, step_t=3),
+               WindowSpec(window_nx=4, window_nt=9, step_x=1, step_t=2)]
+
+    @staticmethod
+    def assert_matches(theta, field, windows):
+        want = per_pair_j(theta, field, WEIGHTS, windows)
+        got = wsev_j(theta, field, WEIGHTS, windows)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scenario", FISHER_SCENARIOS)
+    def test_at_scenario_thetas(self, small_field, scenario):
+        """At pinned random thetas and at the scenario's CL fit."""
+        rng = np.random.default_rng(len(scenario.free))
+        thetas = [scenario.pin(random_theta(rng)) for _ in range(5)]
+        thetas.append(maximize_cl(small_field, WEIGHTS, scenario, fit_mm(small_field)))
+        for theta in thetas:
+            for windows in self.WINDOWS:
+                self.assert_matches(theta, small_field, windows)
+
+    def test_large_mean_over_variance(self, small_field):
+        """mu^2 / sigma2 is about 1.5e7 at the fit: window sums of raw
+        values would lose about seven digits to cancellation."""
+        field = FieldSample(small_field.lattice, small_field.values + 100.0)
+        theta = maximize_cl(field, WEIGHTS, EstimationScenario(free=PARAM_NAMES),
+                            fit_mm(field))
+        assert theta.mu ** 2 / theta.sigma2 >= 1e5
+        for windows in self.WINDOWS:
+            self.assert_matches(theta, field, windows)
+
+
 BOWL_MIN = [18.0 / 11.0, -14.0 / 11.0]
 
 
@@ -1163,6 +1236,41 @@ class TestSandwichCi:
         )
         with pytest.raises(CorrelationAtUnity):
             sandwich_ci(small_field, WEIGHTS, WindowSpec(window_nx=7, window_nt=7), scen)
+
+
+class TestSandwichRegime:
+    @given(
+        n_x=st.integers(2, 9), n_t=st.integers(2, 9), lam=st.floats(0.05, 20.0),
+        c_tilde=st.floats(0.05, 20.0), dx=st.floats(0.01, 1.0), dt=st.floats(0.01, 1.0),
+        cutoff_d=st.integers(1, 9), window_nx=st.integers(2, 9), window_nt=st.integers(2, 9),
+        step_x=st.integers(1, 3), step_t=st.integers(1, 3),
+        free=st.sampled_from([PARAM_NAMES, ("lambda", "c_tilde"), ("lambda",),
+                              ("c_tilde", "mu"), ("sigma2", "mu")]),
+        from_truth=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_finite_intervals_or_typed_error(self, n_x, n_t, lam, c_tilde, dx, dt, cutoff_d,
+                                             window_nx, window_nt, step_x, step_t, free,
+                                             from_truth, seed):
+        """On a field drawn from the model: finite intervals, or a
+        StouError; never NaN, nor a numpy overflow or invalid value."""
+        truth = StouParams(lam=lam, c_tilde=c_tilde, sigma2=0.01, mu=0.4)
+        lat = Lattice(n_x=n_x, n_t=n_t, dx=dx, dt=dt)
+        windows = WindowSpec(window_nx, window_nt, step_x, step_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CovarianceJitter)
+            warnings.simplefilter("ignore", OptimizerDidNotConverge)
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                field = simulate_exact(cholesky_factor(build_covariance(truth, lat)), truth.mu,
+                                       lat, np.random.default_rng(seed))
+                res = sandwich_ci(field, PairWeightSpec(cutoff_d), windows,
+                                  EstimationScenario.pinned_at(free, truth),
+                                  start=truth if from_truth else None)
+            except StouError:
+                return
+        for iv in res.intervals.values():
+            assert all(math.isfinite(v) for v in (iv.lower, iv.point, iv.upper))
 
 
 class TestSpecValidation:
