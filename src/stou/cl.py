@@ -215,16 +215,23 @@ def _rho(lam: float, c_tilde: float, d_t: float, d_x: float) -> float:
     return rho
 
 
+def _sum_b(rho, mu, n, s_1, s_2, s_ab) -> tuple:
+    """(sum B, A, C) over n pairs at correlation rho, from s_1 = sum
+    (y_i + y_j), s_2 = sum (y_i^2 + y_j^2) and s_ab = sum y_i y_j,
+    elementwise over arrays.  Centring at mu gives A and C, the sums of
+    a^2 + b^2 and a b."""
+    C = s_ab - mu * s_1 + n * mu * mu
+    A = s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu
+    return A - 2.0 * rho * C, A, C
+
+
 def _lag_sums(rho, s2, mu, n, s_1, s_2, s_ab) -> tuple:
     """(sum B, sum dl/drho, sum dl/dsigma2, sum dl/dmu) over n pairs at
-    correlation rho, from s_1 = sum (y_i + y_j), s_2 = sum (y_i^2 + y_j^2)
-    and s_ab = sum y_i y_j, elementwise over arrays.  Centring at mu gives
-    S, A and C, the sums of a + b, a^2 + b^2 and a b; sum B does not
-    depend on s2."""
-    S, C = s_1 - 2 * n * mu, s_ab - mu * s_1 + n * mu * mu
-    A = s_2 - 2.0 * mu * s_1 + 2 * n * mu * mu
+    correlation rho, from the sums _sum_b takes; S, the sum of a + b, is
+    s_1 centred at mu.  Sum B does not depend on s2."""
+    sum_B, A, C = _sum_b(rho, mu, n, s_1, s_2, s_ab)
+    S = s_1 - 2 * n * mu
     one = 1.0 - rho * rho
-    sum_B = A - 2.0 * rho * C
     return (sum_B,
             n * rho / one - (rho * A - (1.0 + rho * rho) * C) / (one * one) / s2,
             -n / s2 + sum_B / (2.0 * s2 * s2 * one),
@@ -290,7 +297,8 @@ def _neg_pl(lam: float, c_tilde: float, s2: float | None, mu: float | None,
     these rates (see maximize_cl).  The lag terms are added left to
     right, so the value does not depend on how a Python version sums.
     """
-    rhos = [_rho(lam, c_tilde, d_t, d_x) for d_t, d_x, *_ in stats]
+    # named, not starred, unpacking: a starred target builds a list per lag
+    rhos = [_rho(lam, c_tilde, d_t, d_x) for d_t, d_x, _, _, _, _ in stats]
     if mu is None:
         num = den = 0.0
         for rho, (_, _, n, s_1, _, _) in zip(rhos, stats):
@@ -299,9 +307,9 @@ def _neg_pl(lam: float, c_tilde: float, s2: float | None, mu: float | None,
         mu = num / den
     n_all = 0
     q = log_o = 0.0
-    for rho, (_, _, n, *sums) in zip(rhos, stats):
+    for rho, (_, _, n, s_1, s_2, s_ab) in zip(rhos, stats):
         one = 1.0 - rho * rho
-        q += _lag_sums(rho, 1.0, mu, n, *sums)[0] / one
+        q += _sum_b(rho, mu, n, s_1, s_2, s_ab)[0] / one
         log_o += n * math.log(one)
         n_all += n
     if s2 is None:

@@ -5,8 +5,12 @@ emission.
 
 Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
 child per dataset; child i is split by .spawn(2) into (data, bootstrap)
-streams.  _dataset_task draws the field all methods see from the data
-stream; mc_ci splits the bootstrap stream per replication.  Every
+streams.  The calling process draws every dataset's field, the one all
+methods see, from its data stream and the truth's exact factor, then
+drops that factor before any interval step runs, so a process holds at
+most one factor at a time (the fitted model's, inside mc_ci).
+_dataset_task runs the method's interval step on a field, here or in a
+pool worker; mc_ci splits the bootstrap stream per replication.  Every
 estimates.csv row records the dataset index and the dataset child's
 first 64-bit state word, so a single dataset can be replayed without
 rerunning the experiment.  Outputs depend only on (config, master seed),
@@ -338,7 +342,8 @@ class _OneBlasThread:
             _blas_thread_calls()[0](self._previous)
 
 
-# one factor per worker process: these are large
+# the datasets' one truth factor: about 0.21 GB at 101 x 101, dropped
+# once their fields are drawn
 @functools.lru_cache(maxsize=1)
 def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
     return cholesky_factor(build_covariance(truth, lattice))
@@ -346,7 +351,8 @@ def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
 
 # An interval step maps (truth, data field, bootstrap stream) to the
 # dataset's intervals and proxies by parameter (proxies None without a
-# bootstrap).  Steps hold only settings, so they pickle into workers.
+# bootstrap) and its count of failed bootstrap refits (0 without one).
+# Steps hold only settings, so they pickle into workers.
 
 @dataclass(frozen=True)
 class _BootstrapStep:
@@ -361,7 +367,7 @@ class _BootstrapStep:
                        grid_config=self.grid_config, max_lag=self.max_lag)
         proxies = {name: coverage_proxy(result.estimates[name], iv.point, self.level)
                    for name, iv in result.intervals.items()}
-        return result.intervals, proxies
+        return result.intervals, proxies, result.n_failed
 
 
 @dataclass(frozen=True)
@@ -375,7 +381,7 @@ class _SandwichStep:
             EstimationScenario.pinned_at(config.scenario, truth),
             level=config.level, max_lag=config.max_lag,
         )
-        return result.intervals, None
+        return result.intervals, None, 0
 
 
 @dataclass(frozen=True)
@@ -384,38 +390,40 @@ class _DatasetResult:
     seed: int
     rows: tuple[tuple, ...]  # (parameter, true, estimate, lower, upper, hit)
     proxies: dict | None
+    refit_failures: int  # bootstrap refits dropped; 0 on error
     error: str | None
     blas_threads: int | None  # numpy's BLAS thread count in the process that ran it
 
 
-def _dataset_task(args) -> _DatasetResult:
-    """One dataset: an exact draw from the truth and the step's intervals.
+_DATASET_ERRORS = (StouError, ValueError, np.linalg.LinAlgError)
 
-    args is (index, seed, truth, lattice, interval step); seed is the
-    dataset's SeedSequence child or a Generator spawned from one, split
-    by .spawn(2) into the data and bootstrap streams.
+
+def _failed(index: int, seed: int, exc: Exception) -> _DatasetResult:
+    return _DatasetResult(index=index, seed=seed, rows=(), proxies=None, refit_failures=0,
+                          error=f"{type(exc).__name__}: {exc}", blas_threads=_blas_threads())
+
+
+def _dataset_task(args) -> _DatasetResult:
+    """One dataset: the interval step on its drawn field.
+
+    args is (index, display seed, truth, field, bootstrap stream, interval
+    step); the bootstrap stream is a Generator or the SeedSequence of one.
     """
-    index, seed, truth, lattice, interval_step = args
-    stream = np.random.default_rng(seed)
-    display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
-    blas_threads = _blas_threads()
-    data_rng, boot_rng = stream.spawn(2)
+    index, seed, truth, field, boot_stream, interval_step = args
     try:
-        field = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice, data_rng)
-        intervals, proxies = interval_step(truth, field, boot_rng)
-    except (StouError, ValueError, np.linalg.LinAlgError) as exc:
-        return _DatasetResult(
-            index=index, seed=display_seed, rows=(), proxies=None,
-            error=f"{type(exc).__name__}: {exc}", blas_threads=blas_threads,
-        )
+        intervals, proxies, refit_failures = interval_step(
+            truth, field, np.random.default_rng(boot_stream))
+    except _DATASET_ERRORS as exc:
+        return _failed(index, seed, exc)
     truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
     rows = tuple(
         (name, truth_values[name], iv.point, iv.lower, iv.upper,
          int(iv.contains(truth_values[name])))
         for name, iv in intervals.items()
     )
-    return _DatasetResult(index=index, seed=display_seed, rows=rows,
-                          proxies=proxies, error=None, blas_threads=blas_threads)
+    return _DatasetResult(index=index, seed=seed, rows=rows, proxies=proxies,
+                          refit_failures=refit_failures, error=None,
+                          blas_threads=_blas_threads())
 
 
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
@@ -427,9 +435,43 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
         with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))
     with _OneBlasThread():
-        results = [_dataset_task(task) for task in tasks]
-    _truth_factor.cache_clear()  # about 0.21 GB at 101 x 101; hold none past the run
-    return results
+        return [_dataset_task(task) for task in tasks]
+
+
+def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step,
+                  workers: int = 1) -> list[_DatasetResult]:
+    """The results of step on each dataset, in index order.
+
+    seeds is [(index, seed)]; a seed is the dataset's SeedSequence child
+    or a Generator spawned from one, split by .spawn(2) into the data and
+    bootstrap streams.  Every field is drawn here, into one array, and the
+    truth's factor is dropped before any step runs, so that no process
+    holds it beside a fitted model's; a dataset whose draw fails gets its
+    error row.
+    """
+    tasks, results = [], []
+    values = np.empty((len(seeds), *lattice.shape))
+    with _OneBlasThread():
+        for k, (index, seed) in enumerate(seeds):
+            stream = np.random.default_rng(seed)
+            display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+            data_rng, boot_stream = stream.spawn(2)
+            if isinstance(seed, np.random.SeedSequence):
+                # a pool worker gets its SeedSequence: before numpy 2, a pickled
+                # Generator loses the SeedSequence its spawned streams come from
+                # (coverage_experiment's Generators stay in this process)
+                boot_stream = boot_stream.bit_generator.seed_seq
+            try:
+                values[k] = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice,
+                                           data_rng).values
+            except _DATASET_ERRORS as exc:
+                results.append(_failed(index, display_seed, exc))
+                continue
+            field = FieldSample(lattice=lattice, values=values[k])
+            tasks.append((index, display_seed, truth, field, boot_stream, step))
+    _truth_factor.cache_clear()
+    results += _map_datasets(tasks, workers)
+    return sorted(results, key=lambda res: res.index)
 
 
 def _coverage_entries(results) -> dict[str, CoverageEntry]:
@@ -483,8 +525,7 @@ def coverage_experiment(
         _truth_factor(truth, lattice)  # budget and factorization errors end it here
 
     step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
-    results = _map_datasets([(index, stream, truth, lattice, step)
-                             for index, stream in enumerate(rng.spawn(n_datasets))])
+    results = _run_datasets(list(enumerate(rng.spawn(n_datasets))), truth, lattice, step)
     entries = _coverage_entries(results)
     if not entries:
         raise FailureRateExceeded("every dataset failed")
@@ -521,9 +562,8 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
                               config.max_lag)
     truth, lattice = config.truth(), config.lattice()
     children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
-    tasks = [(i, children[i], truth, lattice, step) for i in indices]
-
-    results = _map_datasets(tasks, config.workers)
+    results = _run_datasets([(i, children[i]) for i in indices], truth, lattice, step,
+                            config.workers)
 
     estimate_lines = [ESTIMATES_HEADER]
     for res in results:
@@ -598,6 +638,8 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float,
     counts = {"unknown" if res.blas_threads is None else str(res.blas_threads)
               for res in results}
     lines.append(f"blas_threads: {','.join(sorted(counts))}")
+    # bootstrap refits dropped, over the datasets that did not fail
+    lines.append(f"refit_failures: {sum(res.refit_failures for res in results)}")
     # ru_maxrss counts KiB on Linux and bytes on macOS
     unit = 1 if sys.platform == "darwin" else 1024
     for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stou import (
     IntervalEstimate,
     InsufficientUsableLags,
     Lattice,
+    NotPositiveDefinite,
     REPORT_PARAMS,
     StouParams,
     build_covariance,
@@ -225,8 +227,9 @@ class TestCoverageDataset:
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
         field = simulate_exact(factor, base_params.mu, small_lattice, data_rng)
         step = stou.experiment._BootstrapStep(20, 0.9, "exact", None, 5)
-        intervals, proxies = step(base_params, field, boot_rng)
+        intervals, proxies, refit_failures = step(base_params, field, boot_rng)
         assert calls["n"] == 21
+        assert refit_failures == len(failing_calls)
         assert set(intervals) == set(proxies) == set(REPORT_PARAMS)
         assert all(0.0 <= v <= 1.0 for v in proxies.values())
 
@@ -293,6 +296,57 @@ class TestCoverageExperiment:
                             rng=np.random.default_rng(31))
         assert calls == [lat.n]
         assert stou.experiment._truth_factor.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
+    def test_truth_factor_released_before_the_first_interval_step(
+        self, base_params, tmp_path, monkeypatch, entry
+    ):
+        # each process holds at most one factor at a time: the fitted
+        # model's inside mc_ci, never the truth's beside it
+        factors, alive = [], []
+
+        def recorded(cov):
+            factor = cholesky_factor(cov)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        def probing(*args, **kwargs):
+            if not alive:
+                alive.append([ref() is not None for ref in factors])
+            return mc_ci(*args, **kwargs)
+
+        monkeypatch.setattr(stou.experiment, "cholesky_factor", recorded)
+        monkeypatch.setattr(stou.experiment, "mc_ci", probing)
+        if entry == "run":
+            run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                 out_dir=str(tmp_path)))
+        else:
+            coverage_experiment(base_params, Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05),
+                                10, 20, 0.9, "exact", rng=np.random.default_rng(31))
+        assert alive == [[False]]
+
+    @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
+    def test_truth_that_fails_to_factor(self, base_params, tmp_path, monkeypatch, entry):
+        # run gives every dataset its error row; coverage_experiment raises
+        # before any dataset runs
+        def failing(cov):
+            raise NotPositiveDefinite("synthetic failure")
+
+        ran = []
+        monkeypatch.setattr(stou.experiment, "cholesky_factor", failing)
+        monkeypatch.setattr(stou.experiment, "mc_ci", lambda *args, **kwargs: ran.append(1))
+        if entry == "coverage_experiment":
+            with pytest.raises(NotPositiveDefinite):
+                coverage_experiment(base_params, Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05),
+                                    10, 20, 0.9, "exact", rng=np.random.default_rng(31))
+        else:
+            paths = run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                         out_dir=str(tmp_path)))
+            rows = open(paths["estimates"], encoding="utf-8").read().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [str(i) for i in range(10)]
+            assert all(row.endswith(",NotPositiveDefinite: synthetic failure")
+                       for row in rows)
+        assert ran == []
 
     @pytest.mark.parametrize("simulator,grid_config", [
         ("exact", None),

@@ -592,6 +592,27 @@ class TestExperimentCommands:
         assert int(entries["peak_rss_self_bytes"]) > 0
         assert int(entries["peak_rss_children_bytes"]) >= 0
 
+    def test_manifest_counts_refit_failures(self, tmp_path, monkeypatch):
+        real_fit = stou.bootstrap.fit_mm
+        calls = {"n": 0}
+
+        def flaky_fit(field, max_lag=5):
+            calls["n"] += 1
+            # call 1 fits dataset 0's field and its refits follow, so call 3
+            # is one bootstrap refit
+            if calls["n"] == 3:
+                raise stou.InsufficientUsableLags("synthetic failure")
+            return real_fit(field, max_lag=max_lag)
+
+        counts = []
+        for name, fit in (("clean", real_fit), ("flaky", flaky_fit)):
+            monkeypatch.setattr(stou.bootstrap, "fit_mm", fit)
+            config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                      out_dir=str(tmp_path / name))
+            lines = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
+            counts.append(dict(line.split(": ", 1) for line in lines)["refit_failures"])
+        assert counts == ["0", "1"]
+
     def test_proxy_outputs(self, tmp_path, capsys, no_worker_env):
         out_dir = tmp_path / "prox"
         assert run_cli("proxy", *EXPERIMENT_ARGS, "--out-dir", str(out_dir)) == 0
