@@ -446,12 +446,18 @@ def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step,
     or a Generator spawned from one, split by .spawn(2) into the data and
     bootstrap streams.  Every field is drawn here, into one array, and the
     truth's factor is dropped before any step runs, so that no process
-    holds it beside a fitted model's; a dataset whose draw fails gets its
-    error row.
+    holds it beside a fitted model's.  A dataset whose draw fails gets its
+    error row; a truth that does not factor, tried once, gives every
+    dataset that error.
     """
     tasks, results = [], []
     values = np.empty((len(seeds), *lattice.shape))
     with _OneBlasThread():
+        try:
+            _truth_factor(truth, lattice)
+            factor_error = None
+        except _DATASET_ERRORS as exc:
+            factor_error = exc
         for k, (index, seed) in enumerate(seeds):
             stream = np.random.default_rng(seed)
             display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
@@ -461,11 +467,15 @@ def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step,
                 # Generator loses the SeedSequence its spawned streams come from
                 # (coverage_experiment's Generators stay in this process)
                 boot_stream = boot_stream.bit_generator.seed_seq
-            try:
-                values[k] = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice,
-                                           data_rng).values
-            except _DATASET_ERRORS as exc:
-                results.append(_failed(index, display_seed, exc))
+            error = factor_error
+            if error is None:
+                try:
+                    values[k] = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice,
+                                               data_rng).values
+                except _DATASET_ERRORS as exc:
+                    error = exc
+            if error is not None:
+                results.append(_failed(index, display_seed, error))
                 continue
             field = FieldSample(lattice=lattice, values=values[k])
             tasks.append((index, display_seed, truth, field, boot_stream, step))

@@ -328,8 +328,11 @@ class TestCoverageExperiment:
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_truth_that_fails_to_factor(self, base_params, tmp_path, monkeypatch, entry):
         # run gives every dataset its error row; coverage_experiment raises
-        # before any dataset runs
+        # before any dataset runs; either tries the factorization once
+        tried = []
+
         def failing(cov):
+            tried.append(1)
             raise NotPositiveDefinite("synthetic failure")
 
         ran = []
@@ -347,6 +350,7 @@ class TestCoverageExperiment:
             assert all(row.endswith(",NotPositiveDefinite: synthetic failure")
                        for row in rows)
         assert ran == []
+        assert len(tried) == 1
 
     @pytest.mark.parametrize("simulator,grid_config", [
         ("exact", None),
