@@ -3,8 +3,10 @@
 # variables must not change its outputs.  For each coverage method this
 # runs a small experiment at OPENBLAS_NUM_THREADS=1 and =4, checks that
 # manifest.txt records one thread, and compares the two estimates.csv
-# byte for byte.  It does so on an odd and an even number of sites per
-# row, the two shapes of the exact factor's mirror split.  Under numpy
+# byte for byte; it compares the field files of `stou simulate --method
+# exact`, whose draw runs each predictor row as one product broadcast over
+# the fields, the same way.  It does so on an odd and an even number of
+# sites per row, the two shapes of the exact factor's mirror split.  Under numpy
 # 1.x it checks the plain-OpenBLAS setter names.  Run it from the
 # repository root:
 #     bash .github/check-blas-threads.sh
@@ -28,5 +30,11 @@ for nx in 33 34; do
     done
     cmp "$tmp/blas-$nx-$method-1/estimates.csv" "$tmp/blas-$nx-$method-4/estimates.csv"
   done
+  for threads in 1 4; do
+    OPENBLAS_NUM_THREADS=$threads PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+      python -m stou.cli simulate --method exact --nx "$nx" --nt 33 --seed 5 \
+      --out "$tmp/blas-$nx-simulate-$threads.csv"
+  done
+  cmp "$tmp/blas-$nx-simulate-1.csv" "$tmp/blas-$nx-simulate-4.csv"
 done
 echo "BLAS thread variables do not change outputs"

@@ -31,6 +31,15 @@ history in the split basis, at one batched product per time row; callers
 drawing many fields on one lattice should build the factor once.  A
 hand-built CovarianceMatrix is one part in the identity basis, through the
 same recursion and draw.  numpy only.
+
+The recursion yields the factor one time row at a time; cholesky_factor
+keeps every row.  Fields that are drawn once, from a covariance that is
+used once, need no factor: the one-pass draw applies each row to all of
+them as it is yielded and drops it, holding the fields and their
+split-basis histories (about 2 n doubles per field) in place of the
+factor.  Each row meets the fields in one product broadcast over them,
+an item per field, so every field has the bits simulate_exact gives it
+from the factor, however many are drawn together.
 """
 
 from __future__ import annotations
@@ -107,8 +116,9 @@ class CholeskyFactor:
         # y[:, t] holds basis^T C_t z_t until basis^T X_t replaces it: one
         # product per row serves every part
         y = self.roots @ z.reshape(n_t, n_x, k)
-        for t in range(1, n_t):
-            y[:, t] += self.predictors[t] @ y[:, :t].reshape(parts, t * m, k)
+        history = y.reshape(parts, n_t * m, k)
+        for t, row in enumerate(self.predictors):
+            _add_prediction(row, history, t)
         return (self.basis[:, None] @ y).sum(axis=0).reshape(z.shape)
 
 
@@ -158,8 +168,11 @@ def _site_root(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis_t @ np.linalg.cholesky((basis @ v @ basis_t).sum(axis=0))
 
 
-def _levinson(blocks: np.ndarray, basis: np.ndarray) -> CholeskyFactor:
-    """The innovations form; LinAlgError when some V_t is not positive definite."""
+def _levinson(blocks: np.ndarray, basis: np.ndarray):
+    """The innovations form, one time row at a time: yields (predictors[t],
+    roots[:, t]) of the factor (see CholeskyFactor) for t = 0..n_t-1,
+    keeping only the last row between steps; LinAlgError when some V_t is
+    not positive definite."""
     n_t, n_x, _ = blocks.shape
     parts, _, m = basis.shape
     # gamma[:, k] stacks the parts' own blocks basis[p]^T Gamma(k) basis[p];
@@ -168,11 +181,10 @@ def _levinson(blocks: np.ndarray, basis: np.ndarray) -> CholeskyFactor:
     pad_part, pad_col = np.nonzero(~basis.any(axis=1))
     gamma[pad_part, 0, pad_col, pad_col] = 1.0
     v = gamma[:, 0]
-    predictors = [np.empty((parts, m, 0))]
-    roots = np.empty((parts, n_t, m, n_x))
-    roots[:, 0] = _site_root(v, basis)
+    row = np.empty((parts, m, 0))
+    yield row, _site_root(v, basis)
     for p in range(n_t - 1):
-        a = predictors[-1]  # [A_{p,p}, ..., A_{p,1}] of each part
+        a = row  # [A_{p,p}, ..., A_{p,1}] of each part
         # order p -> p + 1: delta = Gamma(p+1) - sum_j A_{p,j} Gamma(p+1-j)
         # is the covariance of the forward and backward errors
         delta = gamma[:, p + 1] - a @ gamma[:, 1 : p + 1].reshape(parts, p * m, m)
@@ -185,9 +197,38 @@ def _levinson(blocks: np.ndarray, basis: np.ndarray) -> CholeskyFactor:
         np.subtract(a.reshape(parts, m, p, m), (gain @ a).reshape(parts, m, p, m)[:, :, ::-1],
                     out=row[:, :, m:].reshape(parts, m, p, m))
         v = v - gain @ delta.swapaxes(1, 2)
-        roots[:, p + 1] = _site_root(v, basis)
-        predictors.append(row)
-    return CholeskyFactor(basis=basis, predictors=tuple(predictors), roots=roots)
+        yield row, _site_root(v, basis)
+
+
+def _add_prediction(row: np.ndarray, history: np.ndarray, t: int) -> None:
+    """Turns the parts' C_t z_t, rows t m..(t+1) m of history (..., parts,
+    n_t m, k), into y_t = C_t z_t + sum_j A_{t,j} y_{t-j}, from the rows
+    before them; row is predictors[t], and nothing changes at t = 0.
+    Leading axes are items of a broadcast product, so each item's bits are
+    those of the same step on that item alone."""
+    if t:
+        m = row.shape[1]
+        history[..., t * m : (t + 1) * m, :] += row @ history[..., : t * m, :]
+
+
+def _with_jitter(cov: CovarianceMatrix, use):
+    """use(blocks) on cov's blocks.  On LinAlgError, retries once with jitter
+    1e-12 * max diagonal entry added to the diagonal of blocks[0], which is
+    every diagonal block of the full matrix (warning CovarianceJitter, at
+    the line that called this function's caller); a second failure raises
+    NotPositiveDefinite."""
+    try:
+        return use(cov.blocks)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * float(np.max(np.diagonal(cov.blocks[0])))
+        warnings.warn(f"covariance not positive definite, retrying with jitter {jitter:.3e}",
+                      CovarianceJitter, stacklevel=3)
+        bumped = cov.blocks.copy()
+        bumped[0].flat[:: bumped.shape[1] + 1] += jitter
+        try:
+            return use(bumped)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("factorization failed after jitter retry") from exc
 
 
 def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
@@ -195,18 +236,52 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
     once with jitter 1e-12 * max diagonal entry added to the diagonal of blocks[0],
     which is every diagonal block of the full matrix (warning CovarianceJitter); a
     second failure raises NotPositiveDefinite."""
-    try:
-        return _levinson(cov.blocks, cov.basis)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diagonal(cov.blocks[0])))
-        warnings.warn(f"covariance not positive definite, retrying with jitter {jitter:.3e}",
-                      CovarianceJitter, stacklevel=2)
-        bumped = cov.blocks.copy()
-        bumped[0].flat[:: bumped.shape[1] + 1] += jitter
-        try:
-            return _levinson(bumped, cov.basis)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("factorization failed after jitter retry") from exc
+    n_t, n_x, _ = cov.blocks.shape
+    parts, _, m = cov.basis.shape
+
+    def factor(blocks):
+        predictors, roots = [], np.empty((parts, n_t, m, n_x))
+        for t, (row, root) in enumerate(_levinson(blocks, cov.basis)):
+            predictors.append(row)
+            roots[:, t] = root
+        return CholeskyFactor(basis=cov.basis, predictors=tuple(predictors), roots=roots)
+
+    return _with_jitter(cov, factor)
+
+
+def _draw_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
+    """Fields mu + L z, one per generator, shaped (len(rngs), n_t, n_x), with
+    z = rng.standard_normal(n): each is simulate_exact(cholesky_factor(cov),
+    mu, lattice, rng).values to the bit, whatever the number of generators.
+    No factor is held: each predictor row meets every field as the
+    recursion yields it, and is dropped.  Besides the fields, which hold
+    the normals until a row's values replace them, a pass holds each
+    field's split-basis history; at most m (n_t - 1) / 2 + n_x fields share
+    a pass (one recursion), so that their history never outgrows the
+    factor.  Jitter, its warning and NotPositiveDefinite are as in
+    cholesky_factor; a retry replays each generator from its saved state."""
+    n_t, n_x, _ = cov.blocks.shape
+    parts, _, m = cov.basis.shape
+    fields = np.empty((len(rngs), n_t, n_x))
+    states = [rng.bit_generator.state for rng in rngs]
+    per_pass = m * (n_t - 1) // 2 + n_x
+
+    def draw(blocks):
+        for rng, state, out in zip(rngs, states, fields):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=out)
+        histories = np.empty((min(per_pass, len(fields)), parts, n_t * m, 1))
+        for start in range(0, len(fields), per_pass):
+            batch = fields[start : start + per_pass, :, :, None]
+            history = histories[: len(batch)]
+            for t, (row, root) in enumerate(_levinson(blocks, cov.basis)):
+                y = history[:, :, t * m : (t + 1) * m]
+                y[...] = root @ batch[:, None, t]
+                _add_prediction(row, history, t)
+                batch[:, t] = mu + (cov.basis @ y).sum(axis=1)
+        return fields
+
+    return _with_jitter(cov, draw)
 
 
 def simulate_exact(factor: CholeskyFactor, mu: float, lattice: Lattice,

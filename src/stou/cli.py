@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bootstrap import REPORT_PARAMS, check_mc_ci_args, mc_ci, params_to_report
-from .cholesky import build_covariance, cholesky_factor, simulate_exact
+from .cholesky import _draw_exact, build_covariance
 from .cl import EstimationScenario, check_sandwich_ci_args, sandwich_ci
 from .errors import BudgetExceeded, ConfigInvalid, StouError
 from .experiment import (
@@ -169,8 +169,9 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     if args.method == "exact":
         _reject_grid_flags(args)
-        factor = cholesky_factor(build_covariance(params, lattice))
-        field = simulate_exact(factor, params.mu, lattice, rng)
+        # simulate_exact's field, drawn without holding the factor
+        (values,) = _draw_exact(build_covariance(params, lattice), params.mu, [rng])
+        field = FieldSample(lattice=lattice, values=values)
     else:
         field = simulate_grid(params, lattice, _checked(settings.grid_config), rng)
     write_field(field, args.out)

@@ -6,14 +6,16 @@ emission.
 Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
 child per dataset; child i is split by .spawn(2) into (data, bootstrap)
 streams.  The calling process draws every dataset's field, the one all
-methods see, from its data stream and the truth's exact factor, then
-drops that factor before any interval step runs, so a process holds at
-most one factor at a time (the fitted model's, inside mc_ci).
-_dataset_task runs the method's interval step on a field, here or in a
-pool worker; mc_ci splits the bootstrap stream per replication.  Every
-estimates.csv row records the dataset index and the dataset child's
-first 64-bit state word, so a single dataset can be replayed without
-rerunning the experiment.  Outputs depend only on (config, master seed),
+methods see, from its data stream by one pass over the truth's Levinson
+recursion, which applies each predictor row to every field and keeps no
+factor; the fields are simulate_exact's from the truth's factor, bit for
+bit.  So no process holds the truth's factor, and each holds at most one
+factor at a time (the fitted model's, inside mc_ci).  _dataset_task runs
+the method's interval step on a field, here or in a pool worker; mc_ci
+splits the bootstrap stream per replication.  Every estimates.csv row
+records the dataset index and the dataset child's first 64-bit state
+word, so a single dataset can be replayed without rerunning the
+experiment.  Outputs depend only on (config, master seed),
 never on the worker count: the datasets run with numpy's BLAS on one
 thread, in this process and in every pool worker, so the BLAS thread
 variables change no output bit either.
@@ -36,8 +38,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import check_mc_ci_args, coverage_proxy, mc_ci, params_to_report
-from .cholesky import (DEFAULT_MAX_POINTS, CholeskyFactor, build_covariance, cholesky_factor,
-                       simulate_exact)
+from .cholesky import DEFAULT_MAX_POINTS, _draw_exact, build_covariance
 from .cl import (
     PARAM_NAMES,
     EstimationScenario,
@@ -342,13 +343,6 @@ class _OneBlasThread:
             _blas_thread_calls()[0](self._previous)
 
 
-# the datasets' one truth factor: about 0.21 GB at 101 x 101, dropped
-# once their fields are drawn
-@functools.lru_cache(maxsize=1)
-def _truth_factor(truth: StouParams, lattice: Lattice) -> CholeskyFactor:
-    return cholesky_factor(build_covariance(truth, lattice))
-
-
 # An interval step maps (truth, data field, bootstrap stream) to the
 # dataset's intervals and proxies by parameter (proxies None without a
 # bootstrap) and its count of failed bootstrap refits (0 without one).
@@ -438,48 +432,50 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
         return [_dataset_task(task) for task in tasks]
 
 
-def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step,
-                  workers: int = 1) -> list[_DatasetResult]:
+def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int = 1,
+                  truth_errors_raise: bool = False) -> list[_DatasetResult]:
     """The results of step on each dataset, in index order.
 
     seeds is [(index, seed)]; a seed is the dataset's SeedSequence child
     or a Generator spawned from one, split by .spawn(2) into the data and
-    bootstrap streams.  Every field is drawn here, into one array, and the
-    truth's factor is dropped before any step runs, so that no process
-    holds it beside a fitted model's.  A dataset whose draw fails gets its
-    error row; a truth that does not factor, tried once, gives every
-    dataset that error.
+    bootstrap streams.  Every field is drawn here, into one array, by one
+    pass over the truth's Levinson recursion that holds no factor, before
+    any step runs.  A truth that does not factor, tried once, gives every
+    dataset its error, or is raised when truth_errors_raise; a dataset
+    whose field is not finite gets its own error row.
     """
-    tasks, results = [], []
-    values = np.empty((len(seeds), *lattice.shape))
+    streams = []
+    for index, seed in seeds:
+        stream = np.random.default_rng(seed)
+        display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+        data_rng, boot_stream = stream.spawn(2)
+        if isinstance(seed, np.random.SeedSequence):
+            # a pool worker gets its SeedSequence: before numpy 2, a pickled
+            # Generator loses the SeedSequence its spawned streams come from
+            # (coverage_experiment's Generators stay in this process)
+            boot_stream = boot_stream.bit_generator.seed_seq
+        streams.append((index, display_seed, data_rng, boot_stream))
     with _OneBlasThread():
         try:
-            _truth_factor(truth, lattice)
-            factor_error = None
+            values = _draw_exact(build_covariance(truth, lattice), truth.mu,
+                                 [data_rng for _, _, data_rng, _ in streams])
+            truth_error = None
         except _DATASET_ERRORS as exc:
-            factor_error = exc
-        for k, (index, seed) in enumerate(seeds):
-            stream = np.random.default_rng(seed)
-            display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
-            data_rng, boot_stream = stream.spawn(2)
-            if isinstance(seed, np.random.SeedSequence):
-                # a pool worker gets its SeedSequence: before numpy 2, a pickled
-                # Generator loses the SeedSequence its spawned streams come from
-                # (coverage_experiment's Generators stay in this process)
-                boot_stream = boot_stream.bit_generator.seed_seq
-            error = factor_error
+            if truth_errors_raise:
+                raise
+            values, truth_error = None, exc
+        tasks, results = [], []
+        for k, (index, display_seed, _, boot_stream) in enumerate(streams):
+            error = truth_error
             if error is None:
                 try:
-                    values[k] = simulate_exact(_truth_factor(truth, lattice), truth.mu, lattice,
-                                               data_rng).values
+                    field = FieldSample(lattice=lattice, values=values[k])
                 except _DATASET_ERRORS as exc:
                     error = exc
             if error is not None:
                 results.append(_failed(index, display_seed, error))
                 continue
-            field = FieldSample(lattice=lattice, values=values[k])
             tasks.append((index, display_seed, truth, field, boot_stream, step))
-    _truth_factor.cache_clear()
     results += _map_datasets(tasks, workers)
     return sorted(results, key=lambda res: res.index)
 
@@ -531,11 +527,10 @@ def coverage_experiment(
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
     check_mc_ci_args(B, level, simulator)
-    with _OneBlasThread():  # the factor the datasets use
-        _truth_factor(truth, lattice)  # budget and factorization errors end it here
-
     step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
-    results = _run_datasets(list(enumerate(rng.spawn(n_datasets))), truth, lattice, step)
+    # budget and factorization errors end it before any interval step
+    results = _run_datasets(list(enumerate(rng.spawn(n_datasets))), truth, lattice, step,
+                            truth_errors_raise=True)
     entries = _coverage_entries(results)
     if not entries:
         raise FailureRateExceeded("every dataset failed")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, InsufficientUsableLags
-from .model import FieldSample, StouParams, _axis_lags, _pair_ends
+from .model import FieldSample, StouParams, _pair_ends
 
 __all__ = ["AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"]
 
@@ -49,16 +49,14 @@ class AcfEstimate:
         object.__setattr__(self, "values", values)
 
 
-def _axis_acf(dev: np.ndarray, s2: float, lattice, axis: str,
-              max_lag: int) -> tuple[str, np.ndarray, np.ndarray]:
-    """(axis, lags, values) of the lag-1..max_lag axis ACF, from the
-    deviations dev and their 1/n variance s2 > 0."""
+def _axis_acf(dev: np.ndarray, s2: float, axis: str, max_lag: int) -> np.ndarray:
+    """The lag-1..max_lag axis ACF of the (n_t, n_x) deviations dev, whose
+    1/n variance is s2 > 0, from each lag's pairs as two slices."""
     acf = np.empty(max_lag)
-    steps = (max_lag, 0) if axis == "temporal" else (0, max_lag)
-    for i, (h_t, h_x, _, _, n) in enumerate(_axis_lags(lattice, *steps)):
-        a, b = _pair_ends(dev, h_t, h_x)
-        acf[i] = (a * b).sum() / (n * s2)
-    return axis, np.arange(1, max_lag + 1), np.clip(acf, -1.0, 1.0)
+    for h in range(1, max_lag + 1):
+        a, b = _pair_ends(dev, h, 0) if axis == "temporal" else _pair_ends(dev, 0, h)
+        acf[h - 1] = (a * b).sum() / (a.size * s2)
+    return np.clip(acf, -1.0, 1.0)
 
 
 def _deviations(field: FieldSample) -> tuple[float, np.ndarray, float]:
@@ -85,19 +83,28 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     if not 1 <= max_lag < extent:
         raise ValueError(f"max_lag must be in [1, {extent - 1}], got {max_lag}")
     _, dev, s2 = _deviations(field)
-    return AcfEstimate(*_axis_acf(dev, s2, field.lattice, axis, max_lag))
+    return AcfEstimate(axis, np.arange(1, max_lag + 1), _axis_acf(dev, s2, axis, max_lag))
 
 
-def _decay_rate(acf: AcfEstimate, spacing: float) -> float:
-    usable = (acf.values > 0.0) & (acf.values < 1.0)
+def _decay_rate(axis: str, lags: np.ndarray, values: np.ndarray, spacing: float) -> float:
+    usable = (values > 0.0) & (values < 1.0)
     if not np.any(usable):
         raise InsufficientUsableLags(
-            f"no {acf.axis} lag with autocorrelation strictly inside (0, 1)"
+            f"no {axis} lag with autocorrelation strictly inside (0, 1)"
         )
-    x = acf.lags[usable] * spacing
-    y = -np.log(acf.values[usable])
+    x = lags[usable] * spacing
+    y = -np.log(values[usable])
     # no-intercept LS: the model forces rho(0) = 1
     return float((x @ y) / (x @ x))
+
+
+def _from_moments(acf_t: tuple, acf_x: tuple, mean: float, var: float, dt: float,
+                  dx: float) -> StouParams:
+    """mm_from_moments on (axis, lags, values) triples."""
+    if not (math.isfinite(var) and var > 0.0):
+        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
+    return StouParams(lam=_decay_rate(*acf_t, dt), c_tilde=_decay_rate(*acf_x, dx),
+                      sigma2=var, mu=mean)
 
 
 def mm_from_moments(
@@ -109,11 +116,8 @@ def mm_from_moments(
     dx: float,
 ) -> StouParams:
     """Invert axis ACFs and sample moments to an STOU parameter set."""
-    if not (math.isfinite(var) and var > 0.0):
-        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
-    lam = _decay_rate(acf_t, dt)
-    c_tilde = _decay_rate(acf_x, dx)
-    return StouParams(lam=lam, c_tilde=c_tilde, sigma2=var, mu=mean)
+    return _from_moments((acf_t.axis, acf_t.lags, acf_t.values),
+                         (acf_x.axis, acf_x.lags, acf_x.values), mean, var, dt, dx)
 
 
 def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
@@ -127,6 +131,8 @@ def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
         raise ValueError("field must have at least 2 points on each axis")
     # one pass: the mean, deviations and variance serve both axes and the fit
     mean, dev, var = _deviations(field)
-    acf_t = AcfEstimate(*_axis_acf(dev, var, lat, "temporal", min(max_lag, lat.n_t - 1)))
-    acf_x = AcfEstimate(*_axis_acf(dev, var, lat, "spatial", min(max_lag, lat.n_x - 1)))
-    return mm_from_moments(acf_t, acf_x, mean, var, lat.dt, lat.dx)
+    acfs = []
+    for axis, extent in (("temporal", lat.n_t), ("spatial", lat.n_x)):
+        lags = min(max_lag, extent - 1)
+        acfs.append((axis, np.arange(1, lags + 1), _axis_acf(dev, var, axis, lags)))
+    return _from_moments(*acfs, mean, var, lat.dt, lat.dx)

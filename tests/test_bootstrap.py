@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import weakref
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stou.bootstrap
+import stou.cholesky
 import stou.experiment
 from stou import (
     BudgetExceeded,
+    CholeskyFactor,
     CoverageEntry,
     CoverageReport,
     ExperimentConfig,
@@ -33,7 +36,7 @@ from stou import (
     run,
     simulate_exact,
 )
-from stou.errors import StouError
+from stou.errors import CovarianceJitter, StouError
 
 
 class TestQuantileInterval:
@@ -281,76 +284,101 @@ class TestCoverageExperiment:
                 eb.coverage, eb.mean_proxy, eb.proxy_se,
             )
 
-    def test_one_truth_factor_per_run_and_none_kept(self, base_params, monkeypatch):
-        # the factor's coefficients are about 0.42 GB at 101 x 101: the datasets share one,
-        # and the in-process run drops it when it ends
-        calls = []
+    @staticmethod
+    def _record_recursions_and_factors(monkeypatch):
+        """Lists that grow by one on each Levinson recursion and each
+        CholeskyFactor that stou.cholesky builds."""
+        recursions, built = [], []
+        real_levinson, real_factor = stou.cholesky._levinson, stou.cholesky.CholeskyFactor
 
-        def counted(cov):
-            calls.append(cov.n)
-            return cholesky_factor(cov)
+        def counted(blocks, basis):
+            recursions.append(blocks.shape)
+            return real_levinson(blocks, basis)
 
-        monkeypatch.setattr(stou.experiment, "cholesky_factor", counted)
-        lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)
-        coverage_experiment(base_params, lat, 10, 20, 0.9, "grid",
-                            rng=np.random.default_rng(31))
-        assert calls == [lat.n]
-        assert stou.experiment._truth_factor.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
-    def test_truth_factor_released_before_the_first_interval_step(
-        self, base_params, tmp_path, monkeypatch, entry
-    ):
-        # each process holds at most one factor at a time: the fitted
-        # model's inside mc_ci, never the truth's beside it
-        factors, alive = [], []
-
-        def recorded(cov):
-            factor = cholesky_factor(cov)
-            factors.append(weakref.ref(factor))
+        def recorded(*args, **kwargs):
+            factor = real_factor(*args, **kwargs)
+            built.append(weakref.ref(factor))
             return factor
 
-        def probing(*args, **kwargs):
-            if not alive:
-                alive.append([ref() is not None for ref in factors])
-            return mc_ci(*args, **kwargs)
+        monkeypatch.setattr(stou.cholesky, "_levinson", counted)
+        monkeypatch.setattr(stou.cholesky, "CholeskyFactor", recorded)
+        return recursions, built
 
-        monkeypatch.setattr(stou.experiment, "cholesky_factor", recorded)
-        monkeypatch.setattr(stou.experiment, "mc_ci", probing)
+    @staticmethod
+    def _run_entry(entry, base_params, tmp_path, method):
         if entry == "run":
-            run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+            run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5, method=method,
                                  out_dir=str(tmp_path)))
         else:
             coverage_experiment(base_params, Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05),
-                                10, 20, 0.9, "exact", rng=np.random.default_rng(31))
-        assert alive == [[False]]
+                                10, 20, 0.9, method.removeprefix("mc-"),
+                                rng=np.random.default_rng(31))
+
+    @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
+    def test_one_truth_recursion_per_run(self, base_params, tmp_path, monkeypatch, entry):
+        # the grid bootstrap factors nothing: the run's only recursion is
+        # the truth's, which draws every field and builds no factor (at
+        # 101 x 101 a factor's coefficients are about 0.21 GB)
+        recursions, built = self._record_recursions_and_factors(monkeypatch)
+        self._run_entry(entry, base_params, tmp_path, "mc-grid")
+        assert recursions == [(11, 11, 11)]
+        assert built == []
+
+    @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
+    def test_no_truth_factor_built(self, base_params, tmp_path, monkeypatch, entry):
+        # each process holds at most one factor at a time: the fitted
+        # model's inside mc_ci; the truth's fields come from one recursion
+        # that keeps no factor, so none is alive when the first step runs
+        recursions, built = self._record_recursions_and_factors(monkeypatch)
+        first_step = []
+
+        def alive_factors():
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, CholeskyFactor)}
+
+        def probing(*args, **kwargs):
+            if not first_step:
+                first_step.append((len(recursions), len(built), alive_factors() - before))
+            return mc_ci(*args, **kwargs)
+
+        before = alive_factors()
+
+        monkeypatch.setattr(stou.experiment, "mc_ci", probing)
+        self._run_entry(entry, base_params, tmp_path, "mc-exact")
+        assert first_step == [(1, 0, set())]
+        # the recorder sees factors: one fitted model's per dataset
+        assert len(built) == len(recursions) - 1 == 10
 
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_truth_that_fails_to_factor(self, base_params, tmp_path, monkeypatch, entry):
         # run gives every dataset its error row; coverage_experiment raises
-        # before any dataset runs; either tries the factorization once
+        # before any dataset runs; either tries the recursion once, and
+        # once more with jitter
         tried = []
 
-        def failing(cov):
+        def failing(blocks, basis):
             tried.append(1)
-            raise NotPositiveDefinite("synthetic failure")
+            raise np.linalg.LinAlgError("synthetic failure")
 
         ran = []
-        monkeypatch.setattr(stou.experiment, "cholesky_factor", failing)
+        monkeypatch.setattr(stou.cholesky, "_levinson", failing)
         monkeypatch.setattr(stou.experiment, "mc_ci", lambda *args, **kwargs: ran.append(1))
-        if entry == "coverage_experiment":
-            with pytest.raises(NotPositiveDefinite):
-                coverage_experiment(base_params, Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05),
-                                    10, 20, 0.9, "exact", rng=np.random.default_rng(31))
-        else:
-            paths = run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
-                                         out_dir=str(tmp_path)))
-            rows = open(paths["estimates"], encoding="utf-8").read().splitlines()[1:]
-            assert [row.split(",")[0] for row in rows] == [str(i) for i in range(10)]
-            assert all(row.endswith(",NotPositiveDefinite: synthetic failure")
-                       for row in rows)
+        with pytest.warns(CovarianceJitter) as jitter_warnings:
+            if entry == "coverage_experiment":
+                with pytest.raises(NotPositiveDefinite):
+                    coverage_experiment(base_params, Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05),
+                                        10, 20, 0.9, "exact", rng=np.random.default_rng(31))
+            else:
+                paths = run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                             out_dir=str(tmp_path)))
+                with open(paths["estimates"], encoding="utf-8") as handle:
+                    rows = handle.read().splitlines()[1:]
+                assert [row.split(",")[0] for row in rows] == [str(i) for i in range(10)]
+                assert all(row.endswith(
+                    ",NotPositiveDefinite: factorization failed after jitter retry")
+                    for row in rows)
         assert ran == []
-        assert len(tried) == 1
+        assert len(tried) == 2
+        assert [w.category for w in jitter_warnings] == [CovarianceJitter]
 
     @pytest.mark.parametrize("simulator,grid_config", [
         ("exact", None),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import stou.cholesky
+
 from stou import (
     BudgetExceeded,
     CholeskyFactor,
@@ -375,3 +377,84 @@ class TestSimulateExact:
         emp = np.cov(draws[:, 0], draws[:, 4])[0, 1]
         expected = base_params.sigma2 * corr_canonical(base_params, 0.05, 0.05)
         assert emp == pytest.approx(expected, rel=0.1)
+
+
+def per_draw_oracle(cov, mu, seeds):
+    """Each seed's field drawn the per-draw way: the factor, then
+    simulate_exact."""
+    n_t, n_x, _ = cov.blocks.shape
+    lattice = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
+    factor = cholesky_factor(cov)
+    return np.array([simulate_exact(factor, mu, lattice, np.random.default_rng(seed)).values
+                     for seed in seeds])
+
+
+def one_pass_draw(cov, mu, seeds):
+    return stou.cholesky._draw_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds])
+
+
+class TestOnePassDraw:
+    # the one-pass draw applies each predictor row to every field at once,
+    # in a product broadcast over the fields, so that each field has the
+    # bits of its own draw whatever the number of fields
+
+    @pytest.mark.parametrize("n_t,n_x", [
+        (6, 7), (5, 8), (4, 1), (1, 6), (1, 1), (2, 2), (13, 4), (41, 41),
+    ])
+    def test_equals_the_per_draw_fields_bitwise(self, n_t, n_x):
+        p = params(lam=0.7, c=1.3)
+        cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
+        seeds = range(n_t * 100 + n_x, n_t * 100 + n_x + 3)
+        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+        # one field alone, as an --only-dataset replay draws it
+        assert np.array_equal(one_pass_draw(cov, p.mu, seeds[1:2]),
+                              per_draw_oracle(cov, p.mu, seeds[1:2]))
+
+    def test_hand_built_identity_basis(self):
+        p = params(lam=1.3, c=0.8)
+        cov = CovarianceMatrix(build_covariance(p, Lattice(n_x=5, n_t=6, dx=0.05, dt=0.05)).blocks)
+        assert cov.basis.shape == (1, 5, 5)
+        seeds = range(4)
+        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+
+    def test_more_fields_than_one_pass_takes(self, monkeypatch):
+        # at 2 x 2 a pass takes m (n_t - 1) / 2 + n_x = 2 fields, so 5
+        # fields take three recursions
+        recursions = []
+        real = stou.cholesky._levinson
+
+        def counted(blocks, basis):
+            recursions.append(1)
+            return real(blocks, basis)
+
+        p = params()
+        cov = build_covariance(p, Lattice(n_x=2, n_t=2, dx=0.05, dt=0.05))
+        seeds = range(5)
+        expected = per_draw_oracle(cov, p.mu, seeds)
+        monkeypatch.setattr(stou.cholesky, "_levinson", counted)
+        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), expected)
+        assert len(recursions) == 3
+
+    @pytest.mark.parametrize("blocks", [
+        # singular at the first row, before any row meets the fields
+        np.ones((1, 4, 4)),
+        # singular at the second row, after the first has replaced the
+        # fields' normals, which the retry draws again; 6 fields take two
+        # passes of 4 on the jittered blocks
+        np.stack([np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])] * 2),
+    ])
+    def test_jitter_retry_gives_the_jittered_fields(self, blocks):
+        cov = CovarianceMatrix(blocks)
+        seeds = range(6)
+        with pytest.warns(CovarianceJitter) as oracle_warnings:
+            expected = per_draw_oracle(cov, 0.3, seeds)
+        with pytest.warns(CovarianceJitter) as draw_warnings:
+            got = one_pass_draw(cov, 0.3, seeds)
+        assert np.array_equal(got, expected)
+        assert [str(w.message) for w in draw_warnings] == [str(w.message)
+                                                             for w in oracle_warnings]
+
+    def test_not_positive_definite(self):
+        with pytest.warns(CovarianceJitter):
+            with pytest.raises(NotPositiveDefinite):
+                one_pass_draw(one_block([[1.0, 2.0], [2.0, 1.0]]), 0.0, range(3))

@@ -46,10 +46,10 @@ def _env_with_src() -> dict[str, str]:
     return env
 
 
-def run_python(code: str) -> str:
-    """stdout of `python -c code` with the package's source on the path."""
+def run_python(code: str, *args: str) -> str:
+    """stdout of `python -c code args` with the package's source on the path."""
     out = subprocess.run(
-        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=_env_with_src(), capture_output=True, text=True,
         check=True,
     )
     return out.stdout.strip()
@@ -136,6 +136,26 @@ def test_cli_import_leaves_the_process_pool_unimported():
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules])")
     assert run_python(code) == "[]"
+
+
+# Starts a command and prints its exit code and ru_maxrss.  Linux starts
+# a child's peak at the high-water mark of the process it was forked
+# from, so the command must not be forked from the test process itself.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mib(*argv) -> float:
+    """The peak resident set, in MiB, of `stou argv` run in a new process,
+    which must succeed; Linux only (ru_maxrss counts KiB there)."""
+    code, max_rss_kib = run_python(
+        _PEAK_RSS_LAUNCHER, sys.executable, "-m", "stou.cli", *argv).split()
+    assert code == "0"
+    return int(max_rss_kib) / 1024
 
 
 def run_cli(*argv) -> int:
@@ -384,15 +404,21 @@ class TestSimulateAndFit:
     def test_exact_draw_at_the_site_ceiling_peaks_under_350_mb(self, tmp_path):
         # the 101 x 101 factor holds about 0.21 GB; the whole process peaked
         # at 455 MB when the factor held both mirror parts in one recursion
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "stou.cli", "simulate", "--method", "exact",
-             "--nx", "101", "--nt", "101", "--out", str(tmp_path / "field.csv")],
-            env=_env_with_src(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        assert usage.ru_maxrss / 1024 < 350
+        assert peak_rss_mib("simulate", "--method", "exact", "--nx", "101", "--nt", "101",
+                            "--out", str(tmp_path / "field.csv")) < 350
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_site_ceiling_draws_hold_no_factor(self, tmp_path):
+        # these peaked at 261 MiB while the process held the truth's 0.21 GB
+        # factor; the one-pass draw keeps one predictor row at a time
+        assert peak_rss_mib("simulate", "--method", "exact", "--nx", "101", "--nt", "101",
+                            "--out", str(tmp_path / "field.csv")) < 120
+        out_dir = tmp_path / "cl"
+        peak_rss_mib("coverage", "--method", "cl-sandwich", "--nx", "101", "--nt", "101",
+                     "--n-datasets", "10", "--workers", "1", "--out-dir", str(out_dir))
+        manifest = dict(line.split(": ", 1)
+                        for line in (out_dir / "manifest.txt").read_text().splitlines())
+        assert int(manifest["peak_rss_self_bytes"]) < 120 * 2**20
 
     def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
         d = ExperimentConfig()
