@@ -18,14 +18,15 @@ on the point estimate theta_E.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import CholeskyFactor, build_covariance, cholesky_factor, simulate_exact
+from .cholesky import build_covariance, cholesky_factor, simulate_exact
 from .errors import FailureRateExceeded, StouError
-from .gridsim import GridSimConfig, simulate_grid, with_default_depth
+from .gridsim import GridSimConfig, simulate_grid
 from .mm import fit_mm
 from .model import FieldSample, StouParams
 
@@ -134,27 +135,23 @@ def mc_ci(
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Replications
     whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
-    raises FailureRateExceeded.  A grid_config of None is GridSimConfig(),
-    whose depth is then the grid simulator's default for the fitted model.
+    raises FailureRateExceeded; a draw's error is raised.  A grid_config
+    of None is GridSimConfig(), drawn at simulate_grid's default depth.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
     fitted = fit_mm(field, max_lag=max_lag)
 
-    factor: CholeskyFactor | None = None
     if simulator == "exact":
         factor = cholesky_factor(build_covariance(fitted, lattice))
+        draw = functools.partial(simulate_exact, factor, fitted.mu, lattice)
     else:
-        config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)
+        draw = functools.partial(simulate_grid, fitted, lattice, grid_config or GridSimConfig())
 
-    streams = rng.spawn(B)
     refits = []
     n_failed = 0
-    for stream in streams:
-        if factor is not None:
-            sim = simulate_exact(factor, fitted.mu, lattice, stream)
-        else:
-            sim = simulate_grid(fitted, lattice, config, stream)
+    for stream in rng.spawn(B):
+        sim = draw(stream)
         try:
             refits.append(fit_mm(sim, max_lag=max_lag))
         except StouError:

@@ -428,8 +428,7 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_OneBlasThread) as pool:
             return list(pool.map(_dataset_task, tasks))
-    with _OneBlasThread():
-        return [_dataset_task(task) for task in tasks]
+    return [_dataset_task(task) for task in tasks]
 
 
 def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int = 1,
@@ -459,24 +458,19 @@ def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int
         try:
             values = _draw_exact(build_covariance(truth, lattice), truth.mu,
                                  [data_rng for _, _, data_rng, _ in streams])
-            truth_error = None
         except _DATASET_ERRORS as exc:
             if truth_errors_raise:
                 raise
-            values, truth_error = None, exc
+            return [_failed(index, display_seed, exc) for index, display_seed, _, _ in streams]
         tasks, results = [], []
-        for k, (index, display_seed, _, boot_stream) in enumerate(streams):
-            error = truth_error
-            if error is None:
-                try:
-                    field = FieldSample(lattice=lattice, values=values[k])
-                except _DATASET_ERRORS as exc:
-                    error = exc
-            if error is not None:
-                results.append(_failed(index, display_seed, error))
+        for (index, display_seed, _, boot_stream), dataset_values in zip(streams, values):
+            try:
+                field = FieldSample(lattice=lattice, values=dataset_values)
+            except _DATASET_ERRORS as exc:
+                results.append(_failed(index, display_seed, exc))
                 continue
             tasks.append((index, display_seed, truth, field, boot_stream, step))
-    results += _map_datasets(tasks, workers)
+        results += _map_datasets(tasks, workers)
     return sorted(results, key=lambda res: res.index)
 
 
@@ -645,8 +639,22 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float,
     lines.append(f"blas_threads: {','.join(sorted(counts))}")
     # bootstrap refits dropped, over the datasets that did not fail
     lines.append(f"refit_failures: {sum(res.refit_failures for res in results)}")
-    # ru_maxrss counts KiB on Linux and bytes on macOS
+    # ru_maxrss counts KiB on Linux and bytes on macOS; a forked pool
+    # worker's starts at this process's peak
     unit = 1 if sys.platform == "darwin" else 1024
-    for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
-        lines.append(f"peak_rss_{who}_bytes: {resource.getrusage(flag).ru_maxrss * unit}")
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit
+    lines.append(f"peak_rss_self_bytes: {_peak_rss_self_bytes(unit)}")
+    lines.append(f"peak_rss_children_bytes: {children}")
     return lines
+
+
+def _peak_rss_self_bytes(unit: int) -> int:
+    """This program's own peak resident set: Linux's VmHWM, which exec
+    resets, where ru_maxrss starts at the peak of the process that
+    started this one; ru_maxrss elsewhere."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return next(int(line.split()[1]) * 1024  # counted in kB
+                        for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit

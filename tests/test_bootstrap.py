@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import math
@@ -30,6 +31,7 @@ from stou import (
     cholesky_factor,
     coverage_experiment,
     coverage_proxy,
+    fit_mm,
     mc_ci,
     params_to_report,
     quantile_interval,
@@ -132,11 +134,29 @@ class TestMcCi:
 
     def test_grid_noise_beyond_budget_is_a_typed_error(self, small_field, monkeypatch):
         # a slowly decaying fit takes a deep default kernel: at lam = 0.01 the
-        # noise array would be 18500 x 36980 cells
+        # noise array would be 18500 x 36980 cells; the first draw raises,
+        # before any refit
         slow = StouParams.natural(lam=0.01, c=1.0, mu_seed=0.2, tau2=0.01)
-        monkeypatch.setattr(stou.bootstrap, "fit_mm", lambda field, max_lag=5: slow)
+        fits = []
+
+        def slow_fit(field, max_lag=5):
+            fits.append(field)
+            return slow
+
+        monkeypatch.setattr(stou.bootstrap, "fit_mm", slow_fit)
         with pytest.raises(BudgetExceeded):
             mc_ci(small_field, B=20, level=0.9, simulator="grid", rng=np.random.default_rng(0))
+        assert len(fits) == 1
+
+    def test_grid_default_depth_is_the_fitted_models(self, small_field):
+        # no grid_config draws at p = ceil(9.24 / (lam dt)) for the fitted lam
+        depth = math.ceil(9.24 / (fit_mm(small_field).lam * small_field.lattice.dt))
+        a = mc_ci(small_field, 20, 0.9, "grid", np.random.default_rng(4))
+        b = mc_ci(small_field, 20, 0.9, "grid", np.random.default_rng(4),
+                  grid_config=GridSimConfig(truncation_p=depth))
+        assert a.intervals == b.intervals and a.n_failed == b.n_failed
+        for name in REPORT_PARAMS:
+            np.testing.assert_array_equal(a.estimates[name], b.estimates[name])
 
     def test_failed_refits_counted_then_fatal(self, small_field, monkeypatch):
         real_fit = stou.bootstrap.fit_mm
@@ -350,18 +370,26 @@ class TestCoverageExperiment:
 
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_truth_that_fails_to_factor(self, base_params, tmp_path, monkeypatch, entry):
-        # run gives every dataset its error row; coverage_experiment raises
-        # before any dataset runs; either tries the recursion once, and
-        # once more with jitter
+        # run gives every dataset its error row, starting no pool at two
+        # workers; coverage_experiment raises before any dataset runs;
+        # either tries the recursion once, and once more with jitter, and
+        # gives back the caller's BLAS thread count
         tried = []
 
         def failing(blocks, basis):
             tried.append(1)
             raise np.linalg.LinAlgError("synthetic failure")
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
         ran = []
+        blas = {"threads": 3}
         monkeypatch.setattr(stou.cholesky, "_levinson", failing)
         monkeypatch.setattr(stou.experiment, "mc_ci", lambda *args, **kwargs: ran.append(1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(stou.experiment, "_blas_thread_calls",
+                            lambda: (lambda n: blas.update(threads=n), lambda: blas["threads"]))
         with pytest.warns(CovarianceJitter) as jitter_warnings:
             if entry == "coverage_experiment":
                 with pytest.raises(NotPositiveDefinite):
@@ -369,14 +397,17 @@ class TestCoverageExperiment:
                                         10, 20, 0.9, "exact", rng=np.random.default_rng(31))
             else:
                 paths = run(ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
-                                             out_dir=str(tmp_path)))
+                                             workers=2, out_dir=str(tmp_path)))
                 with open(paths["estimates"], encoding="utf-8") as handle:
                     rows = handle.read().splitlines()[1:]
                 assert [row.split(",")[0] for row in rows] == [str(i) for i in range(10)]
                 assert all(row.endswith(
                     ",NotPositiveDefinite: factorization failed after jitter retry")
                     for row in rows)
+                with open(paths["manifest"], encoding="utf-8") as handle:
+                    assert "blas_threads: 1" in handle.read().splitlines()
         assert ran == []
+        assert blas == {"threads": 3}
         assert len(tried) == 2
         assert [w.category for w in jitter_warnings] == [CovarianceJitter]
 

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import os
+import resource
 import subprocess
 import sys
 
@@ -617,6 +618,32 @@ class TestExperimentCommands:
         assert entries["cpu_count"] == str(os.cpu_count())
         assert int(entries["peak_rss_self_bytes"]) > 0
         assert int(entries["peak_rss_children_bytes"]) >= 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
+    def test_manifest_peak_is_the_runs_own(self, tmp_path):
+        # started from a process whose peak is 256 MiB higher, the run's
+        # ru_maxrss would start at that peak; its own is far lower
+        ballast = np.ones(256 * 2**20 // 8)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= 256 * 2**10
+        out_dir = tmp_path / "cl"
+        subprocess.run(
+            [sys.executable, "-m", "stou.cli", "coverage", "--method", "cl-sandwich",
+             *_LATTICE_11, "--n-datasets", "10", "--workers", "1", "--out-dir", str(out_dir)],
+            env=_env_with_src(), capture_output=True, check=True,
+        )
+        del ballast
+        manifest = dict(line.split(": ", 1)
+                        for line in (out_dir / "manifest.txt").read_text().splitlines())
+        assert int(manifest["peak_rss_self_bytes"]) < 128 * 2**20
+
+    def test_peak_rss_without_proc_status_is_ru_maxrss(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("no /proc/self/status")
+
+        monkeypatch.setattr(stou.experiment, "open", no_proc, raising=False)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        got = stou.experiment._peak_rss_self_bytes(1024)
+        assert before * 1024 <= got <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
     def test_manifest_counts_refit_failures(self, tmp_path, monkeypatch):
         real_fit = stou.bootstrap.fit_mm
