@@ -4,21 +4,22 @@ worker pool over datasets, one aggregation per parameter, and CSV
 emission.
 
 Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
-child per dataset; child i is split by .spawn(2) into (data, bootstrap)
-streams.  The calling process draws every dataset's field, the one all
-methods see, from its data stream by one pass over the truth's Levinson
-recursion, which applies each predictor row to every field and keeps no
-factor; the fields are simulate_exact's from the truth's factor, bit for
-bit.  So no process holds the truth's factor, and each holds at most one
-factor at a time (the fitted model's, inside mc_ci).  _dataset_task runs
-the method's interval step on a field, here or in a pool worker; mc_ci
-splits the bootstrap stream per replication.  Every estimates.csv row
-records the dataset index and the dataset child's first 64-bit state
-word, so a single dataset can be replayed without rerunning the
-experiment.  Outputs depend only on (config, master seed),
-never on the worker count: the datasets run with numpy's BLAS on one
-thread, in this process and in every pool worker, so the BLAS thread
-variables change no output bit either.
+child per dataset (coverage_experiment takes the SeedSequences of
+rng.spawn(n_datasets)); child i is split by .spawn(2) into (data,
+bootstrap) streams.  The calling process draws every dataset's field,
+the one all methods see, from its data stream by one pass over the
+truth's Levinson recursion, which applies each predictor row to every
+field and keeps no factor; the fields are simulate_exact's from the
+truth's factor, bit for bit.  So no process holds the truth's factor,
+and each holds at most one factor at a time (the fitted model's, inside
+mc_ci).  _dataset_task runs the method's interval step on a field, here
+or in a pool worker; mc_ci splits the bootstrap stream per replication.
+Every estimates.csv row records the dataset index and the dataset
+child's first 64-bit state word, so a single dataset can be replayed
+without rerunning the experiment.  Outputs depend only on (config,
+master seed), never on the worker count: the datasets run with numpy's
+BLAS on one thread, in this process and in every pool worker, so the
+BLAS thread variables change no output bit either.
 """
 
 from __future__ import annotations
@@ -398,15 +399,18 @@ def _failed(index: int, seed: int, exc: Exception) -> _DatasetResult:
 
 
 def _dataset_task(args) -> _DatasetResult:
-    """One dataset: the interval step on its drawn field.
+    """One dataset: the interval step on its drawn field, here or in a pool
+    worker.  Any dataset error, a drawn field that is not finite among
+    them, becomes the dataset's error row.
 
-    args is (index, display seed, truth, field, bootstrap stream, interval
-    step); the bootstrap stream is a Generator or the SeedSequence of one.
+    args is (index, display seed, truth, lattice, drawn values, bootstrap
+    SeedSequence, interval step).
     """
-    index, seed, truth, field, boot_stream, interval_step = args
+    index, seed, truth, lattice, values, boot_seq, interval_step = args
     try:
+        field = FieldSample(lattice=lattice, values=values)
         intervals, proxies, refit_failures = interval_step(
-            truth, field, np.random.default_rng(boot_stream))
+            truth, field, np.random.default_rng(boot_seq))
     except _DATASET_ERRORS as exc:
         return _failed(index, seed, exc)
     truth_values = {**params_to_report(truth), "c_tilde": truth.c_tilde}
@@ -433,27 +437,21 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
 
 def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int = 1,
                   truth_errors_raise: bool = False) -> list[_DatasetResult]:
-    """The results of step on each dataset, in index order.
+    """The results of step on each dataset, in the order of seeds.
 
-    seeds is [(index, seed)]; a seed is the dataset's SeedSequence child
-    or a Generator spawned from one, split by .spawn(2) into the data and
-    bootstrap streams.  Every field is drawn here, into one array, by one
-    pass over the truth's Levinson recursion that holds no factor, before
-    any step runs.  A truth that does not factor, tried once, gives every
-    dataset its error, or is raised when truth_errors_raise; a dataset
-    whose field is not finite gets its own error row.
+    seeds is [(index, SeedSequence)]: each dataset's child, split by
+    .spawn(2) into the data and bootstrap streams.  Every field is drawn
+    here, into one array, by one pass over the truth's Levinson recursion
+    that holds no factor, before any step runs.  A truth that does not
+    factor, tried once, gives every dataset its error, or is raised when
+    truth_errors_raise; any other error is the dataset's own (see
+    _dataset_task).
     """
     streams = []
     for index, seed in seeds:
-        stream = np.random.default_rng(seed)
-        display_seed = int(stream.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
-        data_rng, boot_stream = stream.spawn(2)
-        if isinstance(seed, np.random.SeedSequence):
-            # a pool worker gets its SeedSequence: before numpy 2, a pickled
-            # Generator loses the SeedSequence its spawned streams come from
-            # (coverage_experiment's Generators stay in this process)
-            boot_stream = boot_stream.bit_generator.seed_seq
-        streams.append((index, display_seed, data_rng, boot_stream))
+        display_seed = int(seed.generate_state(1, np.uint64)[0])
+        data_seq, boot_seq = seed.spawn(2)
+        streams.append((index, display_seed, np.random.default_rng(data_seq), boot_seq))
     with _OneBlasThread():
         try:
             values = _draw_exact(build_covariance(truth, lattice), truth.mu,
@@ -462,16 +460,9 @@ def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int
             if truth_errors_raise:
                 raise
             return [_failed(index, display_seed, exc) for index, display_seed, _, _ in streams]
-        tasks, results = [], []
-        for (index, display_seed, _, boot_stream), dataset_values in zip(streams, values):
-            try:
-                field = FieldSample(lattice=lattice, values=dataset_values)
-            except _DATASET_ERRORS as exc:
-                results.append(_failed(index, display_seed, exc))
-                continue
-            tasks.append((index, display_seed, truth, field, boot_stream, step))
-        results += _map_datasets(tasks, workers)
-    return sorted(results, key=lambda res: res.index)
+        tasks = [(index, display_seed, truth, lattice, dataset_values, boot_seq, step)
+                 for (index, display_seed, _, boot_seq), dataset_values in zip(streams, values)]
+        return _map_datasets(tasks, workers)
 
 
 def _coverage_entries(results) -> dict[str, CoverageEntry]:
@@ -511,7 +502,8 @@ def coverage_experiment(
     truth.  Data fields always come from the exact simulator; the
     bootstrap inside each dataset uses the chosen simulator.
 
-    Dataset i uses rng.spawn(n_datasets)[i], so a generator from
+    Dataset i uses the SeedSequence of rng.spawn(n_datasets)[i], with
+    numpy's default bit generator whatever rng's, so a generator from
     default_rng(seed) gives the datasets of `stou coverage` at that
     seed.  Datasets that fail are listed in failures; FailureRateExceeded
     is raised when all do.
@@ -523,8 +515,8 @@ def coverage_experiment(
     check_mc_ci_args(B, level, simulator)
     step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
     # budget and factorization errors end it before any interval step
-    results = _run_datasets(list(enumerate(rng.spawn(n_datasets))), truth, lattice, step,
-                            truth_errors_raise=True)
+    seeds = [g.bit_generator.seed_seq for g in rng.spawn(n_datasets)]
+    results = _run_datasets(list(enumerate(seeds)), truth, lattice, step, truth_errors_raise=True)
     entries = _coverage_entries(results)
     if not entries:
         raise FailureRateExceeded("every dataset failed")
