@@ -154,12 +154,11 @@ def _emit(lines: list[str], out: str | None) -> None:
         _write_lines(out, lines)
 
 
-def _reject_grid_flags(args) -> None:
+def _reject_grid_flags(args, method: str) -> None:
     for flag, value in (("--truncation-p", args.truncation_p),
                         ("--cells-per-obs-cell", args.cells_per_obs_cell)):
         if value is not None:
-            raise ConfigInvalid(
-                f"{flag} applies to the grid simulator, not --method {args.method}")
+            raise ConfigInvalid(f"{flag} applies to the grid simulator, not --method {method}")
 
 
 def _cmd_simulate(args) -> int:
@@ -168,7 +167,7 @@ def _cmd_simulate(args) -> int:
     lattice = _checked(settings.lattice)
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     if args.method == "exact":
-        _reject_grid_flags(args)
+        _reject_grid_flags(args, args.method)
         # simulate_exact's field, drawn without holding the factor
         (values,) = _draw_exact(build_covariance(params, lattice), params.mu, [rng])
         field = FieldSample(lattice=lattice, values=values)
@@ -212,7 +211,7 @@ def _cmd_fit_cl(args) -> int:
 def _cmd_ci(args) -> int:
     settings = _settings(args)
     if args.method == "mc-exact":
-        _reject_grid_flags(args)
+        _reject_grid_flags(args, args.method)
     grid_config = _checked(settings.grid_config)
     simulator = settings.simulator()
     _checked(check_mc_ci_args, settings.B, settings.level, simulator)
@@ -237,6 +236,8 @@ def _cmd_experiment(args) -> int:
         except ValueError as exc:
             raise ConfigInvalid(f"STOU_WORKERS: {env!r} is not an integer") from exc
     config = _settings(args, file_values)
+    if config.method != "mc-grid":  # a config file's grid keys are accepted
+        _reject_grid_flags(args, config.method)
     paths = run(config, command=args.command)
     with open(paths["coverage"], encoding="utf-8") as handle:
         sys.stdout.write(handle.read())

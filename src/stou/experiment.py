@@ -33,7 +33,7 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .cl import (
     sandwich_ci,
 )
 from .errors import ConfigInvalid, FailureRateExceeded, StouError
-from .gridsim import GridSimConfig
+from .gridsim import GridSimConfig, with_default_depth
 from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["CoverageEntry", "CoverageReport", "ExperimentConfig", "coverage_experiment",
@@ -346,7 +346,8 @@ class _OneBlasThread:
 
 # An interval step maps (truth, data field, bootstrap stream) to the
 # dataset's intervals and proxies by parameter (proxies None without a
-# bootstrap) and its count of failed bootstrap refits (0 without one).
+# bootstrap), its count of failed bootstrap refits (0 without one) and
+# the depth of its grid draws (None without them).
 # Steps hold only settings, so they pickle into workers.
 
 @dataclass(frozen=True)
@@ -362,7 +363,11 @@ class _BootstrapStep:
                        grid_config=self.grid_config, max_lag=self.max_lag)
         proxies = {name: coverage_proxy(result.estimates[name], iv.point, self.level)
                    for name, iv in result.intervals.items()}
-        return result.intervals, proxies, result.n_failed
+        grid_depth = None
+        if self.simulator == "grid":
+            grid_depth = with_default_depth(self.grid_config or GridSimConfig(), result.fitted,
+                                            field.lattice).truncation_p
+        return result.intervals, proxies, result.n_failed, grid_depth
 
 
 @dataclass(frozen=True)
@@ -376,7 +381,23 @@ class _SandwichStep:
             EstimationScenario.pinned_at(config.scenario, truth),
             level=config.level, max_lag=config.max_lag,
         )
-        return result.intervals, None, 0
+        return result.intervals, None, 0, None
+
+
+# ru_maxrss counts KiB on Linux and bytes on macOS
+_RU_MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+
+def _peak_rss_self_bytes(unit: int = _RU_MAXRSS_UNIT) -> int:
+    """This process's own peak resident set: Linux's VmHWM, which exec and
+    fork reset, where ru_maxrss starts at the peak of the process that
+    started this one; ru_maxrss elsewhere."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return next(int(line.split()[1]) * 1024  # counted in kB
+                        for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
 
 
 @dataclass(frozen=True)
@@ -386,8 +407,12 @@ class _DatasetResult:
     rows: tuple[tuple, ...]  # (parameter, true, estimate, lower, upper, hit)
     proxies: dict | None
     refit_failures: int  # bootstrap refits dropped; 0 on error
+    grid_depth: int | None  # of the bootstrap's grid draws; None without them or on error
     error: str | None
-    blas_threads: int | None  # numpy's BLAS thread count in the process that ran it
+    # of the process that ran it: numpy's BLAS thread count, pid and peak resident set
+    blas_threads: int | None = dataclass_field(default_factory=_blas_threads)
+    pid: int = dataclass_field(default_factory=os.getpid)
+    peak_rss_bytes: int = dataclass_field(default_factory=_peak_rss_self_bytes)
 
 
 _DATASET_ERRORS = (StouError, ValueError, np.linalg.LinAlgError)
@@ -395,7 +420,7 @@ _DATASET_ERRORS = (StouError, ValueError, np.linalg.LinAlgError)
 
 def _failed(index: int, seed: int, exc: Exception) -> _DatasetResult:
     return _DatasetResult(index=index, seed=seed, rows=(), proxies=None, refit_failures=0,
-                          error=f"{type(exc).__name__}: {exc}", blas_threads=_blas_threads())
+                          grid_depth=None, error=f"{type(exc).__name__}: {exc}")
 
 
 def _dataset_task(args) -> _DatasetResult:
@@ -409,7 +434,7 @@ def _dataset_task(args) -> _DatasetResult:
     index, seed, truth, lattice, values, boot_seq, interval_step = args
     try:
         field = FieldSample(lattice=lattice, values=values)
-        intervals, proxies, refit_failures = interval_step(
+        intervals, proxies, refit_failures, grid_depth = interval_step(
             truth, field, np.random.default_rng(boot_seq))
     except _DATASET_ERRORS as exc:
         return _failed(index, seed, exc)
@@ -420,8 +445,7 @@ def _dataset_task(args) -> _DatasetResult:
         for name, iv in intervals.items()
     )
     return _DatasetResult(index=index, seed=seed, rows=rows, proxies=proxies,
-                          refit_failures=refit_failures, error=None,
-                          blas_threads=_blas_threads())
+                          refit_failures=refit_failures, grid_depth=grid_depth, error=None)
 
 
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
@@ -631,22 +655,12 @@ def _manifest_lines(config: ExperimentConfig, command: str, started: float,
     lines.append(f"blas_threads: {','.join(sorted(counts))}")
     # bootstrap refits dropped, over the datasets that did not fail
     lines.append(f"refit_failures: {sum(res.refit_failures for res in results)}")
-    # ru_maxrss counts KiB on Linux and bytes on macOS; a forked pool
-    # worker's starts at this process's peak
-    unit = 1 if sys.platform == "darwin" else 1024
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit
-    lines.append(f"peak_rss_self_bytes: {_peak_rss_self_bytes(unit)}")
-    lines.append(f"peak_rss_children_bytes: {children}")
+    if config.method == "mc-grid":
+        depths = [res.grid_depth for res in results if res.error is None]
+        lines.append(f"grid_depths: {min(depths)}..{max(depths)}" if depths
+                     else "grid_depths: none")
+    lines.append(f"peak_rss_self_bytes: {_peak_rss_self_bytes()}")
+    # the largest peak of a pool worker; 0 when no pool ran
+    worker_peaks = [res.peak_rss_bytes for res in results if res.pid != os.getpid()]
+    lines.append(f"peak_rss_children_bytes: {max(worker_peaks, default=0)}")
     return lines
-
-
-def _peak_rss_self_bytes(unit: int) -> int:
-    """This program's own peak resident set: Linux's VmHWM, which exec
-    resets, where ru_maxrss starts at the peak of the process that
-    started this one; ru_maxrss elsewhere."""
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            return next(int(line.split()[1]) * 1024  # counted in kB
-                        for line in status if line.startswith("VmHWM:"))
-    except (OSError, StopIteration):
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit

@@ -250,9 +250,10 @@ class TestCoverageDataset:
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
         field = simulate_exact(factor, base_params.mu, small_lattice, data_rng)
         step = stou.experiment._BootstrapStep(20, 0.9, "exact", None, 5)
-        intervals, proxies, refit_failures = step(base_params, field, boot_rng)
+        intervals, proxies, refit_failures, grid_depth = step(base_params, field, boot_rng)
         assert calls["n"] == 21
         assert refit_failures == len(failing_calls)
+        assert grid_depth is None
         assert set(intervals) == set(proxies) == set(REPORT_PARAMS)
         assert all(0.0 <= v <= 1.0 for v in proxies.values())
 
@@ -410,6 +411,30 @@ class TestCoverageExperiment:
         assert blas == {"threads": 3}
         assert len(tried) == 2
         assert [w.category for w in jitter_warnings] == [CovarianceJitter]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_field_that_is_not_finite_fails_its_dataset_only(self, tmp_path, monkeypatch,
+                                                             workers):
+        real_draw = stou.experiment._draw_exact
+
+        def one_nan(cov, mu, rngs):
+            values = real_draw(cov, mu, rngs)
+            values[3][2, 4] = np.nan
+            return values
+
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5, workers=workers)
+        rows = {}
+        for name in ("clean", "nan"):
+            if name == "nan":
+                monkeypatch.setattr(stou.experiment, "_draw_exact", one_nan)
+            paths = run(dataclasses.replace(config, out_dir=str(tmp_path / name)))
+            with open(paths["estimates"], encoding="utf-8") as handle:
+                rows[name] = handle.read().splitlines()
+        seed = next(row.split(",")[1] for row in rows["clean"] if row.startswith("3,"))
+        expected = [row for row in rows["clean"] if not row.startswith("3,")]
+        # after the header and the 6 rows of each of datasets 0, 1 and 2
+        expected.insert(1 + 3 * 6, f"3,{seed},,,,,,,ValueError: field values must be finite")
+        assert rows["nan"] == expected
 
     @pytest.mark.parametrize("simulator,grid_config", [
         ("exact", None),

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import math
 import os
 import resource
 import subprocess
@@ -551,6 +552,34 @@ class TestSimulateAndFit:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
+    @pytest.mark.parametrize("command,method", [
+        ("coverage", None), ("coverage", "mc-exact"), ("coverage", "cl-sandwich"),
+        ("proxy", None), ("proxy", "mc-exact"),
+    ])
+    def test_experiment_rejects_grid_flag_without_mc_grid(self, tmp_path, capsys, no_worker_env,
+                                                          command, method, flag):
+        # refused before any dataset runs: the output directory is never made
+        out_dir = tmp_path / "out"
+        method_args = [] if method is None else ["--method", method]
+        code = run_cli(command, *EXPERIMENT_ARGS, *method_args, flag, "2",
+                       "--out-dir", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies to the grid simulator, not --method {method or 'mc-exact'}\n")
+        assert not out_dir.exists()
+
+    def test_experiment_grid_keys_follow_the_resolved_method(self, tmp_path, capsys,
+                                                             no_worker_env):
+        # a config file's grid keys are accepted with any method, and a grid
+        # flag with a config file's mc-grid
+        cfg = tmp_path / "exp.cfg"
+        for text, flags in (("method = mc-exact\ntruncation_p = 5\n", []),
+                            ("method = mc-grid\n", ["--cells-per-obs-cell", "2"])):
+            cfg.write_text(text)
+            assert run_cli("coverage", *_EXPERIMENT_11[:-2], "--config", str(cfg), *flags,
+                           "--out-dir", str(tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
     def test_simulate_exact_rejects_grid_flag(self, tmp_path, capsys, flag):
         # refused before the covariance is built: this lattice is over budget
         code = run_cli(
@@ -617,7 +646,46 @@ class TestExperimentCommands:
         assert "OPENBLAS_NUM_THREADS" in entries
         assert entries["cpu_count"] == str(os.cpu_count())
         assert int(entries["peak_rss_self_bytes"]) > 0
-        assert int(entries["peak_rss_children_bytes"]) >= 0
+        assert entries["peak_rss_children_bytes"] == "0"  # no pool ran
+        assert "grid_depths" not in entries  # no grid draws ran
+
+    def test_manifest_children_peak_is_the_pool_workers(self, tmp_path):
+        # a 1-worker run writes 0 (test_manifest_records_environment)
+        config = ExperimentConfig(method="cl-sandwich", nx=11, nt=11, n_datasets=10,
+                                  window_nx=7, window_nt=7, step_x=4, step_t=4, workers=2,
+                                  out_dir=str(tmp_path))
+        lines = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
+        assert int(dict(line.split(": ", 1) for line in lines)["peak_rss_children_bytes"]) > 0
+
+    def test_manifest_records_grid_depths(self, tmp_path, capsys, monkeypatch, no_worker_env):
+        # at the default depth each dataset's is ceil(9.24 / (lambda-hat dt))
+        recorded = []
+        real_task = stou.experiment._dataset_task
+
+        def recording(args):
+            recorded.append(real_task(args))
+            return recorded[-1]
+
+        monkeypatch.setattr(stou.experiment, "_dataset_task", recording)
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5, method="mc-grid",
+                                  out_dir=str(tmp_path / "default"))
+        paths = run(config)
+        with open(paths["estimates"], encoding="utf-8") as handle:
+            rows = [line.split(",") for line in handle.read().splitlines()[1:]]
+        depths = [math.ceil(9.24 / (float(row[4]) * config.dt))
+                  for row in rows if row[2] == "lambda"]
+        assert len(depths) == 10 and len(set(depths)) > 1
+        assert [res.grid_depth for res in recorded] == depths
+        manifests = [paths["manifest"]]
+        with pytest.warns(stou.TruncationTooShallow):  # 30 steps are shallow here
+            assert run_cli("coverage", *_EXPERIMENT_11[:-2], "--method", "mc-grid",
+                           "--truncation-p", "30", "--out-dir", str(tmp_path / "given")) == 0
+        manifests.append(str(tmp_path / "given" / "manifest.txt"))
+        found = []
+        for manifest in manifests:
+            lines = open(manifest, encoding="utf-8").read().splitlines()
+            found.append(dict(line.split(": ", 1) for line in lines)["grid_depths"])
+        assert found == [f"{min(depths)}..{max(depths)}", "30..30"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
     def test_manifest_peak_is_the_runs_own(self, tmp_path):
