@@ -100,7 +100,6 @@ class Moves:
 
     def within(self, rel_tol: float) -> bool:
         return (not self.shape_changed and not any(self.exact_rows.values())
-                and not self.coverage_se
                 and all(change <= rel_tol for change in self.worst_rel.values()))
 
 

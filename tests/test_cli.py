@@ -164,6 +164,11 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def read_manifest(path) -> dict[str, str]:
+    with open(path, encoding="utf-8") as handle:
+        return dict(line.split(": ", 1) for line in handle.read().splitlines())
+
+
 def _row(option, dest, kind="str", required=False, choices=None):
     return (option, dest, kind, required, choices)
 
@@ -568,8 +573,7 @@ class TestSimulateAndFit:
             f"error: {flag} applies to the grid simulator, not --method {method or 'mc-exact'}\n")
         assert not out_dir.exists()
 
-    def test_experiment_grid_keys_follow_the_resolved_method(self, tmp_path, capsys,
-                                                             no_worker_env):
+    def test_experiment_grid_keys_follow_the_resolved_method(self, tmp_path, no_worker_env):
         # a config file's grid keys are accepted with any method, and a grid
         # flag with a config file's mc-grid
         cfg = tmp_path / "exp.cfg"
@@ -654,10 +658,9 @@ class TestExperimentCommands:
         config = ExperimentConfig(method="cl-sandwich", nx=11, nt=11, n_datasets=10,
                                   window_nx=7, window_nt=7, step_x=4, step_t=4, workers=2,
                                   out_dir=str(tmp_path))
-        lines = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
-        assert int(dict(line.split(": ", 1) for line in lines)["peak_rss_children_bytes"]) > 0
+        assert int(read_manifest(run(config)["manifest"])["peak_rss_children_bytes"]) > 0
 
-    def test_manifest_records_grid_depths(self, tmp_path, capsys, monkeypatch, no_worker_env):
+    def test_manifest_records_grid_depths(self, tmp_path, monkeypatch, no_worker_env):
         # at the default depth each dataset's is ceil(9.24 / (lambda-hat dt))
         recorded = []
         real_task = stou.experiment._dataset_task
@@ -676,16 +679,11 @@ class TestExperimentCommands:
                   for row in rows if row[2] == "lambda"]
         assert len(depths) == 10 and len(set(depths)) > 1
         assert [res.grid_depth for res in recorded] == depths
-        manifests = [paths["manifest"]]
+        assert read_manifest(paths["manifest"])["grid_depths"] == f"{min(depths)}..{max(depths)}"
         with pytest.warns(stou.TruncationTooShallow):  # 30 steps are shallow here
             assert run_cli("coverage", *_EXPERIMENT_11[:-2], "--method", "mc-grid",
                            "--truncation-p", "30", "--out-dir", str(tmp_path / "given")) == 0
-        manifests.append(str(tmp_path / "given" / "manifest.txt"))
-        found = []
-        for manifest in manifests:
-            lines = open(manifest, encoding="utf-8").read().splitlines()
-            found.append(dict(line.split(": ", 1) for line in lines)["grid_depths"])
-        assert found == [f"{min(depths)}..{max(depths)}", "30..30"]
+        assert read_manifest(tmp_path / "given" / "manifest.txt")["grid_depths"] == "30..30"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
     def test_manifest_peak_is_the_runs_own(self, tmp_path):
