@@ -22,6 +22,7 @@ from .cl import EstimationScenario, check_sandwich_ci_args, sandwich_ci
 from .errors import BudgetExceeded, ConfigInvalid, StouError
 from .experiment import (
     _CONFIG_PARSERS,
+    METHODS,
     ExperimentConfig,
     _checked,
     _OneBlasThread,
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci", help="parametric-bootstrap CIs for one field file")
     _add_field_args(p)
-    p.add_argument("--method", choices=("mc-exact", "mc-grid"), default="mc-exact")
+    p.add_argument("--method", choices=[m for m in METHODS if m.startswith("mc-")])
     _add_config_flags(p, "B", "level", *_GRID, "max_lag", "seed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ci)
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
         _add_config_flags(p, *_TRUTH_LATTICE)
-        p.add_argument("--method", choices=("cl-sandwich", "mc-exact", "mc-grid"))
+        p.add_argument("--method", choices=METHODS)
         _add_config_flags(p, *_CL, *_GRID, "B", "n_datasets", "level", "max_lag", "seed",
                           "workers", "out_dir", "only_dataset")
         p.set_defaults(func=_cmd_experiment)
@@ -129,10 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings(args, *sources: dict) -> ExperimentConfig:
     """ExperimentConfig's defaults with the sources, then the flags given,
-    applied (see ExperimentConfig.merged).  Not validated: each command
-    checks the settings it uses."""
+    applied (see ExperimentConfig.merged).  A grid flag is refused unless
+    the resolved method draws on the grid, a source's grid keys are not;
+    each command checks the other settings it uses."""
     flags = {name: getattr(args, name, None) for name in _CONFIG_PARSERS}
-    return ExperimentConfig.merged(*sources, flags)
+    settings = ExperimentConfig.merged(*sources, flags)
+    for name in _GRID:
+        if flags[name] is not None and settings.simulator() != "grid":
+            raise ConfigInvalid(f"--{name.replace('_', '-')} applies to the grid simulator, "
+                                f"not --method {settings.method}")
+    return settings
 
 
 def _field_from_args(args, settings: ExperimentConfig) -> FieldSample:
@@ -154,20 +161,12 @@ def _emit(lines: list[str], out: str | None) -> None:
         _write_lines(out, lines)
 
 
-def _reject_grid_flags(args, method: str) -> None:
-    for flag, value in (("--truncation-p", args.truncation_p),
-                        ("--cells-per-obs-cell", args.cells_per_obs_cell)):
-        if value is not None:
-            raise ConfigInvalid(f"{flag} applies to the grid simulator, not --method {method}")
-
-
 def _cmd_simulate(args) -> int:
     settings = _settings(args)
     params = _checked(settings.truth)
     lattice = _checked(settings.lattice)
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     if args.method == "exact":
-        _reject_grid_flags(args, args.method)
         # simulate_exact's field, drawn without holding the factor
         (values,) = _draw_exact(build_covariance(params, lattice), params.mu, [rng])
         field = FieldSample(lattice=lattice, values=values)
@@ -210,8 +209,6 @@ def _cmd_fit_cl(args) -> int:
 
 def _cmd_ci(args) -> int:
     settings = _settings(args)
-    if args.method == "mc-exact":
-        _reject_grid_flags(args, args.method)
     grid_config = _checked(settings.grid_config)
     simulator = settings.simulator()
     _checked(check_mc_ci_args, settings.B, settings.level, simulator)
@@ -236,8 +233,6 @@ def _cmd_experiment(args) -> int:
         except ValueError as exc:
             raise ConfigInvalid(f"STOU_WORKERS: {env!r} is not an integer") from exc
     config = _settings(args, file_values)
-    if config.method != "mc-grid":  # a config file's grid keys are accepted
-        _reject_grid_flags(args, config.method)
     paths = run(config, command=args.command)
     with open(paths["coverage"], encoding="utf-8") as handle:
         sys.stdout.write(handle.read())
