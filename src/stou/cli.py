@@ -131,14 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _settings(args, *sources: dict) -> ExperimentConfig:
     """ExperimentConfig's defaults with the sources, then the flags given,
     applied (see ExperimentConfig.merged).  A grid flag is refused unless
-    the resolved method draws on the grid, a source's grid keys are not;
-    each command checks the other settings it uses."""
+    the resolved method draws on the grid, a source's grid keys are not,
+    and so is a negative seed; each command checks the other settings it
+    uses."""
     flags = {name: getattr(args, name, None) for name in _CONFIG_PARSERS}
     settings = ExperimentConfig.merged(*sources, flags)
     for name in _GRID:
         if flags[name] is not None and settings.simulator() != "grid":
             raise ConfigInvalid(f"--{name.replace('_', '-')} applies to the grid simulator, "
                                 f"not --method {settings.method}")
+    if settings.seed < 0:  # SeedSequence would refuse it at the draw, exiting 3
+        raise ConfigInvalid("seed: must be >= 0")
     return settings
 
 

@@ -883,11 +883,13 @@ class TestExitCodes:
         pytest.param("coverage", "--lambda", "1e-160", "lam", id="1e-160"),
         pytest.param("simulate", "--lambda", "1e-200", "lam", id="simulate-1e-200"),
         pytest.param("simulate", "--tau", "-0.1", "tau", id="simulate-negative-tau"),
+        pytest.param("simulate", "--seed", "-1", "seed", id="simulate-negative-seed"),
     ])
     def test_unrepresentable_truth_is_2(self, tmp_path, capsys, no_worker_env,
                                         command, flag, value, named):
         # lam**2 underflows: the implied variance divides by 0 at 1e-200
-        # and overflows at 1e-160; a negative tau would be squared away
+        # and overflows at 1e-160; a negative tau would be squared away; a
+        # negative seed is refused before the draw, so no file is written
         out = tmp_path / "f.csv"
         where = (["--out", str(out)] if command == "simulate"
                  else [*EXPERIMENT_ARGS, "--out-dir", str(tmp_path)])
@@ -942,6 +944,7 @@ class TestExitCodes:
         ("fit-cl", "--level", "1.5", "level"),
         ("ci", "--level", "1.5", "level"),
         ("ci", "--B", "5", "B must"),
+        ("ci", "--seed", "-1", "seed"),
     ])
     def test_bad_setting_is_2_before_the_field_is_read(self, tmp_path, capsys, command,
                                                        flag, value, named):
