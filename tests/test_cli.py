@@ -538,13 +538,15 @@ class TestSimulateAndFit:
         assert {"lambda", "c_tilde"} <= names
 
     def test_ci_grid_cells_without_truncation(self, field_csv, capsys):
-        # the depth is then the grid simulator's default for the fitted model
-        assert run_cli(
-            "ci", "--field", field_csv, "--dx", "0.05", "--dt", "0.05",
-            "--method", "mc-grid", "--B", "20", "--cells-per-obs-cell", "2",
-        ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "parameter,point,lower,median,upper" and len(lines) == 7
+        # the depth is then the grid simulator's default for the fitted model;
+        # mc-grid takes either grid flag
+        for flag, value in (("--cells-per-obs-cell", "2"), ("--truncation-p", "150")):
+            assert run_cli(
+                "ci", "--field", field_csv, "--dx", "0.05", "--dt", "0.05",
+                "--method", "mc-grid", "--B", "20", flag, value,
+            ) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines[0] == "parameter,point,lower,median,upper" and len(lines) == 7
 
     @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
     def test_ci_exact_rejects_grid_flag(self, tmp_path, capsys, flag):
@@ -575,12 +577,16 @@ class TestSimulateAndFit:
 
     def test_experiment_grid_keys_follow_the_resolved_method(self, tmp_path, no_worker_env):
         # a config file's grid keys are accepted with any method, and a grid
-        # flag with a config file's mc-grid
+        # flag with a config file's or a flag's mc-grid
         cfg = tmp_path / "exp.cfg"
-        for text, flags in (("method = mc-exact\ntruncation_p = 5\n", []),
-                            ("method = mc-grid\n", ["--cells-per-obs-cell", "2"])):
+        for command, text, flags in (
+            ("coverage", "method = mc-exact\ntruncation_p = 5\n", []),
+            ("coverage", "method = mc-grid\n", ["--cells-per-obs-cell", "2"]),
+            ("proxy", "", ["--method", "mc-grid", "--truncation-p", "150"]),
+            ("proxy", "", ["--method", "mc-grid", "--cells-per-obs-cell", "2"]),
+        ):
             cfg.write_text(text)
-            assert run_cli("coverage", *_EXPERIMENT_11[:-2], "--config", str(cfg), *flags,
+            assert run_cli(command, *_EXPERIMENT_11[:-2], "--config", str(cfg), *flags,
                            "--out-dir", str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("flag", ["--truncation-p", "--cells-per-obs-cell"])
