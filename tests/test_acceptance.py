@@ -8,6 +8,7 @@ minute.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def test_criterion_9_outputs_do_not_depend_on_worker_count(tmp_path):
         )
         paths = run(cfg, "coverage")
         outputs.append(
-            tuple(open(paths[k], "rb").read() for k in ("estimates", "coverage"))
+            tuple(Path(paths[k]).read_bytes() for k in ("estimates", "coverage"))
         )
     assert outputs[0] == outputs[1]
     print(

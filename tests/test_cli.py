@@ -734,8 +734,7 @@ class TestExperimentCommands:
             monkeypatch.setattr(stou.bootstrap, "fit_mm", fit)
             config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
                                       out_dir=str(tmp_path / name))
-            lines = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
-            counts.append(dict(line.split(": ", 1) for line in lines)["refit_failures"])
+            counts.append(read_manifest(run(config)["manifest"])["refit_failures"])
         assert counts == ["0", "1"]
 
     def test_proxy_outputs(self, tmp_path, capsys, no_worker_env):
@@ -833,7 +832,8 @@ class TestExperimentCommands:
         # one dataset runs in this process, whatever the worker count
         config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, workers=8,
                                   only_dataset=3, out_dir=str(tmp_path))
-        rows = open(run(config)["estimates"], encoding="utf-8").read().splitlines()[1:]
+        with open(run(config)["estimates"], encoding="utf-8") as handle:
+            rows = handle.read().splitlines()[1:]
         assert sizes == [8, 2]
         assert len(rows) == 6 and all(row.startswith("3,") for row in rows)
 
@@ -1032,8 +1032,7 @@ class TestBlasThreads:
         with _OneBlasThread():
             assert _blas_threads() is None
         config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, out_dir=str(tmp_path))
-        manifest = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
-        assert "blas_threads: unknown" in manifest
+        assert read_manifest(run(config)["manifest"])["blas_threads"] == "unknown"
 
     def test_numpy_blas_count_is_restored(self, blas_calls):
         set_threads, get_threads = blas_calls
@@ -1051,7 +1050,6 @@ class TestBlasThreads:
         raised = get_threads()
         config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, workers=2,
                                   out_dir=str(tmp_path))
-        manifest = open(run(config)["manifest"], encoding="utf-8").read().splitlines()
         # each dataset records the count of the process that ran it
-        assert "blas_threads: 1" in manifest
+        assert read_manifest(run(config)["manifest"])["blas_threads"] == "1"
         assert get_threads() == raised
