@@ -997,27 +997,65 @@ def blas_calls():
     calls[0](found)
 
 
+# (command, method, sites per row, values of OPENBLAS_NUM_THREADS, None
+# leaving it unset).  33 x 33 is the smallest square lattice whose
+# estimates.csv differed between the variable unset, 1 and 2 on a 2-core
+# host while the thread count still followed the variable (32 x 32 did
+# not).  33 and 34 sites per row are the two shapes of the exact factor's
+# mirror split.  simulate's exact draw runs each predictor row as one
+# product broadcast over the fields, and ci runs each bootstrap simulator
+# (the grid at its default depth) on such a field.
+_BLAS_CASES = [
+    pytest.param("coverage", "mc-exact", 33, (None, "1", "2"), id="coverage-mc-exact-33-unset-1-2"),
+    *(pytest.param("coverage", method, nx, ("1", "4"), id=f"coverage-{method}-{nx}")
+      for nx in (33, 34) for method in ("mc-exact", "mc-grid", "cl-sandwich")),
+    *(pytest.param("simulate", "exact", nx, ("1", "4"), id=f"simulate-exact-{nx}")
+      for nx in (33, 34)),
+    *(pytest.param("ci", method, nx, ("1", "4"), id=f"ci-{method}-{nx}")
+      for nx in (33, 34) for method in ("mc-exact", "mc-grid")),
+]
+
+
+def _stou_on_blas_threads(value, *argv) -> None:
+    """`stou argv` in a new process with OPENBLAS_NUM_THREADS set to value,
+    or unset for None, and STOU_WORKERS unset; it must succeed."""
+    env = _env_with_src()
+    env.pop("STOU_WORKERS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    subprocess.run([sys.executable, "-m", "stou.cli", *argv], env=env, capture_output=True,
+                   check=True)
+
+
 class TestBlasThreads:
-    def test_thread_variables_do_not_change_outputs(self, tmp_path):
-        # 33 x 33 is the smallest square lattice whose estimates.csv differed
-        # between OPENBLAS_NUM_THREADS unset, 1 and 2 on a 2-core host while
-        # the thread count still followed the variable (32 x 32 did not)
+    @pytest.mark.parametrize("command,method,nx,values", _BLAS_CASES)
+    def test_thread_variables_do_not_change_outputs(self, tmp_path, command, method, nx,
+                                                    values):
+        # every command runs numpy's BLAS on one thread, so the variable
+        # changes no output byte
+        lattice = ["--nx", str(nx), "--nt", "33", "--seed", "5"]
+        field = tmp_path / "field.csv"
+        if command == "ci":
+            _stou_on_blas_threads("1", "simulate", *lattice, "--out", str(field))
         outputs = []
-        for value in (None, "1", "2"):
-            env = _env_with_src()
-            env.pop("STOU_WORKERS", None)
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if value is not None:
-                env["OPENBLAS_NUM_THREADS"] = value
-            out_dir = tmp_path / (value or "unset")
-            subprocess.run(
-                [sys.executable, "-m", "stou.cli", "coverage", "--method", "mc-exact",
-                 "--nx", "33", "--nt", "33", "--B", "20", "--n-datasets", "10",
-                 "--seed", "5", "--workers", "1", "--out-dir", str(out_dir)],
-                env=env, capture_output=True, check=True,
-            )
-            outputs.append((out_dir / "estimates.csv").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        for value in values:
+            out = tmp_path / (value or "unset")
+            out.mkdir()
+            argv = {
+                "coverage": [*lattice, "--B", "20", "--n-datasets", "10", "--workers", "1",
+                             "--out-dir", str(out)],
+                "simulate": [*lattice, "--out", str(out / "field.csv")],
+                "ci": ["--field", str(field), "--dx", "0.05", "--dt", "0.05", "--B", "20",
+                       "--seed", "5", "--out", str(out / "ci.csv")],
+            }[command]
+            _stou_on_blas_threads(value, command, "--method", method, *argv)
+            if command == "coverage":
+                assert read_manifest(out / "manifest.txt")["blas_threads"] == "1"
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                            if path.name != "manifest.txt"})
+        assert len(outputs[0]) == (2 if command == "coverage" else 1)
+        assert all(output == outputs[0] for output in outputs)
 
     def test_pins_and_restores_the_count_found(self, monkeypatch):
         state = {"threads": 3}
