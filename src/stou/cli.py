@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings(args, *sources: dict) -> ExperimentConfig:
     """ExperimentConfig's defaults with the sources, then the flags given,
-    applied (see ExperimentConfig.merged).  A grid flag is refused unless
-    the resolved method draws on the grid, a source's grid keys are not,
-    and so is a negative seed; each command checks the other settings it
+    applied (see ExperimentConfig.merged).  Refuses a negative seed, and
+    a grid flag unless the resolved method draws on the grid (a source's
+    grid keys are accepted); each command checks the other settings it
     uses."""
     flags = {name: getattr(args, name, None) for name in _CONFIG_PARSERS}
     settings = ExperimentConfig.merged(*sources, flags)

@@ -1006,9 +1006,9 @@ def blas_calls():
 # product broadcast over the fields, and ci runs each bootstrap simulator
 # (the grid at its default depth) on such a field.
 _BLAS_CASES = [
-    pytest.param("coverage", "mc-exact", 33, (None, "1", "2"), id="coverage-mc-exact-33-unset-1-2"),
+    pytest.param("coverage", "mc-exact", 33, (None, "1", "2"), id="coverage-unset-1-2"),
     *(pytest.param("coverage", method, nx, ("1", "4"), id=f"coverage-{method}-{nx}")
-      for nx in (33, 34) for method in ("mc-exact", "mc-grid", "cl-sandwich")),
+      for nx in (33, 34) for method in stou.experiment.METHODS),
     *(pytest.param("simulate", "exact", nx, ("1", "4"), id=f"simulate-exact-{nx}")
       for nx in (33, 34)),
     *(pytest.param("ci", method, nx, ("1", "4"), id=f"ci-{method}-{nx}")
