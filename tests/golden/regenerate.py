@@ -32,8 +32,10 @@ from stou.cli import main as stou_main  # noqa: E402
 EXACT_COLUMNS = ("dataset", "seed", "parameter", "hit", "error", "t_index", "x_index")
 
 _LATTICE = ("--nx", "15", "--nt", "15")
+_WINDOWS = ("--window-nx", "7", "--window-nt", "7", "--step-x", "4", "--step-t", "4")
 _EXPERIMENT = (*_LATTICE, "--n-datasets", "10", "--B", "20", "--seed", "11", "--workers", "1",
-               "--window-nx", "7", "--window-nt", "7", "--step-x", "4", "--step-t", "4")
+               *_WINDOWS)
+_GRID_FIELD = ("--field", "{golden}/simulate-grid/field.csv", "--dx", "0.05", "--dt", "0.05")
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,22 @@ class Case:
     rel_tol: float
 
 
-# in run order: ci reads the field that simulate-grid writes
+# in run order: ci and fit-cl read the field that simulate-grid writes
 CASES = (
     Case("simulate-grid", ("simulate", "--method", "grid", *_LATTICE, "--seed", "3",
                            "--out", "{out}/field.csv"), ("field.csv",), 1e-9),
-    Case("ci-mc-exact", ("ci", "--method", "mc-exact", "--field",
-                         "{golden}/simulate-grid/field.csv", "--dx", "0.05", "--dt", "0.05",
-                         "--B", "40", "--seed", "9", "--out", "{out}/ci.csv"),
+    Case("ci-mc-exact", ("ci", "--method", "mc-exact", *_GRID_FIELD, "--B", "40", "--seed", "9",
+                         "--out", "{out}/ci.csv"),
          ("ci.csv",), 1e-9),
+    Case("fit-cl", ("fit-cl", *_GRID_FIELD, "--scenario", "lambda,c_tilde", *_WINDOWS,
+                    "--out", "{out}/fit.csv"),
+         ("fit.csv",), 1e-5),
     *(Case(f"coverage-{method}", ("coverage", "--method", method, *_EXPERIMENT,
                                   "--out-dir", "{out}"),
            ("estimates.csv", "coverage.csv"), rel_tol)
       for method, rel_tol in (("mc-exact", 1e-9), ("mc-grid", 1e-9), ("cl-sandwich", 1e-5))),
+    Case("proxy-mc-grid", ("proxy", "--method", "mc-grid", *_EXPERIMENT, "--out-dir", "{out}"),
+         ("estimates.csv", "coverage.csv"), 1e-9),
 )
 
 
@@ -114,7 +120,7 @@ def moves(name: str, old: str, new: str) -> Moves:
             exact_rows[column] = sum(a != b for a, b in pairs)
         else:
             worst_rel[column] = max((_relative_change(a, b) for a, b in pairs), default=0.0)
-    if name == "coverage.csv":
+    if name == "coverage.csv" and "coverage" in old_header:  # a proxy run's has none
         coverage, se = old_header.index("coverage"), old_header.index("se")
         for a, b in zip(old_rows, new_rows):
             if a[coverage] != b[coverage]:
