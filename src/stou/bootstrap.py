@@ -26,7 +26,7 @@ import numpy as np
 
 from .cholesky import build_covariance, cholesky_factor, simulate_exact
 from .errors import FailureRateExceeded, StouError
-from .gridsim import GridSimConfig, simulate_grid
+from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
 from .model import FieldSample, StouParams
 
@@ -89,7 +89,8 @@ class IntervalEstimate:
 
 @dataclass(frozen=True)
 class McCiResult:
-    """Bootstrap intervals plus the re-estimates behind them."""
+    """Bootstrap intervals plus the re-estimates behind them, and the
+    depth every grid draw used (None for exact draws)."""
 
     intervals: dict[str, IntervalEstimate]
     estimates: dict[str, np.ndarray]
@@ -97,6 +98,7 @@ class McCiResult:
     n_boot: int
     n_failed: int
     level: float
+    grid_depth: int | None
 
 
 def quantile_interval(values, level: float) -> tuple[float, float, float]:
@@ -135,8 +137,9 @@ def mc_ci(
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Replications
     whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
-    raises FailureRateExceeded; a draw's error is raised.  A grid_config
-    of None is GridSimConfig(), drawn at simulate_grid's default depth.
+    raises FailureRateExceeded; a draw's error is raised.  The grid model
+    is resolved once, and every draw uses it: grid_config (None is
+    GridSimConfig()) at the fitted model's default depth if it sets none.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
@@ -145,8 +148,11 @@ def mc_ci(
     if simulator == "exact":
         factor = cholesky_factor(build_covariance(fitted, lattice))
         draw = functools.partial(simulate_exact, factor, fitted.mu, lattice)
+        grid_depth = None
     else:
-        draw = functools.partial(simulate_grid, fitted, lattice, grid_config or GridSimConfig())
+        grid_config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)
+        draw = functools.partial(simulate_grid, fitted, lattice, grid_config)
+        grid_depth = grid_config.truncation_p
 
     refits = []
     n_failed = 0
@@ -180,6 +186,7 @@ def mc_ci(
         n_boot=B,
         n_failed=n_failed,
         level=level,
+        grid_depth=grid_depth,
     )
 
 

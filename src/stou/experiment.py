@@ -49,7 +49,7 @@ from .cl import (
     sandwich_ci,
 )
 from .errors import ConfigInvalid, FailureRateExceeded, StouError
-from .gridsim import GridSimConfig, with_default_depth
+from .gridsim import GridSimConfig
 from .model import FieldSample, Lattice, StouParams
 
 __all__ = ["CoverageEntry", "CoverageReport", "ExperimentConfig", "coverage_experiment",
@@ -347,41 +347,24 @@ class _OneBlasThread:
 # An interval step maps (truth, data field, bootstrap stream) to the
 # dataset's intervals and proxies by parameter (proxies None without a
 # bootstrap), its count of failed bootstrap refits (0 without one) and
-# the depth of its grid draws (None without them).
-# Steps hold only settings, so they pickle into workers.
+# the depth of its grid draws (None without them).  Its settings come
+# first, bound by functools.partial, which pickles into workers.
 
-@dataclass(frozen=True)
-class _BootstrapStep:
-    B: int
-    level: float
-    simulator: str
-    grid_config: GridSimConfig | None
-    max_lag: int
-
-    def __call__(self, truth, field, boot_rng):
-        result = mc_ci(field, self.B, self.level, self.simulator, boot_rng,
-                       grid_config=self.grid_config, max_lag=self.max_lag)
-        proxies = {name: coverage_proxy(result.estimates[name], iv.point, self.level)
-                   for name, iv in result.intervals.items()}
-        grid_depth = None
-        if self.simulator == "grid":
-            grid_depth = with_default_depth(self.grid_config or GridSimConfig(), result.fitted,
-                                            field.lattice).truncation_p
-        return result.intervals, proxies, result.n_failed, grid_depth
+def _bootstrap_step(B, level, simulator, grid_config, max_lag, truth, field, boot_rng):
+    result = mc_ci(field, B, level, simulator, boot_rng, grid_config=grid_config,
+                   max_lag=max_lag)
+    proxies = {name: coverage_proxy(result.estimates[name], iv.point, level)
+               for name, iv in result.intervals.items()}
+    return result.intervals, proxies, result.n_failed, result.grid_depth
 
 
-@dataclass(frozen=True)
-class _SandwichStep:
-    config: ExperimentConfig
-
-    def __call__(self, truth, field, boot_rng):
-        config = self.config
-        result = sandwich_ci(
-            field, config.weights(), config.windows(),
-            EstimationScenario.pinned_at(config.scenario, truth),
-            level=config.level, max_lag=config.max_lag,
-        )
-        return result.intervals, None, 0, None
+def _sandwich_step(config, truth, field, boot_rng):
+    result = sandwich_ci(
+        field, config.weights(), config.windows(),
+        EstimationScenario.pinned_at(config.scenario, truth),
+        level=config.level, max_lag=config.max_lag,
+    )
+    return result.intervals, None, 0, None
 
 
 # ru_maxrss counts KiB on Linux and bytes on macOS
@@ -404,11 +387,11 @@ def _peak_rss_self_bytes(unit: int = _RU_MAXRSS_UNIT) -> int:
 class _DatasetResult:
     index: int
     seed: int
-    rows: tuple[tuple, ...]  # (parameter, true, estimate, lower, upper, hit)
-    proxies: dict | None
-    refit_failures: int  # bootstrap refits dropped; 0 on error
-    grid_depth: int | None  # of the bootstrap's grid draws; None without them or on error
-    error: str | None
+    rows: tuple[tuple, ...] = ()  # (parameter, true, estimate, lower, upper, hit)
+    proxies: dict | None = None
+    refit_failures: int = 0  # bootstrap refits dropped; 0 on error
+    grid_depth: int | None = None  # of the bootstrap's grid draws; None without them or on error
+    error: str | None = None
     # of the process that ran it: numpy's BLAS thread count, pid and peak resident set
     blas_threads: int | None = dataclass_field(default_factory=_blas_threads)
     pid: int = dataclass_field(default_factory=os.getpid)
@@ -419,8 +402,7 @@ _DATASET_ERRORS = (StouError, ValueError, np.linalg.LinAlgError)
 
 
 def _failed(index: int, seed: int, exc: Exception) -> _DatasetResult:
-    return _DatasetResult(index=index, seed=seed, rows=(), proxies=None, refit_failures=0,
-                          grid_depth=None, error=f"{type(exc).__name__}: {exc}")
+    return _DatasetResult(index=index, seed=seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def _dataset_task(args) -> _DatasetResult:
@@ -445,7 +427,7 @@ def _dataset_task(args) -> _DatasetResult:
         for name, iv in intervals.items()
     )
     return _DatasetResult(index=index, seed=seed, rows=rows, proxies=proxies,
-                          refit_failures=refit_failures, grid_depth=grid_depth, error=None)
+                          refit_failures=refit_failures, grid_depth=grid_depth)
 
 
 def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
@@ -537,7 +519,7 @@ def coverage_experiment(
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
     check_mc_ci_args(B, level, simulator)
-    step = _BootstrapStep(B, level, simulator, grid_config, max_lag)
+    step = functools.partial(_bootstrap_step, B, level, simulator, grid_config, max_lag)
     # budget and factorization errors end it before any interval step
     seeds = [g.bit_generator.seed_seq for g in rng.spawn(n_datasets)]
     results = _run_datasets(list(enumerate(seeds)), truth, lattice, step, truth_errors_raise=True)
@@ -570,11 +552,11 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
     if config.only_dataset != -1:
         indices = [config.only_dataset]
     if config.method == "cl-sandwich":
-        step = _SandwichStep(config)
+        step = functools.partial(_sandwich_step, config)
     else:
         grid_config = config.grid_config() if config.method == "mc-grid" else None
-        step = _BootstrapStep(config.B, config.level, config.simulator(), grid_config,
-                              config.max_lag)
+        step = functools.partial(_bootstrap_step, config.B, config.level, config.simulator(),
+                                 grid_config, config.max_lag)
     truth, lattice = config.truth(), config.lattice()
     children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
     results = _run_datasets([(i, children[i]) for i in indices], truth, lattice, step,

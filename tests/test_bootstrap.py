@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -249,7 +250,7 @@ class TestCoverageDataset:
         monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
         field = simulate_exact(factor, base_params.mu, small_lattice, data_rng)
-        step = stou.experiment._BootstrapStep(20, 0.9, "exact", None, 5)
+        step = functools.partial(stou.experiment._bootstrap_step, 20, 0.9, "exact", None, 5)
         intervals, proxies, refit_failures, grid_depth = step(base_params, field, boot_rng)
         assert calls["n"] == 21
         assert refit_failures == len(failing_calls)
