@@ -135,8 +135,8 @@ class TestMcCi:
 
     def test_grid_noise_beyond_budget_is_a_typed_error(self, small_field, monkeypatch):
         # a slowly decaying fit takes a deep default kernel: at lam = 0.01 the
-        # noise array would be 18500 x 36980 cells; the first draw raises,
-        # before any refit
+        # noise array would be 18500 x 36980 cells; resolving the depth
+        # raises, before any draw or refit
         slow = StouParams.natural(lam=0.01, c=1.0, mu_seed=0.2, tau2=0.01)
         fits = []
 
@@ -149,15 +149,30 @@ class TestMcCi:
             mc_ci(small_field, B=20, level=0.9, simulator="grid", rng=np.random.default_rng(0))
         assert len(fits) == 1
 
-    def test_grid_default_depth_is_the_fitted_models(self, small_field):
-        # no grid_config draws at p = ceil(9.24 / (lam dt)) for the fitted lam
+    def test_grid_default_depth_is_the_fitted_models(self, small_field, monkeypatch):
+        # no grid_config draws at p = ceil(9.24 / (lam dt)) for the fitted lam,
+        # resolved once: every draw is given that depth, and it is returned
         depth = math.ceil(9.24 / (fit_mm(small_field).lam * small_field.lattice.dt))
+        depths = []
+        real_simulate_grid = stou.bootstrap.simulate_grid
+
+        def recording(params, lattice, config, rng):
+            depths.append(config.truncation_p)
+            return real_simulate_grid(params, lattice, config, rng)
+
+        monkeypatch.setattr(stou.bootstrap, "simulate_grid", recording)
         a = mc_ci(small_field, 20, 0.9, "grid", np.random.default_rng(4))
+        assert all(isinstance(p, int) for p in depths)
+        assert depths == [depth] * 20 and a.grid_depth == depth
         b = mc_ci(small_field, 20, 0.9, "grid", np.random.default_rng(4),
                   grid_config=GridSimConfig(truncation_p=depth))
         assert a.intervals == b.intervals and a.n_failed == b.n_failed
         for name in REPORT_PARAMS:
             np.testing.assert_array_equal(a.estimates[name], b.estimates[name])
+        given = mc_ci(small_field, 20, 0.9, "grid", np.random.default_rng(4),
+                      grid_config=GridSimConfig(truncation_p=40))
+        assert given.grid_depth == 40 and depths[-20:] == [40] * 20
+        assert mc_ci(small_field, 20, 0.9, "exact", np.random.default_rng(4)).grid_depth is None
 
     def test_failed_refits_counted_then_fatal(self, small_field, monkeypatch):
         real_fit = stou.bootstrap.fit_mm

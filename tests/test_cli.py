@@ -765,14 +765,19 @@ class TestExperimentCommands:
         # free parameters plus the derived views
         assert names == ["lambda", "c_tilde", "c", "tau", "mu_seed"]
 
-    @pytest.mark.parametrize("method", ["mc-exact", "mc-grid", "cl-sandwich"])
+    @pytest.mark.parametrize("command,method", [
+        *(pytest.param("coverage", method, id=method)
+          for method in ("mc-exact", "mc-grid", "cl-sandwich")),
+        # a worker computes the proxies, through a pickled step
+        pytest.param("proxy", "mc-grid", id="proxy-mc-grid"),
+    ])
     def test_worker_count_does_not_change_outputs(self, tmp_path, no_worker_env, capsys,
-                                                  method):
+                                                  command, method):
         dirs = []
         for workers in ("1", "2"):
             out_dir = tmp_path / f"w{workers}"
             assert run_cli(
-                "coverage", *EXPERIMENT_ARGS, "--method", method, "--workers", workers,
+                command, *EXPERIMENT_ARGS, "--method", method, "--workers", workers,
                 "--out-dir", str(out_dir),
             ) == 0
             dirs.append(out_dir)
@@ -1063,6 +1068,36 @@ class TestBlasThreads:
         monkeypatch.setattr(stou.experiment, "_blas_thread_calls", lambda: calls)
         with _OneBlasThread():
             assert state["threads"] == 1
+        assert state["threads"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["simulate", "--method", method, *_LATTICE_11, "--out", "{tmp}/f.csv"],
+                       id=f"simulate-{method}") for method in ("exact", "grid")),
+        pytest.param(["fit-mm", *_FIELD_11], id="fit-mm"),
+        pytest.param(["fit-cl", *_FIELD_11, *_WINDOWS_7], id="fit-cl"),
+        *(pytest.param(["ci", "--method", method, *_FIELD_11, "--B", "20"], id=f"ci-{method}")
+          for method in ("mc-exact", "mc-grid")),
+    ])
+    def test_commands_without_a_manifest_compute_on_one_thread(self, argv, tmp_path,
+                                                               base_params, monkeypatch):
+        # a coverage run shows its count in the manifest; these commands
+        # show it only to their numeric entry points, which record it here
+        lattice = Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05)
+        factor = stou.cholesky_factor(stou.build_covariance(base_params, lattice))
+        field = stou.simulate_exact(factor, base_params.mu, lattice, np.random.default_rng(1))
+        write_field(field, str(tmp_path / "field.csv"))
+        state = {"threads": 3}
+        calls = (lambda n: state.update(threads=n), lambda: state["threads"])
+        monkeypatch.setattr(stou.experiment, "_blas_thread_calls", lambda: calls)
+        seen = []
+        for name in ("_draw_exact", "simulate_grid", "fit_mm", "sandwich_ci", "mc_ci"):
+            def recording(*args, real=getattr(stou.cli, name), **kwargs):
+                seen.append(state["threads"])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(stou.cli, name, recording)
+        assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 0
+        assert seen and all(threads == 1 for threads in seen)
         assert state["threads"] == 3
 
     def test_without_a_setter_it_does_nothing(self, monkeypatch, tmp_path):
