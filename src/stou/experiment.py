@@ -12,8 +12,9 @@ truth's Levinson recursion, which applies each predictor row to every
 field and keeps no factor; the fields are simulate_exact's from the
 truth's factor, bit for bit.  So no process holds the truth's factor,
 and each holds at most one factor at a time (the fitted model's, inside
-mc_ci).  _dataset_task runs the method's interval step on a field, here
-or in a pool worker; mc_ci splits the bootstrap stream per replication.
+mc_ci).  _dataset_task runs the method's interval step, a function with
+its settings bound by functools.partial, on a field, here or in a pool
+worker; mc_ci splits the bootstrap stream per replication.
 Every estimates.csv row records the dataset index and the dataset
 child's first 64-bit state word, so a single dataset can be replayed
 without rerunning the experiment.  Outputs depend only on (config,
