@@ -1,69 +1,49 @@
 """Spatio-temporal Ornstein-Uhlenbeck fields on space-time lattices:
 exact and grid-approximate simulation, moment and composite-likelihood
 estimation, and asymptotic-normal / parametric-bootstrap confidence
-intervals with coverage experiments and a bootstrap coverage proxy."""
+intervals with coverage experiments and a bootstrap coverage proxy.
 
-# set before the submodules load: experiment.py records it in manifest.txt
+`import stou` loads neither numpy nor any submodule: a public name loads
+the submodule that defines it on first use (PEP 562), so `stou.cli` can
+load numpy itself, on one BLAS thread."""
+
+import importlib
+
+# experiment.py records it in manifest.txt
 __version__ = "0.1.0"
 
-from .bootstrap import (
-    REPORT_PARAMS,
-    IntervalEstimate,
-    McCiResult,
-    coverage_proxy,
-    mc_ci,
-    params_to_report,
-    quantile_interval,
-)
-from .cholesky import (
-    DEFAULT_MAX_POINTS,
-    CholeskyFactor,
-    CovarianceMatrix,
-    build_covariance,
-    cholesky_factor,
-    simulate_exact,
-)
-from .cl import (
-    PARAM_NAMES,
-    EstimationScenario,
-    PairWeightSpec,
-    SandwichResult,
-    ThetaCL,
-    WindowSpec,
-    hessian_h,
-    l_pair,
-    maximize_cl,
-    pairwise_loglik,
-    sandwich_ci,
-    score_u,
-    total_pair_weight,
-    wsev_j,
-)
-from .errors import (
-    BudgetExceeded,
-    ConfigInvalid,
-    CorrelationAtUnity,
-    CovarianceJitter,
-    DegenerateSample,
-    DimensionMismatch,
-    FailureRateExceeded,
-    InsufficientUsableLags,
-    NoValidWindows,
-    NotPositiveDefinite,
-    OptimizerDidNotConverge,
-    SingularH,
-    StouError,
-    TruncationTooShallow,
-)
-from .experiment import (CoverageEntry, CoverageReport, ExperimentConfig,
-                         coverage_experiment, read_field, run, write_field)
-from .gridsim import GridSimConfig, cone_cell_areas, simulate_grid
-from .mm import AcfEstimate, empirical_acf, fit_mm, mm_from_moments
-from .model import (
-    FieldSample,
-    Lattice,
-    StouParams,
-    corr_canonical,
-    corr_separable,
-    derived_moments,
-)
+# each submodule and the public names it defines; a bare `import stou`
+# has always bound the submodules' names too
+_EXPORTS = {
+    "bootstrap": ("REPORT_PARAMS", "IntervalEstimate", "McCiResult", "coverage_proxy",
+                  "mc_ci", "params_to_report", "quantile_interval"),
+    "cholesky": ("DEFAULT_MAX_POINTS", "CholeskyFactor", "CovarianceMatrix",
+                 "build_covariance", "cholesky_factor", "simulate_exact"),
+    "cl": ("PARAM_NAMES", "EstimationScenario", "PairWeightSpec", "SandwichResult", "ThetaCL",
+           "WindowSpec", "hessian_h", "l_pair", "maximize_cl", "pairwise_loglik",
+           "sandwich_ci", "score_u", "total_pair_weight", "wsev_j"),
+    "errors": ("BudgetExceeded", "ConfigInvalid", "CorrelationAtUnity", "CovarianceJitter",
+               "DegenerateSample", "DimensionMismatch", "FailureRateExceeded",
+               "InsufficientUsableLags", "NoValidWindows", "NotPositiveDefinite",
+               "OptimizerDidNotConverge", "SingularH", "StouError", "TruncationTooShallow"),
+    "experiment": ("CoverageEntry", "CoverageReport", "ExperimentConfig",
+                   "coverage_experiment", "read_field", "run", "write_field"),
+    "gridsim": ("GridSimConfig", "cone_cell_areas", "simulate_grid"),
+    "mm": ("AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"),
+    "model": ("FieldSample", "Lattice", "StouParams", "corr_canonical", "corr_separable",
+              "derived_moments"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -5,14 +5,30 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 STOU_WORKERS sets the default worker count for coverage/proxy runs.
 Every subcommand runs numpy's BLAS on one thread, so the BLAS thread
 variables do not change its outputs; --workers is the parallelism.
+Importing this module first loads numpy with OPENBLAS_NUM_THREADS=1,
+unless numpy is loaded already, and then puts the variable back as it
+was found: OpenBLAS reads it only while it loads, so this process and
+the pool workers it forks start no BLAS thread beside their own.
 """
 
 from __future__ import annotations
 
-import argparse
-import math
 import os
 import sys
+
+if "numpy" not in sys.modules:
+    _found = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if _found is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = _found
+
+import argparse
+import math
 
 import numpy as np
 
