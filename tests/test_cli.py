@@ -132,6 +132,21 @@ def test_cl_commands_run_without_scipy_optimize(argv, tmp_path, field_csv):
     assert run_python(code).splitlines()[-1] == "0 []"
 
 
+def test_package_import_leaves_numpy_and_every_submodule_unimported():
+    # so that stou.cli, not the package, loads numpy
+    code = ("import sys, stou; "
+            "print('numpy' in sys.modules, [m for m in sys.modules if m.startswith('stou.')])")
+    assert run_python(code) == "False []"
+
+
+def test_a_bare_package_import_binds_each_submodule():
+    names = ("bootstrap", "cholesky", "cl", "errors", "experiment", "gridsim", "mm", "model")
+    code = ("import importlib, stou; "
+            f"print([m for m in {names} if getattr(stou, m) is not importlib.import_module("
+            "'stou.' + m)])")
+    assert run_python(code) == "[]"
+
+
 def test_cli_import_leaves_the_process_pool_unimported():
     # every invocation pays for the CLI's imports; only a pool run needs the pool's
     code = ("import sys, stou.cli; "
@@ -1056,11 +1071,30 @@ class TestBlasThreads:
             }[command]
             _stou_on_blas_threads(value, command, "--method", method, *argv)
             if command == "coverage":
-                assert read_manifest(out / "manifest.txt")["blas_threads"] == "1"
+                # the manifest records the variable as the caller set it
+                manifest = read_manifest(out / "manifest.txt")
+                assert manifest["blas_threads"] == "1"
+                assert manifest["OPENBLAS_NUM_THREADS"] == (value or "unset")
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()
                             if path.name != "manifest.txt"})
         assert len(outputs[0]) == (2 if command == "coverage" else 1)
         assert all(output == outputs[0] for output in outputs)
+
+    @pytest.mark.parametrize("value", [None, "4"])
+    def test_the_cli_loads_numpy_on_one_blas_thread(self, value, blas_calls, monkeypatch):
+        # OpenBLAS starts one pool thread per usable core as it loads, unless
+        # the variable says otherwise; importing stou.cli first loads numpy
+        # with the variable at 1, then puts it back.  On a host with one
+        # usable core the count is 1 without that pin too
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        if value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        code = ("import os, stou.cli, stou.experiment\n"
+                "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') "
+                "else [0]\n"
+                "print(stou.experiment._blas_threads(), len(tasks), "
+                "os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert run_python(code).split() == ["1", "1", str(value)]
 
     def test_pins_and_restores_the_count_found(self, monkeypatch):
         state = {"threads": 3}

@@ -2,6 +2,8 @@ import ast
 import importlib
 import pathlib
 
+import pytest
+
 import stou
 
 SOURCES = sorted(pathlib.Path(stou.__file__).parent.glob("*.py"))
@@ -24,7 +26,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= {elt.value for elt in node.value.elts}
+            used |= {elt.value for elt in getattr(node.value, "elts", ())}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -70,12 +72,7 @@ def test_modules_have_no_unreferenced_private_defs():
 
 
 def test_modules_have_no_unused_imports():
-    # __init__.py only re-exports
-    found = {
-        path.name: unused_imports(path.read_text(encoding="utf-8"))
-        for path in SOURCES
-        if path.name != "__init__.py"
-    }
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -86,14 +83,31 @@ def star_exports(module) -> list[str]:
 
 
 def test_package_exports_are_in_their_modules_all():
-    """Every name stou/__init__.py imports from a module is one the module
+    """Every name the package's table assigns to a module is one the module
     exports: in its __all__ where it has one (errors.py has none)."""
-    tree = ast.parse(pathlib.Path(stou.__file__).read_text(encoding="utf-8"))
     missing = [
-        f"{node.module}.{alias.name}"
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name not in star_exports(importlib.import_module(f"stou.{node.module}"))
+        f"{module}.{name}"
+        for module, names in stou._EXPORTS.items()
+        for name in names
+        if name not in star_exports(importlib.import_module(f"stou.{module}"))
     ]
-    assert missing == []
+    assert stou._EXPORTS and missing == []
+
+
+def test_every_export_is_the_object_its_module_defines():
+    for module, names in stou._EXPORTS.items():
+        defining = importlib.import_module(f"stou.{module}")
+        for name in names:
+            assert getattr(stou, name) is getattr(defining, name), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stou.no_such_name
+
+
+def test_dir_and_star_import_follow_all():
+    assert {"__all__", *stou.__all__, *stou._EXPORTS} <= set(dir(stou))
+    namespace = {}
+    exec("from stou import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(stou.__all__)
