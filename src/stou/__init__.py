@@ -12,8 +12,8 @@ import importlib
 # experiment.py records it in manifest.txt
 __version__ = "0.1.0"
 
-# each submodule and the public names it defines; a bare `import stou`
-# has always bound the submodules' names too
+# each submodule and the public names it defines; `stou.<submodule>`
+# resolves too, as a bare `import stou` bound every submodule's name
 _EXPORTS = {
     "bootstrap": ("REPORT_PARAMS", "IntervalEstimate", "McCiResult", "coverage_proxy",
                   "mc_ci", "params_to_report", "quantile_interval"),

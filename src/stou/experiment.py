@@ -329,8 +329,8 @@ class _OneBlasThread:
     found restored on leaving a with block; nothing when no setter is
     found.  As a pool's initializer it pins each worker for its life.
     One thread keeps the outputs' bits independent of the thread
-    variables, and idle OpenBLAS threads from spinning beside the many
-    small products of the exact draws."""
+    variables.  Idle pool threads that OpenBLAS started as it loaded
+    still spin a while before they sleep; stou.cli loads it with none."""
 
     def __init__(self):
         self._previous = _blas_threads()
