@@ -28,7 +28,7 @@ from .cholesky import build_covariance, cholesky_factor, simulate_exact
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
-from .model import FieldSample, StouParams
+from .model import FieldSample, StouParams, _require_int
 
 __all__ = [
     "REPORT_PARAMS",
@@ -115,8 +115,7 @@ def quantile_interval(values, level: float) -> tuple[float, float, float]:
 
 def check_mc_ci_args(B: int, level: float, simulator: str) -> None:
     """Raise the ValueError mc_ci raises for these arguments, if any."""
-    if B < MIN_BOOT:
-        raise ValueError(f"B must be >= {MIN_BOOT}, got {B}")
+    _require_int("B", B, MIN_BOOT)
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level must be in [0, 1), got {level!r}")
     if simulator not in ("exact", "grid"):

@@ -73,7 +73,7 @@ from .errors import (
     SingularH,
 )
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams, _axis_lags, _pair_ends
+from .model import FieldSample, Lattice, StouParams, _axis_lags, _pair_ends, _require_int
 
 __all__ = [
     "PARAM_NAMES",
@@ -110,8 +110,7 @@ class PairWeightSpec:
     cutoff_d: int = 3
 
     def __post_init__(self):
-        if not (isinstance(self.cutoff_d, (int, np.integer)) and self.cutoff_d >= 1):
-            raise ValueError(f"cutoff_d must be an integer >= 1, got {self.cutoff_d!r}")
+        _require_int("cutoff_d", self.cutoff_d, 1)
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,10 @@ class WindowSpec:
     step_t: int = 1
 
     def __post_init__(self):
-        for name in ("window_nx", "window_nt"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 2):
-                raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-        for name in ("step_x", "step_t"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        _require_int("window_nx", self.window_nx, 2)
+        _require_int("window_nt", self.window_nt, 2)
+        _require_int("step_x", self.step_x, 1)
+        _require_int("step_t", self.step_t, 1)
 
     def origins(self, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
         """Window origin indices (t0s, x0s); empty when no window fits."""

@@ -28,7 +28,6 @@ if "numpy" not in sys.modules:
             os.environ["OPENBLAS_NUM_THREADS"] = _found
 
 import argparse
-import math
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .experiment import (
 )
 from .gridsim import simulate_grid
 from .mm import fit_mm
-from .model import FieldSample
+from .model import FieldSample, _require_int, _require_positive
 
 __all__ = ["main"]
 
@@ -165,11 +164,9 @@ def _field_from_args(args, settings: ExperimentConfig) -> FieldSample:
     """The --field file on the --dx/--dt lattice; the spacings and
     --max-lag are checked before the file is read, so they fail as
     configuration errors."""
-    for flag, value in (("--dx", settings.dx), ("--dt", settings.dt)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigInvalid(f"{flag} must be finite and > 0, got {value!r}")
-    if settings.max_lag < 1:
-        raise ConfigInvalid(f"--max-lag must be >= 1, got {settings.max_lag!r}")
+    _checked(_require_positive, "--dx", settings.dx)
+    _checked(_require_positive, "--dt", settings.dt)
+    _checked(_require_int, "--max-lag", settings.max_lag, 1)
     return read_field(args.field, settings.dx, settings.dt)
 
 

@@ -51,7 +51,7 @@ from .cl import (
 )
 from .errors import ConfigInvalid, FailureRateExceeded, StouError
 from .gridsim import GridSimConfig
-from .model import FieldSample, Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams, _require_int
 
 __all__ = ["CoverageEntry", "CoverageReport", "ExperimentConfig", "coverage_experiment",
            "parse_config_file", "parse_scenario", "run", "read_field", "write_field"]
@@ -515,8 +515,7 @@ def coverage_experiment(
     seed.  Datasets that fail are listed in failures; FailureRateExceeded
     is raised when all do.
     """
-    if n_datasets < 10:
-        raise ValueError(f"n_datasets must be >= 10, got {n_datasets}")
+    _require_int("n_datasets", n_datasets, 10)
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
     check_mc_ci_args(B, level, simulator)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .cholesky import DEFAULT_MAX_POINTS
 from .errors import BudgetExceeded, TruncationTooShallow
-from .model import FieldSample, Lattice, StouParams
+from .model import FieldSample, Lattice, StouParams, _require_int
 
 __all__ = ["GridSimConfig", "cone_cell_areas", "simulate_grid", "with_default_depth"]
 
@@ -78,14 +78,9 @@ class GridSimConfig:
     cells_per_obs_cell: int = 1
 
     def __post_init__(self):
-        p = self.truncation_p
-        if not (p is None or isinstance(p, (int, np.integer)) and 1 <= p <= MAX_NOISE_CELLS):
-            raise ValueError(f"truncation_p must be None or an integer from 1 to "
-                             f"{MAX_NOISE_CELLS}, got {p!r}")
-        r = self.cells_per_obs_cell
-        if not (isinstance(r, (int, np.integer)) and 1 <= r <= MAX_NOISE_CELLS):
-            raise ValueError(f"cells_per_obs_cell must be an integer from 1 to "
-                             f"{MAX_NOISE_CELLS}, got {r!r}")
+        if self.truncation_p is not None:
+            _require_int("truncation_p", self.truncation_p, 1, MAX_NOISE_CELLS)
+        _require_int("cells_per_obs_cell", self.cells_per_obs_cell, 1, MAX_NOISE_CELLS)
 
 
 def _cut_share(depth: float) -> float:

@@ -41,6 +41,20 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is an integer from low (to high)."""
+    if not (isinstance(value, (int, np.integer)) and low <= value
+            and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def derived_moments(lam: float, c: float, mu_seed: float, tau2: float) -> tuple[float, float]:
     """Stationary mean and variance implied by the natural parameters."""
     mu = 2.0 * c * mu_seed / lam**2
@@ -71,19 +85,15 @@ class StouParams:
 
     def __post_init__(self):
         for name in ("lam", "c_tilde", "sigma2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            _require_positive(name, getattr(self, name))
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
 
     @classmethod
     def natural(cls, lam: float, c: float, mu_seed: float, tau2: float) -> "StouParams":
         """Construct from the natural parameterization (lam, c, mu_seed, tau2)."""
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError(f"c must be finite and > 0, got {c!r}")
-        if not (math.isfinite(tau2) and tau2 > 0.0):
-            raise ValueError(f"tau2 must be finite and > 0, got {tau2!r}")
+        _require_positive("c", c)
+        _require_positive("tau2", tau2)
         mu, sigma2 = derived_moments(lam, c, mu_seed, tau2)
         return cls(lam=lam, c_tilde=lam / c, sigma2=sigma2, mu=mu)
 
@@ -137,14 +147,10 @@ class Lattice:
     dt: float
 
     def __post_init__(self):
-        for name in ("n_x", "n_t"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("dx", "dt"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _require_int("n_x", self.n_x, 1)
+        _require_int("n_t", self.n_t, 1)
+        _require_positive("dx", self.dx)
+        _require_positive("dt", self.dt)
 
     @property
     def n(self) -> int:
