@@ -365,7 +365,7 @@ def wsev_j(
 
     J* = (1/m) sum_k (1/W_k) S_k S_k^T, where S_k sums w * U over the
     pairs whose endpoints both lie inside window k and W_k is the
-    window's pair weight; zero-weight windows are skipped.
+    window's pair weight.
     """
     lat = field.lattice
     t0s, x0s = windows.origins(lat)
@@ -398,8 +398,6 @@ def wsev_j(
         _, dl_drho, dl_ds2, dl_dmu = _lag_sums(rho, theta_hat.sigma2, 0.0, n, *sums)
         S += (dl_drho * (-d_t * rho), dl_drho * (-d_x * rho), dl_ds2, dl_dmu)
         w += n
-    if w == 0:
-        raise NoValidWindows("every window has zero pair weight")
     # every window has pair weight w; sum the windows in row-major origin
     # order, from +0.0 (the + 0.0 keeps a sum of -0.0 terms at +0.0)
     s = S.reshape(4, -1)

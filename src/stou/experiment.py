@@ -250,9 +250,15 @@ def read_field(path: str, dx: float, dt: float) -> FieldSample:
             raise ValueError(
                 f"{path}: expected header {FIELD_FILE_HEADER!r}, got {header!r}"
             )
-        raw = np.loadtxt(handle, delimiter=",", ndmin=2)
+        # loadtxt skips blank and '#' lines, and warns when nothing is left
+        rows = [line for line in handle if line.split("#", 1)[0].strip()]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
     if raw.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {raw.shape[1]}")
+    if not np.all(np.isfinite(raw[:, 2])):
+        raise ValueError(f"{path}: values must be finite")
     index = raw[:, :2]
     if not np.all(np.isfinite(index) & (index >= 0) & (index == np.round(index))):
         raise ValueError(f"{path}: t_index and x_index must be non-negative integers")
