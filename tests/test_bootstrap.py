@@ -99,6 +99,8 @@ class TestMcCi:
             mc_ci(small_field, B=20, level=1.0, simulator="exact", rng=rng)
         with pytest.raises(ValueError):
             mc_ci(small_field, B=20, level=0.95, simulator="series", rng=rng)
+        with pytest.raises(ValueError, match="B must be an integer"):
+            mc_ci(small_field, B=20.5, level=0.95, simulator="exact", rng=rng)
 
     def test_reproducible_bitwise(self, small_field):
         a = mc_ci(small_field, B=24, level=0.9, simulator="exact", rng=np.random.default_rng(9))
@@ -287,9 +289,15 @@ class TestCoverageExperiment:
                 base_params, small_lattice, n_datasets=10, B=20, level=0.95,
                 simulator="exact",
             )
+        with pytest.raises(ValueError, match="n_datasets must be an integer"):
+            coverage_experiment(
+                base_params, small_lattice, n_datasets=10.5, B=20, level=0.95,
+                simulator="exact", rng=rng,
+            )
 
     @pytest.mark.parametrize("B,level,simulator", [
         (19, 0.95, "exact"), (20, 1.0, "exact"), (20, 0.95, "series"),
+        (20.5, 0.95, "exact"),
     ])
     def test_bootstrap_settings_refused_before_any_dataset(
         self, base_params, small_lattice, monkeypatch, B, level, simulator

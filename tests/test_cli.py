@@ -1,11 +1,13 @@
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +321,22 @@ class TestFieldFiles:
             read_field(str(path), 0.05, 0.05)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("body,fault", [
+        ("", "no data rows"),
+        ("\n# a comment line\n", "no data rows"),
+        ("0,0\n0,1\n", "expected 3 columns, got 2"),
+        ("0,0,1.0\n0,1,nan\n", "values must be finite"),
+        ("0,0,inf\n0,1,1.0\n", "values must be finite"),
+    ], ids=["header-only", "blank-and-comment", "two-columns", "nan", "inf"])
+    def test_rejection_names_the_fault(self, tmp_path, body, fault):
+        path = tmp_path / "f.csv"
+        path.write_text("t_index,x_index,value\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a body with no rows
+            with pytest.raises(ValueError, match=fault) as info:
+                read_field(str(path), 0.05, 0.05)
+        assert str(info.value) == f"{path}: {fault}"
+
 
 class TestConfigParsing:
     def test_config_file_format(self, tmp_path):
@@ -380,6 +398,9 @@ class TestConfigParsing:
             ({"method": "mc-grid", "cells_per_obs_cell": 0}, "cells_per_obs_cell"),
             ({"nx": "1.5"}, "nx"),
             ({"workers": "two"}, "workers"),
+            ({"seed": -1}, "seed"),
+            ({"workers": 0}, "workers"),
+            ({"only_dataset": 100}, "only_dataset"),
         ],
     )
     def test_validation_errors_name_the_field(self, overrides, field):
@@ -752,6 +773,27 @@ class TestExperimentCommands:
             counts.append(read_manifest(run(config)["manifest"])["refit_failures"])
         assert counts == ["0", "1"]
 
+    def test_error_cell_is_quoted_in_estimates(self, tmp_path, monkeypatch):
+        real_mc_ci = stou.experiment.mc_ci
+        calls = {"n": 0}
+        message = 'a, "b"\nc'
+
+        def mc_ci_failing_third(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise stou.StouError(message)
+            return real_mc_ci(*args, **kwargs)
+
+        monkeypatch.setattr(stou.experiment, "mc_ci", mc_ci_failing_third)
+        config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
+                                  out_dir=str(tmp_path))
+        with open(run(config)["estimates"], encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ESTIMATES_HEADER.split(",")
+        failed = [row for row in rows[1:] if row[-1]]
+        assert [row[0] for row in failed] == ["2"]
+        assert failed[0][-1] == f"StouError: {message}"
+
     def test_proxy_outputs(self, tmp_path, capsys, no_worker_env):
         out_dir = tmp_path / "prox"
         assert run_cli("proxy", *EXPERIMENT_ARGS, "--out-dir", str(out_dir)) == 0
@@ -987,6 +1029,8 @@ class TestExitCodes:
             # a well-formed file whose field has one column, too few points
             ("-one-column",
              "t_index,x_index,value\n" + "".join(f"{t},0,{0.1 * t}\n" for t in range(6))),
+            ("-header-only", "t_index,x_index,value\n"),
+            ("-nan-value", "t_index,x_index,value\n0,0,1.0\n0,1,nan\n"),
         ]
         for command in ["fit-mm", "fit-cl", "ci"]
     ])

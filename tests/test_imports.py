@@ -53,6 +53,22 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     ]
 
 
+# the wording of model._require_int and model._require_positive
+BOUNDS_RULE_PHRASES = ("must be an integer", "must be finite and > 0, got")
+
+
+def bounds_rule_copies(source: str) -> list[str]:
+    """String constants, and literal parts of f-strings, that spell out
+    one of the bounds rules' error texts."""
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in BOUNDS_RULE_PHRASES)
+    ]
+    return [f"line {line}: {value!r}" for line, value in sorted(found)]
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
@@ -64,6 +80,21 @@ def test_finds_an_unreferenced_private_def():
         "b": "from a import _used\nclass _Lone:\n    pass\ndef public():\n    pass\n",
     }
     assert unreferenced_private_defs(sources) == ["a:_recursive", "b:_Lone"]
+
+
+def test_finds_a_bounds_rule_copy():
+    source = ('x = f"{n} must be an integer >= 1, got {v!r}"\n'
+              'y = "must be finite and > 0, got"\nz = "must be >= 1"\n')
+    assert bounds_rule_copies(source) == [
+        "line 1: ' must be an integer >= 1, got '",
+        "line 2: 'must be finite and > 0, got'",
+    ]
+
+
+def test_bounds_rules_are_spelled_only_in_model():
+    found = {path.name: bounds_rule_copies(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.name != "model.py"}
+    assert {name: copies for name, copies in found.items() if copies} == {}
 
 
 def test_modules_have_no_unreferenced_private_defs():
