@@ -155,8 +155,7 @@ def _settings(args, *sources: dict) -> ExperimentConfig:
         if flags[name] is not None and settings.simulator() != "grid":
             raise ConfigInvalid(f"--{name.replace('_', '-')} applies to the grid simulator, "
                                 f"not --method {settings.method}")
-    if settings.seed < 0:  # SeedSequence would refuse it at the draw, exiting 3
-        raise ConfigInvalid("seed: must be >= 0")
+    _checked(_require_int, "seed", settings.seed, 0)  # SeedSequence's refusal would exit 3
     return settings
 
 

@@ -51,7 +51,7 @@ from .cl import (
 )
 from .errors import ConfigInvalid, FailureRateExceeded, StouError
 from .gridsim import GridSimConfig
-from .model import FieldSample, Lattice, StouParams, _require_int
+from .model import FieldSample, Lattice, StouParams, _require_int, _require_positive
 
 __all__ = ["CoverageEntry", "CoverageReport", "ExperimentConfig", "coverage_experiment",
            "parse_config_file", "parse_scenario", "run", "read_field", "write_field"]
@@ -112,43 +112,30 @@ class ExperimentConfig:
     only_dataset: int = -1  # -1 runs all datasets
 
     def validate(self) -> None:
-        """Raise ConfigInvalid naming the first setting out of bounds.  The
-        lattice, pair-weight, window and grid-depth bounds, and those of B
-        and level, are the library's own: the specs and argument checks
-        the method uses are run here."""
-        def fail(field, why):
-            raise ConfigInvalid(f"{field}: {why}")
-
+        """Raise ConfigInvalid naming the first setting out of bounds, by the
+        library's own rules and the specs and argument checks of the method."""
         _checked(self.truth)
-        for field in ("nx", "nt"):
-            if getattr(self, field) < 2:
-                fail(field, "must be >= 2")
+        for field, low in (("nx", 2), ("nt", 2), ("n_datasets", 10), ("max_lag", 1),
+                           ("seed", 0), ("workers", 1)):
+            _checked(_require_int, field, getattr(self, field), low)
+        _checked(_require_int, "only_dataset", self.only_dataset, -1, self.n_datasets - 1)
         _checked(self.lattice)
         if self.method not in METHODS:
-            fail("method", f"must be one of {METHODS}")
+            raise ConfigInvalid(f"method: must be one of {METHODS}")
+        if not (isinstance(self.scenario, tuple) and all(n in PARAM_NAMES for n in self.scenario)):
+            raise ConfigInvalid(f"scenario: must be a tuple of names from {PARAM_NAMES}")
         if self.method == "cl-sandwich":
             _checked(self.weights)
             _checked(self.windows)
             _checked(check_sandwich_ci_args, self.level, self.scenario)
             for field, extent in (("window_nx", self.nx), ("window_nt", self.nt)):
-                if getattr(self, field) > extent:
-                    fail(field, "window must fit inside the lattice")
+                _checked(_require_int, field, getattr(self, field), 2, extent)
         else:
             _checked(check_mc_ci_args, self.B, self.level, self.simulator())
         if self.method == "mc-grid":
             _checked(self.grid_config)
-        if self.n_datasets < 10:
-            fail("n_datasets", "must be >= 10")
-        if self.max_lag < 1:
-            fail("max_lag", "must be >= 1")
-        if self.seed < 0:
-            fail("seed", "must be >= 0")
-        if self.workers < 1:
-            fail("workers", "must be >= 1")
-        if self.only_dataset != -1 and not 0 <= self.only_dataset < self.n_datasets:
-            fail("only_dataset", "must be -1 or a valid dataset index")
         if self.nx * self.nt > DEFAULT_MAX_POINTS:
-            fail("nx", f"lattice exceeds the {DEFAULT_MAX_POINTS}-site exact budget")
+            raise ConfigInvalid(f"nx: lattice exceeds the {DEFAULT_MAX_POINTS}-site exact budget")
 
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "ExperimentConfig":
@@ -177,17 +164,14 @@ class ExperimentConfig:
 
     def truth(self) -> StouParams:
         """The natural truth (lam, c, tau, mu_seed) in canonical form;
-        ValueError names the first of them out of bounds."""
-        for field in ("lam", "c", "tau"):
-            if not (math.isfinite(getattr(self, field)) and getattr(self, field) > 0):
-                raise ValueError(f"{field}: must be finite and > 0")
-        if not math.isfinite(self.mu_seed):
-            raise ValueError("mu_seed: must be finite")
-        try:  # lam**2 underflows below about 1e-154
-            return StouParams.natural(self.lam, self.c, self.mu_seed, self.tau**2)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise ValueError(f"lam: {self.lam!r} implies a stationary mean or variance that "
-                             f"is not finite, or a variance that is not > 0 ({exc})") from exc
+        ValueError names the setting at fault (see StouParams.natural)."""
+        _require_positive("tau", self.tau)  # tau**2 would square a negative tau away
+        try:  # tau**2 overflows above about 1.3e154 and underflows to 0 below about 1e-162
+            tau2 = self.tau**2
+            _require_positive("tau2", tau2)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"tau: {self.tau!r} squared is not representable") from exc
+        return StouParams.natural(self.lam, self.c, self.mu_seed, tau2)
 
     def lattice(self) -> Lattice:
         return Lattice(n_x=self.nx, n_t=self.nt, dx=self.dx, dt=self.dt)
@@ -522,6 +506,7 @@ def coverage_experiment(
     is raised when all do.
     """
     _require_int("n_datasets", n_datasets, 10)
+    _require_int("max_lag", max_lag, 1)
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")
     check_mc_ci_args(B, level, simulator)
@@ -554,9 +539,7 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
     config.validate()
     started = time.monotonic()
 
-    indices = range(config.n_datasets)
-    if config.only_dataset != -1:
-        indices = [config.only_dataset]
+    indices = range(config.n_datasets) if config.only_dataset == -1 else [config.only_dataset]
     if config.method == "cl-sandwich":
         step = functools.partial(_sandwich_step, config)
     else:

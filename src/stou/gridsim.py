@@ -143,7 +143,7 @@ class _GridPlan:
 
 def _fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n; 30**64 is a multiple of each one below 2**64."""
-    smooth = 30**64
+    smooth, n = 30**64, int(n)  # a numpy integer n cannot hold 30**64
     while smooth % n:
         n += 1
     return n

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, InsufficientUsableLags
-from .model import FieldSample, StouParams, _pair_ends
+from .model import FieldSample, StouParams, _pair_ends, _require_int
 
 __all__ = ["AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"]
 
@@ -80,8 +80,7 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     extent = field.values.shape[0 if axis == "temporal" else 1]
-    if not 1 <= max_lag < extent:
-        raise ValueError(f"max_lag must be in [1, {extent - 1}], got {max_lag}")
+    _require_int("max_lag", max_lag, 1, extent - 1)
     _, dev, s2 = _deviations(field)
     return AcfEstimate(axis, np.arange(1, max_lag + 1), _axis_acf(dev, s2, axis, max_lag))
 
@@ -126,6 +125,7 @@ def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
     Uses up to max_lag lags per axis (clamped to the axis extent); lags
     with rho_hat outside (0, 1) are dropped from the log-linear fit.
     """
+    _require_int("max_lag", max_lag, 1)
     lat = field.lattice
     if lat.n_t < 2 or lat.n_x < 2:
         raise ValueError("field must have at least 2 points on each axis")

@@ -42,17 +42,25 @@ __all__ = [
 
 
 def _require_int(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise ValueError unless value is an integer from low (to high)."""
-    if not (isinstance(value, (int, np.integer)) and low <= value
-            and (high is None or value <= high)):
+    """Raise ValueError unless value is an integer, not a bool, from low (to high)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"from {low} to {high}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+        raise ValueError(f"{name}: must be an integer {bound}, got {value!r}")
+
+
+def _finite(value) -> bool:
+    """math.isfinite, False for a non-number or an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _require_positive(name: str, value) -> None:
     """Raise ValueError unless value is finite and > 0."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (_finite(value) and value > 0.0):
+        raise ValueError(f"{name}: must be finite and > 0, got {value!r}")
 
 
 def derived_moments(lam: float, c: float, mu_seed: float, tau2: float) -> tuple[float, float]:
@@ -86,16 +94,24 @@ class StouParams:
     def __post_init__(self):
         for name in ("lam", "c_tilde", "sigma2"):
             _require_positive(name, getattr(self, name))
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        if not _finite(self.mu):
+            raise ValueError(f"mu: must be finite, got {self.mu!r}")
 
     @classmethod
     def natural(cls, lam: float, c: float, mu_seed: float, tau2: float) -> "StouParams":
-        """Construct from the natural parameterization (lam, c, mu_seed, tau2)."""
-        _require_positive("c", c)
-        _require_positive("tau2", tau2)
-        mu, sigma2 = derived_moments(lam, c, mu_seed, tau2)
-        return cls(lam=lam, c_tilde=lam / c, sigma2=sigma2, mu=mu)
+        """Construct from the natural parameterization (lam, c, mu_seed, tau2);
+        ValueError names lam, c or tau2 unless finite and > 0, mu_seed unless
+        finite, and lam when an implied mean, variance or c_tilde is not representable."""
+        for name, value in (("lam", lam), ("c", c), ("tau2", tau2)):
+            _require_positive(name, value)
+        if not _finite(mu_seed):
+            raise ValueError(f"mu_seed: must be finite, got {mu_seed!r}")
+        try:  # lam**2 underflows below about 1e-154 and overflows above about 1e154
+            mu, sigma2 = derived_moments(lam, c, mu_seed, tau2)
+            return cls(lam=lam, c_tilde=lam / c, sigma2=sigma2, mu=mu)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"lam: {lam!r} implies a stationary mean, variance or c_tilde "
+                             f"that cannot be represented ({exc})") from exc
 
     def as_array(self) -> np.ndarray:
         """(lam, c_tilde, sigma2, mu), the order of cl.PARAM_NAMES."""
@@ -181,8 +197,8 @@ def _axis_lags(lattice: Lattice, max_t: int, max_x: int) -> list[tuple]:
     order: temporal lags 1..max_t, then spatial lags 1..max_x.  h is in
     grid steps, d in lattice units, and n counts the lag's pairs."""
     n_t, n_x = lattice.n_t, lattice.n_x
-    steps = [(h, 0) for h in range(1, max_t + 1) if h < n_t]
-    steps += [(0, h) for h in range(1, max_x + 1) if h < n_x]
+    steps = [(h, 0) for h in range(1, min(max_t, n_t - 1) + 1)]
+    steps += [(0, h) for h in range(1, min(max_x, n_x - 1) + 1)]
     return [(h_t, h_x, h_t * lattice.dt, h_x * lattice.dx, (n_t - h_t) * (n_x - h_x))
             for h_t, h_x in steps]
 

@@ -99,7 +99,7 @@ class TestMcCi:
             mc_ci(small_field, B=20, level=1.0, simulator="exact", rng=rng)
         with pytest.raises(ValueError):
             mc_ci(small_field, B=20, level=0.95, simulator="series", rng=rng)
-        with pytest.raises(ValueError, match="B must be an integer"):
+        with pytest.raises(ValueError, match="B: must be an integer"):
             mc_ci(small_field, B=20.5, level=0.95, simulator="exact", rng=rng)
 
     def test_reproducible_bitwise(self, small_field):
@@ -289,7 +289,7 @@ class TestCoverageExperiment:
                 base_params, small_lattice, n_datasets=10, B=20, level=0.95,
                 simulator="exact",
             )
-        with pytest.raises(ValueError, match="n_datasets must be an integer"):
+        with pytest.raises(ValueError, match="n_datasets: must be an integer"):
             coverage_experiment(
                 base_params, small_lattice, n_datasets=10.5, B=20, level=0.95,
                 simulator="exact", rng=rng,
@@ -308,6 +308,17 @@ class TestCoverageExperiment:
             coverage_experiment(base_params, small_lattice, 10, B, level, simulator,
                                 rng=np.random.default_rng(0))
         assert ran == []
+
+    @pytest.mark.parametrize("max_lag", [0, 2.5, True])
+    def test_max_lag_refused_before_any_field_is_drawn(self, base_params, small_lattice,
+                                                       monkeypatch, max_lag):
+        # refused before the draw, not after every dataset has failed
+        drawn = []
+        monkeypatch.setattr(stou.experiment, "_draw_exact", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="^max_lag: must be an integer >= 1, got "):
+            coverage_experiment(base_params, small_lattice, 10, 20, 0.95, "exact",
+                                rng=np.random.default_rng(0), max_lag=max_lag)
+        assert drawn == []
 
     def test_report_shape_and_reproducibility(self, base_params):
         lat = Lattice(n_x=15, n_t=15, dx=0.05, dt=0.05)

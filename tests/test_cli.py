@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,13 +12,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stou
-from stou import ConfigInvalid, FieldSample, Lattice
+from stou import ConfigInvalid, FieldSample, Lattice, StouError
 from stou.cli import build_parser, main
 import stou.experiment
+from stou.cl import PARAM_NAMES
 from stou.experiment import (
     ESTIMATES_HEADER,
+    METHODS,
     ExperimentConfig,
     _blas_threads,
     _OneBlasThread,
@@ -431,6 +436,126 @@ class TestConfigParsing:
         assert [type(getattr(parsed, name)) for name in names] == [
             type(getattr(expected, name)) for name in names]
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n_datasets": 10.5}, "n_datasets: must be an integer >= 10, got 10.5"),
+        ({"max_lag": 2.5}, "max_lag: must be an integer >= 1, got 2.5"),
+        ({"seed": 1.5}, "seed: must be an integer >= 0, got 1.5"),
+        ({"seed": True}, "seed: must be an integer >= 0, got True"),
+        ({"seed": -1}, "seed: must be an integer >= 0, got -1"),
+        ({"workers": 1.5}, "workers: must be an integer >= 1, got 1.5"),
+        ({"only_dataset": 0.0}, "only_dataset: must be an integer from -1 to 99, got 0.0"),
+        ({"only_dataset": 100}, "only_dataset: must be an integer from -1 to 99, got 100"),
+        ({"nt": np.float64(21.0)}, "nt: must be an integer >= 2, got np.float64(21.0)"),
+        ({"nx": 1}, "nx: must be an integer >= 2, got 1"),
+        ({"lam": 0.0}, "lam: must be finite and > 0, got 0.0"),
+        ({"lam": 1e200}, "lam: 1e+200 implies a stationary mean, variance or c_tilde"),
+        ({"tau": -0.1}, "tau: must be finite and > 0, got -0.1"),
+        ({"tau": 1e200}, "tau: 1e+200 squared is not representable"),
+        ({"tau": 1e-200}, "tau: 1e-200 squared is not representable"),
+        ({"mu_seed": math.nan}, "mu_seed: must be finite, got nan"),
+        ({"scenario": 5}, "scenario: must be a tuple of names from"),
+        ({"scenario": ("lambda", "kappa")}, "scenario: must be a tuple of names from"),
+    ])
+    def test_refusal_is_in_the_library_wording(self, overrides, message):
+        # numbers from a library caller meet the rules that text meets
+        with pytest.raises(ConfigInvalid) as info:
+            ExperimentConfig.from_sources({}, overrides)
+        assert str(info.value).startswith(message)
+
+
+def _spelled(*values):
+    """Each value as a caller might give it: itself, its config-file text,
+    and, for a number that is no bool, a numpy scalar and an int as a float."""
+    def spellings(value):
+        found = [value, repr(value) if isinstance(value, float) else str(value)]
+        if isinstance(value, float):
+            found.append(np.float64(value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            found += [float(value)] + ([np.int64(value)] if abs(value) < 2**63 else [])
+        return st.sampled_from(found)
+    return st.sampled_from(values).flatmap(spellings)
+
+
+# values that no key takes, or takes only as some other value
+_ODD = (True, False, 2.5, "two", "")
+# every key but out_dir, in and out of bounds.  The in-bounds values keep each
+# run small (up to 9 x 9 sites, grid meshes of a few thousand cells) and away
+# from the float range's ends, where a valid truth tests the numerics, not the rules
+_CHANGES = {
+    "lam": _spelled(1.0, 3, 0.0, -1.0, math.nan, math.inf, 1e-200, 1e200, *_ODD),
+    "c": _spelled(0.5, 2, 0.0, -0.5, math.nan, math.inf, *_ODD),
+    "tau": _spelled(0.1, 1, 0.0, -0.1, math.nan, math.inf, 1e-200, 1e200, *_ODD),
+    "mu_seed": _spelled(-1.0, 0, math.nan, -math.inf, *_ODD),
+    "nx": _spelled(2, 5, 9, 1, 0, -1, 10**6, *_ODD),
+    "nt": _spelled(2, 5, 9, 1, 0, -1, 10**6, *_ODD),
+    "dx": _spelled(0.2, 1, 0.0, -0.1, math.nan, math.inf, *_ODD),
+    "dt": _spelled(0.2, 1, 0.0, -0.1, math.nan, math.inf, *_ODD),
+    "method": st.sampled_from([*METHODS, "kriging", 1]),
+    "scenario": st.sampled_from(["lambda,mu", ",".join(PARAM_NAMES), ("c_tilde",), "",
+                                 "kappa", ("kappa",), 3, 0.5, True]),
+    "B": _spelled(20, 19, 0, -20, *_ODD),
+    "n_datasets": _spelled(10, 12, 9, 0, -10, *_ODD),
+    "level": _spelled(0.0, 0.5, 0.95, 1.0, -0.5, 2, math.nan, *_ODD),
+    "cutoff_d": _spelled(1, 3, 10**9, 0, -1, *_ODD),
+    "window_nx": _spelled(2, 3, 9, 1, 0, 10**6, *_ODD),
+    "window_nt": _spelled(2, 3, 9, 1, 0, 10**6, *_ODD),
+    "step_x": _spelled(1, 2, 10**9, 0, -1, *_ODD),
+    "step_t": _spelled(1, 2, 10**9, 0, -1, *_ODD),
+    "truncation_p": _spelled(1, 20, 0, -1, 10**30, *_ODD),
+    "cells_per_obs_cell": _spelled(1, 2, 0, -1, 10**30, *_ODD),
+    "max_lag": _spelled(1, 3, 10**9, 0, -1, *_ODD),
+    "seed": _spelled(0, 7, 2**64, -1, *_ODD),
+    "workers": _spelled(1, 2, 10**9, 0, -1, *_ODD),
+    "only_dataset": _spelled(-1, 0, 9, 10, -2, *_ODD),
+}
+
+
+@st.composite
+def _valid_settings(draw) -> dict:
+    """A config that validates for any method, on at most 9 x 9 sites."""
+    nx, nt = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    return dict(
+        lam=pick(1.0, 2.0), c=pick(0.5, 1.0), tau=pick(0.1, 0.3), mu_seed=pick(-0.2, 0.2),
+        nx=nx, nt=nt, dx=pick(0.1, 0.5), dt=pick(0.1, 0.5), method=pick(*METHODS),
+        scenario=pick(PARAM_NAMES, ("lambda",), ("c_tilde", "mu")), B=20, n_datasets=10,
+        level=pick(0.8, 0.95), cutoff_d=draw(st.integers(1, 3)),
+        window_nx=draw(st.integers(2, nx)), window_nt=draw(st.integers(2, nt)),
+        step_x=draw(st.integers(1, 3)), step_t=draw(st.integers(1, 3)),
+        truncation_p=pick(None, 10), cells_per_obs_cell=draw(st.integers(1, 2)),
+        max_lag=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**32)),
+        workers=draw(st.integers(1, 3)), only_dataset=draw(st.integers(-1, 9)),
+    )
+
+
+class TestValidatedConfigRuns:
+    @given(valid=_valid_settings(), changed=st.lists(
+        st.sampled_from(sorted(_CHANGES)), max_size=3, unique=True,
+    ).flatmap(lambda keys: st.fixed_dictionaries({key: _CHANGES[key] for key in keys})))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_validated_config_runs_and_a_refused_one_names_its_key(self, tmp_path,
+                                                                      valid, changed):
+        with warnings.catch_warnings():
+            # the package's warnings, and numpy's on a numpy scalar that overflows
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                config = ExperimentConfig.from_sources(valid, changed)
+            except ConfigInvalid as exc:
+                named = re.match(r"\w+", str(exc)).group()  # "key: why", or "key must ..."
+                # a lattice made smaller can refuse a window, and the site budget names nx
+                also = {"window_nx", "window_nt"} if {"nx", "nt"} & set(changed) else set()
+                also |= {"nx"} if "nt" in changed else set()
+                assert named in set(changed) | also, str(exc)
+                return
+            # only_dataset 0 makes one task: workers is clamped to 1 and no pool forks
+            config = dataclasses.replace(config, only_dataset=0, out_dir=str(tmp_path / "out"))
+            try:
+                run(config)
+            except StouError:
+                pass
+
 
 class TestSimulateAndFit:
     def test_simulate_writes_deterministic_field(self, tmp_path, capsys):
@@ -528,7 +653,7 @@ class TestSimulateAndFit:
         out = tmp_path / "g.csv"
         assert run_cli("simulate", "--method", "grid", "--nx", "3", "--nt", "3",
                        "--truncation-p", str(10**320), "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: truncation_p must be")
+        assert capsys.readouterr().err.startswith("error: truncation_p: must be")
         assert not out.exists()
 
     def test_simulate_grid_method(self, tmp_path):
@@ -952,6 +1077,10 @@ class TestExitCodes:
         pytest.param("simulate", "--lambda", "1e-200", "lam", id="simulate-1e-200"),
         pytest.param("simulate", "--tau", "-0.1", "tau", id="simulate-negative-tau"),
         pytest.param("simulate", "--seed", "-1", "seed", id="simulate-negative-seed"),
+        # lam**2 and tau**2 overflow
+        pytest.param("simulate", "--lambda", "1e200", "lam", id="simulate-1e200"),
+        pytest.param("simulate", "--tau", "1e200", "tau", id="simulate-tau-1e200"),
+        pytest.param("coverage", "--tau", "1e200", "tau", id="tau-1e200"),
     ])
     def test_unrepresentable_truth_is_2(self, tmp_path, capsys, no_worker_env,
                                         command, flag, value, named):
@@ -1011,7 +1140,7 @@ class TestExitCodes:
         ("ci", "--max-lag", "0", "--max-lag"),
         ("fit-cl", "--level", "1.5", "level"),
         ("ci", "--level", "1.5", "level"),
-        ("ci", "--B", "5", "B must"),
+        ("ci", "--B", "5", "B: must"),
         ("ci", "--seed", "-1", "seed"),
     ])
     def test_bad_setting_is_2_before_the_field_is_read(self, tmp_path, capsys, command,

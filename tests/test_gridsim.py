@@ -151,6 +151,12 @@ class TestFastLen:
         for n in [*range(1, 100_001), *near_budget]:
             assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
+    def test_takes_a_numpy_integer(self):
+        # a GridSimConfig may hold numpy integers, and the noise shape then does;
+        # 30**64 % np.int64(7) raises OverflowError
+        assert _fast_len(np.int64(7)) == 8
+        assert type(_fast_len(np.int64(7))) is int
+
 
 class TestConeCellAreas:
     def test_hand_checked_unit_case(self):

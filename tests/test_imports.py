@@ -53,8 +53,9 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     ]
 
 
-# the wording of model._require_int and model._require_positive
-BOUNDS_RULE_PHRASES = ("must be an integer", "must be finite and > 0, got")
+# the wording of model._require_int and model._require_positive, and the
+# "must be >= k" of hand-written copies that spelled the integer rule short
+BOUNDS_RULE_PHRASES = ("must be an integer", "must be finite and > 0, got", "must be >=")
 
 
 def bounds_rule_copies(source: str) -> list[str]:
@@ -88,6 +89,7 @@ def test_finds_a_bounds_rule_copy():
     assert bounds_rule_copies(source) == [
         "line 1: ' must be an integer >= 1, got '",
         "line 2: 'must be finite and > 0, got'",
+        "line 3: 'must be >= 1'",
     ]
 
 

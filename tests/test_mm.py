@@ -77,6 +77,9 @@ class TestEmpiricalAcf:
             empirical_acf(field, "temporal", 0)
         with pytest.raises(ValueError):
             empirical_acf(field, "temporal", 4)
+        with pytest.raises(ValueError,
+                           match=r"^max_lag: must be an integer from 1 to 3, got 2\.5$"):
+            empirical_acf(field, "temporal", 2.5)
 
     def test_replication_average_tracks_model(self):
         # coarse spatial spacing keeps the full-sample mean accurate, so
@@ -126,6 +129,15 @@ class TestMmFromMoments:
 
 
 class TestFitMm:
+    @pytest.mark.parametrize("max_lag", [2.5, -1, 0, True])
+    def test_max_lag_is_an_integer_from_1(self, max_lag):
+        # named, where numpy would raise a bare TypeError or "negative
+        # dimensions", or the fit an InsufficientUsableLags for using no lag
+        field = make_field(np.random.default_rng(0).normal(size=(6, 6)))
+        message = f"^max_lag: must be an integer >= 1, got {max_lag!r}$"
+        with pytest.raises(ValueError, match=message):
+            fit_mm(field, max_lag=max_lag)
+
     def test_requires_two_points_per_axis(self):
         field = make_field(np.random.default_rng(0).normal(size=(1, 8)) * 0 + np.arange(8.0))
         with pytest.raises(ValueError):

@@ -165,6 +165,27 @@ class TestStouParams:
         with pytest.raises(ValueError):
             StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=-1.0)
 
+    @pytest.mark.parametrize("lam,c,mu_seed,tau2,message", [
+        (0.0, 1.0, 0.0, 1.0, "lam: must be finite and > 0, got 0.0"),
+        (math.nan, 1.0, 0.2, 0.01, "lam: must be finite and > 0, got nan"),
+        (1.0, 1.0, math.inf, 0.01, "mu_seed: must be finite, got inf"),
+        (1.0, 1.0, 10**400, 0.01, "mu_seed: must be finite, got 1000"),
+        (10**400, 1.0, 0.2, 0.01, "lam: must be finite and > 0, got 1000"),
+        # lam**2 underflows to 0, overflows, or the variance underflows to 0
+        (1e-200, 1.0, 0.2, 0.01, "lam: 1e-200 implies a stationary mean"),
+        (1e200, 1.0, 0.2, 0.01, "lam: 1e+200 implies a stationary mean"),
+        (1e100, 1.0, 0.2, 1e-300, "lam: 1e+100 implies a stationary mean"),
+        # c_tilde = lam / c overflows
+        (1e10, 1e-300, 0.2, 0.01, "lam: 10000000000.0 implies a stationary mean"),
+    ], ids=["lam-0", "lam-nan", "mu_seed-inf", "mu_seed-int-beyond-float", "lam-int-beyond-float",
+            "lam-squared-underflows", "lam-squared-overflows", "variance-underflows",
+            "c_tilde-overflows"])
+    def test_natural_names_the_argument_out_of_bounds(self, lam, c, mu_seed, tau2, message):
+        # a ValueError, never a bare ZeroDivisionError or OverflowError
+        with pytest.raises(ValueError) as info:
+            StouParams.natural(lam=lam, c=c, mu_seed=mu_seed, tau2=tau2)
+        assert str(info.value).startswith(message)
+
 
 class TestLattice:
     def test_counts_and_shape(self):
@@ -190,11 +211,18 @@ class TestLattice:
             {"n_x": 2, "n_t": 2, "dx": 0.0, "dt": 0.1},
             {"n_x": 2, "n_t": 2, "dx": 0.1, "dt": math.inf},
             {"n_x": 2.5, "n_t": 2, "dx": 0.1, "dt": 0.1},
+            {"n_x": 2, "n_t": 2, "dx": "0.1", "dt": 0.1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             Lattice(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True)])
+    def test_refuses_a_bool_count(self, value):
+        # bool subclasses int, but True is no lattice size
+        with pytest.raises(ValueError, match=r"^n_x: must be an integer >= 1, got (np\.)?True"):
+            Lattice(n_x=value, n_t=2, dx=0.1, dt=0.1)
 
     def test_axis_lags_temporal_first_and_only_with_pairs(self):
         # n_t = 5 has temporal lags up to 4 and n_x = 3 spatial lags up to 2;
@@ -206,6 +234,8 @@ class TestLattice:
         ]
         assert _axis_lags(lat, 2, 0) == [(1, 0, 0.2, 0.0, 12), (2, 0, 0.4, 0.0, 9)]
         assert _axis_lags(lat, 0, 1) == [(0, 1, 0.0, 0.1, 10)]
+        # a validated cutoff_d has no upper bound: one beyond the lattice costs nothing
+        assert _axis_lags(lat, 10**18, 10**18) == _axis_lags(lat, 6, 6)
 
 
 class TestFieldSample:
