@@ -58,6 +58,10 @@ CASES = (
     Case("ci-mc-exact", ("ci", "--method", "mc-exact", *_GRID_FIELD, "--B", "40", "--seed", "9",
                          "--out", "{out}/ci.csv"),
          ("ci.csv",), 1e-9),
+    # at 15 x 15 the exact bootstrap draws at most 71 fields per recursion: two here
+    Case("ci-mc-exact-b100", ("ci", "--method", "mc-exact", *_GRID_FIELD, "--B", "100",
+                              "--seed", "9", "--out", "{out}/ci.csv"),
+         ("ci.csv",), 1e-9),
     Case("fit-cl", ("fit-cl", *_GRID_FIELD, "--scenario", "lambda,c_tilde", *_WINDOWS,
                     "--out", "{out}/fit.csv"),
          ("fit.csv",), 1e-5),

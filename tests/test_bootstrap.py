@@ -205,6 +205,98 @@ class TestMcCi:
             mc_ci(small_field, B=24, level=0.9, simulator="exact", rng=np.random.default_rng(1))
 
 
+def per_draw_mc_ci(field, B, level, rng, max_lag=5):
+    """mc_ci's exact branch written the per-draw way: the fitted model's
+    factor, one simulate_exact per spawned stream, then fit_mm on each."""
+    fitted = fit_mm(field, max_lag=max_lag)
+    factor = cholesky_factor(build_covariance(fitted, field.lattice))
+    reports, n_failed = [], 0
+    for stream in rng.spawn(B):
+        sim = simulate_exact(factor, fitted.mu, field.lattice, stream)
+        try:
+            reports.append(params_to_report(fit_mm(sim, max_lag=max_lag)))
+        except StouError:
+            n_failed += 1
+    estimates = {name: np.array([r[name] for r in reports]) for name in REPORT_PARAMS}
+    points = params_to_report(fitted)
+    intervals = {}
+    for name in REPORT_PARAMS:
+        lo, med, hi = quantile_interval(estimates[name], level)
+        intervals[name] = IntervalEstimate(name, points[name], lo, hi, med, level)
+    return intervals, estimates, n_failed
+
+
+class TestExactDrawEqualsPerDrawLoop:
+    # mc_ci draws its B exact fields in one pass over the fitted model's
+    # recursion; each must have the bits simulate_exact gives it
+
+    @staticmethod
+    def _field(base_params, n_x, n_t, seed):
+        lattice = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
+        factor = cholesky_factor(build_covariance(base_params, lattice))
+        return simulate_exact(factor, base_params.mu, lattice, np.random.default_rng(seed))
+
+    @staticmethod
+    def _assert_equal(got, expected):
+        intervals, estimates, n_failed = expected
+        assert got.intervals == intervals and got.n_failed == n_failed
+        for name in REPORT_PARAMS:
+            np.testing.assert_array_equal(got.estimates[name], estimates[name])
+
+    @pytest.mark.parametrize("n_x,n_t,B,seed", [
+        (4, 4, 20, 0),  # a pass takes at most 7 fields: three passes, one refit fails
+        (7, 6, 30, 2),  # odd n_x, whose odd part has a padding column; two refits fail
+        (15, 15, 100, 0),  # two passes of at most 71
+    ])
+    def test_equals_the_per_draw_loop(self, base_params, n_x, n_t, B, seed):
+        field = self._field(base_params, n_x, n_t, seed)
+        expected = per_draw_mc_ci(field, B, 0.9, np.random.default_rng(seed + 100))
+        got = mc_ci(field, B, 0.9, "exact", np.random.default_rng(seed + 100))
+        self._assert_equal(got, expected)
+
+    @staticmethod
+    def _failing_levinson(monkeypatch, failures):
+        """Makes the first `failures` recursions raise LinAlgError."""
+        real = stou.cholesky._levinson
+        tried = []
+
+        def failing(blocks, basis):
+            tried.append(1)
+            if len(tried) <= failures:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(blocks, basis)
+
+        monkeypatch.setattr(stou.cholesky, "_levinson", failing)
+        return tried
+
+    def test_jitter_retry_gives_the_per_draw_bits(self, base_params, monkeypatch):
+        field = self._field(base_params, 9, 8, 3)
+        self._failing_levinson(monkeypatch, 1)
+        with pytest.warns(CovarianceJitter) as per_draw_warnings:
+            expected = per_draw_mc_ci(field, 20, 0.9, np.random.default_rng(7))
+        self._failing_levinson(monkeypatch, 1)
+        with pytest.warns(CovarianceJitter) as one_pass_warnings:
+            got = mc_ci(field, 20, 0.9, "exact", np.random.default_rng(7))
+        assert len(per_draw_warnings) == len(one_pass_warnings) == 1
+        assert str(one_pass_warnings[0].message) == str(per_draw_warnings[0].message)
+        self._assert_equal(got, expected)
+
+    def test_fitted_covariance_that_fails_raises_before_any_refit(self, small_field,
+                                                                  monkeypatch):
+        tried = self._failing_levinson(monkeypatch, 2)
+        fits = []
+        real_fit = stou.bootstrap.fit_mm
+
+        def counted(field, max_lag=5):
+            fits.append(1)
+            return real_fit(field, max_lag=max_lag)
+
+        monkeypatch.setattr(stou.bootstrap, "fit_mm", counted)
+        with pytest.warns(CovarianceJitter), pytest.raises(NotPositiveDefinite):
+            mc_ci(small_field, 20, 0.9, "exact", np.random.default_rng(0))
+        assert len(fits) == 1 and len(tried) == 2
+
+
 class TestCoverageProxy:
     def test_identical_estimates_always_covered(self):
         assert coverage_proxy(np.full(40, 1.7), 1.7) == 1.0
