@@ -2,7 +2,8 @@
 proxy.
 
 mc_ci fits a field by moments, simulates B fields from the fitted
-model, refits each, and reads CI bounds off the empirical quantiles of
+model (exact ones together, in one pass over its recursion that holds no
+factor), refits each, and reads CI bounds off the empirical quantiles of
 the B re-estimates (linear order-statistic interpolation, position
 1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
 dataset's field from the truth and passes it to mc_ci.  coverage_proxy
@@ -18,13 +19,12 @@ on the point estimate theta_E.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import build_covariance, cholesky_factor, simulate_exact
+from .cholesky import _draw_exact, build_covariance
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
@@ -134,29 +134,29 @@ def mc_ci(
     """Parametric-bootstrap quantile CIs for all reported parameters.
 
     Replications use index-derived child streams of rng, so results are
-    reproducible bit-for-bit for a given generator state.  Replications
-    whose refit fails are dropped; more than MAX_FAIL_FRAC of B dropped
-    raises FailureRateExceeded; a draw's error is raised.  The grid model
-    is resolved once, and every draw uses it: grid_config (None is
-    GridSimConfig()) at the fitted model's default depth if it sets none.
+    reproducible bit-for-bit for a given generator state.  Exact fields
+    are all drawn before the first refit, each with the bits
+    simulate_exact gives it.  Replications whose refit fails are dropped;
+    more than MAX_FAIL_FRAC of B dropped raises FailureRateExceeded; a
+    draw's error is raised.  The grid model is resolved once, and every
+    draw uses it: grid_config (None is GridSimConfig()) at the fitted
+    model's default depth if it sets none.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
     fitted = fit_mm(field, max_lag=max_lag)
 
     if simulator == "exact":
-        factor = cholesky_factor(build_covariance(fitted, lattice))
-        draw = functools.partial(simulate_exact, factor, fitted.mu, lattice)
+        fields = _draw_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B))
+        sims = (FieldSample(lattice=lattice, values=values) for values in fields)
         grid_depth = None
     else:
         grid_config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)
-        draw = functools.partial(simulate_grid, fitted, lattice, grid_config)
+        sims = (simulate_grid(fitted, lattice, grid_config, stream) for stream in rng.spawn(B))
         grid_depth = grid_config.truncation_p
 
-    refits = []
-    n_failed = 0
-    for stream in rng.spawn(B):
-        sim = draw(stream)
+    refits, n_failed = [], 0
+    for sim in sims:
         try:
             refits.append(fit_mm(sim, max_lag=max_lag))
         except StouError:

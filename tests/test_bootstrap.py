@@ -474,9 +474,9 @@ class TestCoverageExperiment:
 
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_no_truth_factor_built(self, base_params, tmp_path, monkeypatch, entry):
-        # each process holds at most one factor at a time: the fitted
-        # model's inside mc_ci; the truth's fields come from one recursion
-        # that keeps no factor, so none is alive when the first step runs
+        # no factor is built: the truth's fields come from one recursion
+        # that keeps none, so none is alive when the first step runs, and
+        # each mc_ci draws its fitted model's fields in one recursion too
         recursions, built = self._record_recursions_and_factors(monkeypatch)
         first_step = []
 
@@ -493,8 +493,8 @@ class TestCoverageExperiment:
         monkeypatch.setattr(stou.experiment, "mc_ci", probing)
         self._run_entry(entry, base_params, tmp_path, "mc-exact")
         assert first_step == [(1, 0, set())]
-        # the recorder sees factors: one fitted model's per dataset
-        assert len(built) == len(recursions) - 1 == 10
+        # the truth's recursion, then one fitted model's per dataset
+        assert built == [] and len(recursions) == 11
 
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_truth_that_fails_to_factor(self, base_params, tmp_path, monkeypatch, entry):

@@ -588,6 +588,15 @@ class TestSimulateAndFit:
                         for line in (out_dir / "manifest.txt").read_text().splitlines())
         assert int(manifest["peak_rss_self_bytes"]) < 120 * 2**20
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_exact_bootstrap_at_the_site_ceiling_holds_no_factor(self, tmp_path):
+        # this peaked at 262 MiB while mc_ci held the fitted model's 0.21 GB
+        # factor; its B fields are drawn in one pass over the recursion
+        field = str(tmp_path / "field.csv")
+        assert run_cli("simulate", "--nx", "101", "--nt", "101", "--out", field) == 0
+        assert peak_rss_mib("ci", "--method", "mc-exact", "--field", field, "--dx", "0.05",
+                            "--dt", "0.05", "--B", "20", "--out", str(tmp_path / "ci.csv")) < 120
+
     def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
         d = ExperimentConfig()
         # the grid simulator's depth for the default truth and lattice
