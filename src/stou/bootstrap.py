@@ -117,9 +117,9 @@ def check_mc_ci_args(B: int, level: float, simulator: str) -> None:
     """Raise the ValueError mc_ci raises for these arguments, if any."""
     _require_int("B", B, MIN_BOOT)
     if not 0.0 <= level < 1.0:
-        raise ValueError(f"level must be in [0, 1), got {level!r}")
+        raise ValueError(f"level: must be in [0, 1), got {level!r}")
     if simulator not in ("exact", "grid"):
-        raise ValueError(f"simulator must be 'exact' or 'grid', got {simulator!r}")
+        raise ValueError(f"simulator: must be 'exact' or 'grid', got {simulator!r}")
 
 
 def mc_ci(
@@ -197,7 +197,7 @@ def coverage_proxy(bootstrap_estimates, theta_e: float, level: float = 0.95) -> 
     if est.size < MIN_ESTIMATES:
         raise ValueError(f"need >= {MIN_ESTIMATES} estimates, got {est.size}")
     if not 0.0 <= level < 1.0:
-        raise ValueError(f"level must be in [0, 1), got {level!r}")
+        raise ValueError(f"level: must be in [0, 1), got {level!r}")
     q_l, q_m, q_u = quantile_interval(est, level)
     upper = theta_e + (q_m - q_l)
     lower = theta_e - (q_u - q_m)

@@ -68,6 +68,7 @@ import numpy as np
 from .bootstrap import IntervalEstimate
 from .errors import (
     CorrelationAtUnity,
+    DegenerateSample,
     NoValidWindows,
     OptimizerDidNotConverge,
     SingularH,
@@ -210,6 +211,14 @@ def _rho(lam: float, c_tilde: float, d_t: float, d_x: float) -> float:
     return rho
 
 
+def _squarable(s2: float) -> float:
+    """s2, or DegenerateSample when s2 * s2 underflows to 0: the sigma2
+    score and its expected information divide by it."""
+    if s2 * s2 == 0.0:
+        raise DegenerateSample(f"sigma2: its square underflows to 0, got {s2!r}")
+    return s2
+
+
 def _sum_b(rho, mu, n, s_1, s_2, s_ab) -> tuple:
     """(sum B, A, C) over n pairs at correlation rho, from s_1 = sum
     (y_i + y_j), s_2 = sum (y_i^2 + y_j^2) and s_ab = sum y_i y_j,
@@ -348,6 +357,7 @@ def total_pair_weight(lattice: Lattice, weights: PairWeightSpec) -> float:
 def hessian_h(theta: StouParams, lattice: Lattice, weights: PairWeightSpec) -> np.ndarray:
     """Expected Hessian H(theta): the sum over admissible weighted pairs
     of the per-pair expected information block.  Needs no data."""
+    _squarable(theta.sigma2)
     H = np.zeros((4, 4))
     d = weights.cutoff_d
     for _, _, d_t, d_x, n in _axis_lags(lattice, d, d):
@@ -436,6 +446,7 @@ def _fisher_terms(z: list[float], stats: list[tuple], free: list[int],
     information-orthogonal."""
     lam, c_tilde, s2, mu = _with_rates(z, free, pinned)
     _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
+    s2 = _squarable(s2)
     g0 = g1 = a = b = c = x0 = x1 = 0.0
     for d_t, d_x, n, *sums in stats:
         rho = _rho(lam, c_tilde, d_t, d_x)
@@ -559,9 +570,9 @@ def check_sandwich_ci_args(level: float, free: tuple[str, ...]) -> None:
     """Raise the ValueError sandwich_ci raises for this level and these
     free parameters, if any."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+        raise ValueError(f"level: must be in (0, 1), got {level!r}")
     if not free:
-        raise ValueError("scenario must leave at least one parameter free")
+        raise ValueError("scenario: must leave at least one parameter free")
 
 
 def sandwich_ci(

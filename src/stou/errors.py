@@ -18,7 +18,8 @@ class DimensionMismatch(StouError):
 
 
 class DegenerateSample(StouError):
-    """Field values are constant, so correlations are undefined."""
+    """Field values are constant, so correlations are undefined, or so
+    close to it that their variance's square underflows to 0."""
 
 
 class InsufficientUsableLags(StouError):

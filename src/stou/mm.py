@@ -36,7 +36,7 @@ class AcfEstimate:
 
     def __post_init__(self):
         if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+            raise ValueError(f"axis: must be one of {_AXES}, got {self.axis!r}")
         lags = np.asarray(self.lags, dtype=int)
         values = np.asarray(self.values, dtype=float)
         if lags.ndim != 1 or lags.shape != values.shape:
@@ -78,7 +78,7 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
     DegenerateSample when the sample variance is zero.
     """
     if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+        raise ValueError(f"axis: must be one of {_AXES}, got {axis!r}")
     extent = field.values.shape[0 if axis == "temporal" else 1]
     _require_int("max_lag", max_lag, 1, extent - 1)
     _, dev, s2 = _deviations(field)

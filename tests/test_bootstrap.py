@@ -95,9 +95,9 @@ class TestMcCi:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             mc_ci(small_field, B=19, level=0.95, simulator="exact", rng=rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^level: must be in \[0, 1\), got 1.0$"):
             mc_ci(small_field, B=20, level=1.0, simulator="exact", rng=rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^simulator: must be 'exact' or 'grid', got 'ser"):
             mc_ci(small_field, B=20, level=0.95, simulator="series", rng=rng)
         with pytest.raises(ValueError, match="B: must be an integer"):
             mc_ci(small_field, B=20.5, level=0.95, simulator="exact", rng=rng)
@@ -331,6 +331,10 @@ class TestCoverageProxy:
     def test_requires_enough_estimates(self):
         with pytest.raises(ValueError):
             coverage_proxy(np.arange(10.0), 5.0)
+
+    def test_level_validated(self):
+        with pytest.raises(ValueError, match=r"^level: must be in \[0, 1\), got -0.5$"):
+            coverage_proxy(np.arange(20.0), 5.0, level=-0.5)
 
     def test_accepts_the_fewest_estimates_mc_ci_returns(self):
         # B = 20 with the tolerated two failed refits leaves 18

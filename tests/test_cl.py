@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stou import (
     CorrelationAtUnity,
+    DegenerateSample,
     EstimationScenario,
     FieldSample,
     Lattice,
@@ -1202,7 +1203,7 @@ class TestSandwichCi:
     def test_level_validated(self, small_field):
         scen = EstimationScenario(free=PARAM_NAMES)
         windows = WindowSpec(window_nx=7, window_nt=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^level: must be in \(0, 1\), got 1.0$"):
             sandwich_ci(small_field, WEIGHTS, windows, scen, level=1.0)
 
     def test_all_fixed_rejected(self, small_field):
@@ -1211,7 +1212,7 @@ class TestSandwichCi:
             fixed_values={"lambda": 1.0, "c_tilde": 1.0, "sigma2": 0.005, "mu": 0.4},
         )
         windows = WindowSpec(window_nx=7, window_nt=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scenario: must leave at least one parameter free$"):
             sandwich_ci(small_field, WEIGHTS, windows, scen)
 
     def test_unidentified_rate_raises_singular(self):
@@ -1271,6 +1272,20 @@ class TestSandwichRegime:
                 return
         for iv in res.intervals.values():
             assert all(math.isfinite(v) for v in (iv.lower, iv.point, iv.upper))
+
+    def test_variance_whose_square_underflows_is_a_typed_error(self, small_field):
+        # sigma2 about 4e-303: the sigma2 score and hessian_h divide by
+        # sigma2 * sigma2, which underflows to 0
+        tiny = FieldSample(lattice=small_field.lattice, values=1e-150 * small_field.values)
+        start = fit_mm(tiny)
+        for free in (PARAM_NAMES, ("sigma2", "mu")):
+            scenario = EstimationScenario.pinned_at(free, start)
+            with pytest.raises(DegenerateSample, match="^sigma2: its square underflows to 0"):
+                sandwich_ci(tiny, WEIGHTS, WindowSpec(7, 7), scenario, start=start)
+        with pytest.raises(DegenerateSample, match="^sigma2: "):
+            maximize_cl(tiny, WEIGHTS, EstimationScenario.pinned_at(PARAM_NAMES, start), start)
+        with pytest.raises(DegenerateSample, match="^sigma2: "):
+            hessian_h(dataclasses.replace(start, sigma2=1e-300), small_field.lattice, WEIGHTS)
 
 
 class TestSpecValidation:

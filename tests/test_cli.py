@@ -543,7 +543,7 @@ class TestValidatedConfigRuns:
             try:
                 config = ExperimentConfig.from_sources(valid, changed)
             except ConfigInvalid as exc:
-                named = re.match(r"\w+", str(exc)).group()  # "key: why", or "key must ..."
+                named = re.match(r"(\w+): ", str(exc)).group(1)  # "key: why"
                 # a lattice made smaller can refuse a window, and the site budget names nx
                 also = {"window_nx", "window_nt"} if {"nx", "nt"} & set(changed) else set()
                 also |= {"nx"} if "nt" in changed else set()
@@ -555,6 +555,19 @@ class TestValidatedConfigRuns:
                 run(config)
             except StouError:
                 pass
+
+    def test_a_variance_whose_square_underflows_gives_an_error_row(self, tmp_path):
+        # c = 1e-300 implies sigma2 about 4e-303, whose square the CL score
+        # divides by: the dataset's row names it, where run once ended in a
+        # bare ZeroDivisionError
+        config = ExperimentConfig.from_sources({}, {
+            "method": "cl-sandwich", "c": 1e-300, "nx": 9, "nt": 9, "window_nx": 5,
+            "window_nt": 5, "only_dataset": 0, "out_dir": str(tmp_path)})
+        paths = run(config)
+        with open(paths["estimates"], encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 1
+        assert rows[0][-1].startswith("DegenerateSample: sigma2: its square underflows to 0, got ")
 
 
 class TestSimulateAndFit:

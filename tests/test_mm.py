@@ -36,8 +36,11 @@ def exact_acfs(lam, c_tilde, dt, dx, max_lag=5):
 
 class TestAcfEstimate:
     def test_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^axis: must be one of "):
             AcfEstimate(axis="diagonal", lags=[1], values=[0.5])
+        field = make_field(np.random.default_rng(0).normal(size=(4, 4)))
+        with pytest.raises(ValueError, match="^axis: must be one of "):
+            empirical_acf(field, "diagonal", 2)
 
     def test_rejects_non_increasing_lags(self):
         with pytest.raises(ValueError):
