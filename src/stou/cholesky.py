@@ -27,19 +27,19 @@ O(n_t^2 n_x^3) flops.  The factor stores the predictors in the split
 basis, about n_t^2 n_x^2 / 4 doubles, half of what the whole recursion's
 hold, and each C_t as the Cholesky factor of V_t recombined in site order,
 so L is still the unique lower Cholesky factor.  A draw mu + L z keeps its
-history in the split basis, at one batched product per time row; callers
-drawing many fields on one lattice should build the factor once.  A
+history in the split basis, at one batched product per time row.  A
 hand-built CovarianceMatrix is one part in the identity basis, through the
 same recursion and draw.  numpy only.
 
 The recursion yields the factor one time row at a time; cholesky_factor
-keeps every row.  Fields that are drawn once, from a covariance that is
-used once, need no factor: the one-pass draw applies each row to all of
-them as it is yielded and drops it, holding the fields and their
-split-basis histories (about 2 n doubles per field) in place of the
-factor.  Each row meets the fields in one product broadcast over them,
-an item per field, so every field has the bits simulate_exact gives it
-from the factor, however many are drawn together.
+keeps every row, for simulate_exact.  The one-pass draw needs no factor:
+it applies each row to all of its fields as it is yielded and drops it,
+holding the fields and their split-basis histories (about 2 n doubles
+per field) in place of the factor.  Each row meets the fields in one
+product broadcast over them, an item per field, so every field has the
+bits simulate_exact gives it from the factor, however many are drawn
+together.  Every command draws its exact fields this way, data and
+bootstrap fields alike.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .model import FieldSample, Lattice, StouParams
 __all__ = ["DEFAULT_MAX_POINTS", "CovarianceMatrix", "CholeskyFactor", "build_covariance",
            "cholesky_factor", "simulate_exact"]
 
-# The factor of 101 x 101 sites (the largest lattice exercised in the source
-# experiments) holds about 0.21 GB of coefficients: the default ceiling.
+# 101 x 101 sites, the largest lattice in the source experiments, is the default
+# ceiling, set by the recursion's O(n_t^2 n_x^3) time: no command holds the
+# factor, which would be 0.21 GB there.
 DEFAULT_MAX_POINTS = 101 * 101
 
 

@@ -213,7 +213,8 @@ def _rho(lam: float, c_tilde: float, d_t: float, d_x: float) -> float:
 
 def _squarable(s2: float) -> float:
     """s2, or DegenerateSample when s2 * s2 underflows to 0: the sigma2
-    score and its expected information divide by it."""
+    score and its expected information divide by it.  _fisher_terms,
+    hessian_h and wsev_j check it first."""
     if s2 * s2 == 0.0:
         raise DegenerateSample(f"sigma2: its square underflows to 0, got {s2!r}")
     return s2
@@ -377,6 +378,7 @@ def wsev_j(
     pairs whose endpoints both lie inside window k and W_k is the
     window's pair weight.
     """
+    _squarable(theta_hat.sigma2)
     lat = field.lattice
     t0s, x0s = windows.origins(lat)
     if t0s.size == 0 or x0s.size == 0:

@@ -1286,6 +1286,8 @@ class TestSandwichRegime:
             maximize_cl(tiny, WEIGHTS, EstimationScenario.pinned_at(PARAM_NAMES, start), start)
         with pytest.raises(DegenerateSample, match="^sigma2: "):
             hessian_h(dataclasses.replace(start, sigma2=1e-300), small_field.lattice, WEIGHTS)
+        with pytest.raises(DegenerateSample, match="^sigma2: "):
+            wsev_j(dataclasses.replace(start, sigma2=1e-300), tiny, WEIGHTS, WindowSpec(7, 7))
 
 
 class TestSpecValidation:
