@@ -211,13 +211,12 @@ def _rho(lam: float, c_tilde: float, d_t: float, d_x: float) -> float:
     return rho
 
 
-def _squarable(s2: float) -> float:
-    """s2, or DegenerateSample when s2 * s2 underflows to 0: the sigma2
-    score and its expected information divide by it.  _fisher_terms,
-    hessian_h and wsev_j check it first."""
+def _require_squarable(s2: float) -> None:
+    """DegenerateSample when s2 * s2 underflows to 0, as the sigma2 score
+    and its expected information divide by it: _fisher_terms, hessian_h
+    and wsev_j check their sigma2 first."""
     if s2 * s2 == 0.0:
         raise DegenerateSample(f"sigma2: its square underflows to 0, got {s2!r}")
-    return s2
 
 
 def _sum_b(rho, mu, n, s_1, s_2, s_ab) -> tuple:
@@ -358,7 +357,7 @@ def total_pair_weight(lattice: Lattice, weights: PairWeightSpec) -> float:
 def hessian_h(theta: StouParams, lattice: Lattice, weights: PairWeightSpec) -> np.ndarray:
     """Expected Hessian H(theta): the sum over admissible weighted pairs
     of the per-pair expected information block.  Needs no data."""
-    _squarable(theta.sigma2)
+    _require_squarable(theta.sigma2)
     H = np.zeros((4, 4))
     d = weights.cutoff_d
     for _, _, d_t, d_x, n in _axis_lags(lattice, d, d):
@@ -378,7 +377,7 @@ def wsev_j(
     pairs whose endpoints both lie inside window k and W_k is the
     window's pair weight.
     """
-    _squarable(theta_hat.sigma2)
+    _require_squarable(theta_hat.sigma2)
     lat = field.lattice
     t0s, x0s = windows.origins(lat)
     if t0s.size == 0 or x0s.size == 0:
@@ -448,7 +447,7 @@ def _fisher_terms(z: list[float], stats: list[tuple], free: list[int],
     information-orthogonal."""
     lam, c_tilde, s2, mu = _with_rates(z, free, pinned)
     _, s2, mu = _neg_pl(lam, c_tilde, s2, mu, stats)
-    s2 = _squarable(s2)
+    _require_squarable(s2)
     g0 = g1 = a = b = c = x0 = x1 = 0.0
     for d_t, d_x, n, *sums in stats:
         rho = _rho(lam, c_tilde, d_t, d_x)
