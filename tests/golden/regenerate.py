@@ -55,6 +55,8 @@ class Case:
 CASES = (
     Case("simulate-grid", ("simulate", "--method", "grid", *_LATTICE, "--seed", "3",
                            "--out", "{out}/field.csv"), ("field.csv",), 1e-9),
+    Case("simulate-exact", ("simulate", "--method", "exact", *_LATTICE, "--seed", "3",
+                            "--out", "{out}/field.csv"), ("field.csv",), 1e-9),
     Case("ci-mc-exact", ("ci", "--method", "mc-exact", *_GRID_FIELD, "--B", "40", "--seed", "9",
                          "--out", "{out}/ci.csv"),
          ("ci.csv",), 1e-9),
