@@ -10,9 +10,9 @@ the resulting field is a stationary Gaussian process with correlation
 
 so we can simulate it exactly from the Cholesky factor of the covariance
 matrix, or approximately by Riemann-summing the noise over the cone.
-The covariance is block Toeplitz in time, so the exact factor is built
-from its n_t time-lag blocks by a block Levinson-Durbin recursion,
-without ever forming the full matrix.
+The covariance is block Toeplitz in time, so the exact factor comes
+from its n_t time-lag blocks by a block Levinson-Durbin recursion, one
+time row at a time, without ever forming the full matrix.
 This demo draws one field with each simulator and checks both against
 the model moments.
 """
@@ -24,7 +24,6 @@ from stou import (
     Lattice,
     StouParams,
     build_covariance,
-    cholesky_factor,
     corr_canonical,
     simulate_exact,
     simulate_grid,
@@ -38,17 +37,16 @@ print(f"  lambda = {params.lam}, c = {params.c}, "
       f"mu_seed = {params.mu_seed}, tau2 = {params.tau2}")
 print(f"  derived: mean mu = {params.mu:.4f}, variance sigma2 = {params.sigma2:.4f}")
 
-# 1. Exact simulation: factor the covariance once, then draw fields by
-#    applying the factor to standard normal vectors.
+# 1. Exact simulation: each time row of the factor is applied to standard
+#    normal vectors as the recursion yields it, so the factor is never held.
 cov = build_covariance(params, lattice)
-factor = cholesky_factor(cov)
 rng = np.random.default_rng(2)
-field = simulate_exact(factor, params.mu, lattice, rng)
+(field,) = simulate_exact(cov, params.mu, [rng])
 print("\nexact (Cholesky) simulator")
 print(f"  covariance matrix is {cov.n} x {cov.n}, "
       f"held as {cov.blocks.shape[0]} blocks of {cov.blocks.shape[1]} x {cov.blocks.shape[2]}")
-print(f"  sample mean {field.values.mean():+.4f}   model mu {params.mu:+.4f}")
-print(f"  sample var  {field.values.var():.5f}   model sigma2 {params.sigma2:.5f}")
+print(f"  sample mean {field.mean():+.4f}   model mu {params.mu:+.4f}")
+print(f"  sample var  {field.var():.5f}   model sigma2 {params.sigma2:.5f}")
 print("  (the domain spans only ~1.5 correlation lengths, so a single")
 print("   field's sample variance sits well below sigma2; this is the")
 print("   small-domain effect that the later demos keep running into)")
@@ -67,11 +65,10 @@ print(f"  sample mean {approx.values.mean():+.4f}   model mu {params.mu:+.4f}")
 print(f"  sample var  {approx.values.var():.5f}   model sigma2 {params.sigma2:.5f}")
 
 # 3. Many exact replications: the empirical lag-1 correlations converge
-#    to the model correlation at the lattice spacings.
+#    to the model correlation at the lattice spacings.  One call per
+#    field continues rng's stream where the last field left it.
 n_rep = 200
-draws = np.stack(
-    [simulate_exact(factor, params.mu, lattice, rng).values for _ in range(n_rep)]
-)
+draws = np.concatenate([simulate_exact(cov, params.mu, [rng]) for _ in range(n_rep)])
 
 
 def across_rep_corr(a, b):

@@ -12,10 +12,10 @@ variance off the sample moments.
 import numpy as np
 
 from stou import (
+    FieldSample,
     Lattice,
     StouParams,
     build_covariance,
-    cholesky_factor,
     empirical_acf,
     fit_mm,
     simulate_exact,
@@ -28,9 +28,9 @@ params = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
 # patch with dx = 0.05 the ACF is biased low by ~0.08: every pair is
 # measured against a sample mean it is itself correlated with.)
 lattice = Lattice(n_x=61, n_t=61, dx=1.0, dt=1.0)
-factor = cholesky_factor(build_covariance(params, lattice))
 rng = np.random.default_rng(7)
-field = simulate_exact(factor, params.mu, lattice, rng)
+(values,) = simulate_exact(build_covariance(params, lattice), params.mu, [rng])
+field = FieldSample(lattice=lattice, values=values)
 
 # 1. Empirical autocorrelation along each axis.
 acf_t = empirical_acf(field, "temporal", max_lag=5)

@@ -14,12 +14,12 @@ import numpy as np
 
 from stou import (
     EstimationScenario,
+    FieldSample,
     Lattice,
     PairWeightSpec,
     StouParams,
     WindowSpec,
     build_covariance,
-    cholesky_factor,
     pairwise_loglik,
     sandwich_ci,
     simulate_exact,
@@ -28,9 +28,9 @@ from stou import (
 
 truth = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
 lattice = Lattice(n_x=41, n_t=41, dx=0.05, dt=0.05)
-factor = cholesky_factor(build_covariance(truth, lattice))
 rng = np.random.default_rng(15)
-field = simulate_exact(factor, truth.mu, lattice, rng)
+(values,) = simulate_exact(build_covariance(truth, lattice), truth.mu, [rng])
+field = FieldSample(lattice=lattice, values=values)
 
 # 1. The CL objective uses unit weights on axis-aligned pairs up to 3
 #    lattice steps apart; everything else is weighted zero.

@@ -13,10 +13,10 @@ needed.
 import numpy as np
 
 from stou import (
+    FieldSample,
     Lattice,
     StouParams,
     build_covariance,
-    cholesky_factor,
     coverage_proxy,
     fit_mm,
     mc_ci,
@@ -25,9 +25,9 @@ from stou import (
 
 truth = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
 lattice = Lattice(n_x=31, n_t=31, dx=0.05, dt=0.05)
-factor = cholesky_factor(build_covariance(truth, lattice))
 rng = np.random.default_rng(21)
-field = simulate_exact(factor, truth.mu, lattice, rng)
+(values,) = simulate_exact(build_covariance(truth, lattice), truth.mu, [rng])
+field = FieldSample(lattice=lattice, values=values)
 
 # 1. Point fit, then B bootstrap refits from the fitted model.  Each
 #    replication draws a fresh field with the exact simulator and

@@ -2,10 +2,10 @@
 proxy.
 
 mc_ci fits a field by moments, simulates B fields from the fitted
-model (exact ones together, in one pass over its recursion that holds no
-factor), refits each, and reads CI bounds off the empirical quantiles of
-the B re-estimates (linear order-statistic interpolation, position
-1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
+model (exact ones by one simulate_exact call, one pass over its
+recursion that holds no factor), refits each, and reads CI bounds off
+the empirical quantiles of the B re-estimates (linear order-statistic
+interpolation, position 1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
 dataset's field from the truth and passes it to mc_ci.  coverage_proxy
 estimates the coverage a quantile interval would achieve without knowing
 the truth, by reflecting the interval around the bootstrap median:
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import _draw_exact, build_covariance
+from .cholesky import build_covariance, simulate_exact
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
@@ -135,8 +135,8 @@ def mc_ci(
 
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Exact fields
-    are all drawn before the first refit, each with the bits
-    simulate_exact gives it.  Replications whose refit fails are dropped;
+    are all drawn by one simulate_exact call before the first refit, a
+    stream each.  Replications whose refit fails are dropped;
     more than MAX_FAIL_FRAC of B dropped raises FailureRateExceeded; a
     draw's error is raised.  The grid model is resolved once, and every
     draw uses it: grid_config (None is GridSimConfig()) at the fitted
@@ -147,7 +147,7 @@ def mc_ci(
     fitted = fit_mm(field, max_lag=max_lag)
 
     if simulator == "exact":
-        fields = _draw_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B))
+        fields = simulate_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B))
         sims = (FieldSample(lattice=lattice, values=values) for values in fields)
         grid_depth = None
     else:

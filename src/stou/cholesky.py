@@ -31,15 +31,14 @@ history in the split basis, at one batched product per time row.  A
 hand-built CovarianceMatrix is one part in the identity basis, through the
 same recursion and draw.  numpy only.
 
-The recursion yields the factor one time row at a time; cholesky_factor
-keeps every row, for simulate_exact.  The one-pass draw needs no factor:
-it applies each row to all of its fields as it is yielded and drops it,
-holding the fields and their split-basis histories (about 2 n doubles
-per field) in place of the factor.  Each row meets the fields in one
-product broadcast over them, an item per field, so every field has the
-bits simulate_exact gives it from the factor, however many are drawn
-together.  Every command draws its exact fields this way, data and
-bootstrap fields alike.
+The recursion yields the factor one time row at a time.  simulate_exact
+needs no factor: it applies each row to all of its fields as it is
+yielded and drops it, holding the fields and their split-basis histories
+(about 2 n doubles per field) in place of the factor.  Each row meets the
+fields in one product broadcast over them, an item per field, so every
+field has the same bits however many are drawn together.  Every command
+draws its exact fields this way, data and bootstrap fields alike;
+cholesky_factor keeps every row, so that L can be inspected.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, CovarianceJitter, DimensionMismatch, NotPositiveDefinite
-from .model import FieldSample, Lattice, StouParams
+from .model import Lattice, StouParams
 
 __all__ = ["DEFAULT_MAX_POINTS", "CovarianceMatrix", "CholeskyFactor", "build_covariance",
            "cholesky_factor", "simulate_exact"]
@@ -92,35 +91,12 @@ class CholeskyFactor:
     innovations form on the parts of its basis (see CovarianceMatrix):
     predictors[t][p] is part p's m x t m block row [A_{t,t}, ..., A_{t,1}],
     which meets basis[p]^T X_s for s = 0..t-1, and roots[p, t] is
-    basis[p]^T C_t.  `factor @ z` is L z for z of shape (n,) or (n, k)."""
+    basis[p]^T C_t.  It holds every row the recursion yields; no draw
+    reads it, since simulate_exact applies each row as it is yielded."""
 
     basis: np.ndarray
     predictors: tuple[np.ndarray, ...]
     roots: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(n_t, n_x) of the lattice the factor was built for."""
-        return self.roots.shape[1], self.basis.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def __matmul__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape[:1] != (self.n,):
-            raise DimensionMismatch(f"operand shape {z.shape}, factor has {self.n} rows")
-        n_t, n_x = self.shape
-        parts, _, m = self.basis.shape
-        k = math.prod(z.shape[1:])
-        # y[:, t] holds basis^T C_t z_t until basis^T X_t replaces it: one
-        # product per row serves every part
-        y = self.roots @ z.reshape(n_t, n_x, k)
-        history = y.reshape(parts, n_t * m, k)
-        for t, row in enumerate(self.predictors):
-            _add_prediction(row, history, t)
-        return (self.basis[:, None] @ y).sum(axis=0).reshape(z.shape)
 
 
 def _mirror_basis(n_x: int) -> np.ndarray:
@@ -250,10 +226,12 @@ def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
     return _with_jitter(cov, factor)
 
 
-def _draw_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
-    """Fields mu + L z, one per generator, shaped (len(rngs), n_t, n_x), with
-    z = rng.standard_normal(n): each is simulate_exact(cholesky_factor(cov),
-    mu, lattice, rng).values to the bit, whatever the number of generators.
+def simulate_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
+    """Exact fields mu + L z, L the lower Cholesky factor of cov, shaped
+    (len(rngs), n_t, n_x): one per generator, z = rng.standard_normal(n),
+    with the same bits however many are drawn.  Each generator restarts
+    from its state at the call, so one listed k times gives one field k
+    times; fields drawn in turn from one generator take a call each.
     No factor is held: each predictor row meets every field as the
     recursion yields it, and is dropped.  Besides the fields, which hold
     the normals until a row's values replace them, a pass holds each
@@ -284,12 +262,3 @@ def _draw_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
 
     return _with_jitter(cov, draw)
 
-
-def simulate_exact(factor: CholeskyFactor, mu: float, lattice: Lattice,
-                   rng: np.random.Generator) -> FieldSample:
-    """One exact field draw mu + L z, z i.i.d. standard normal."""
-    if factor.shape != lattice.shape:
-        raise DimensionMismatch(f"factor built for (n_t, n_x) = {factor.shape}, "
-                                f"lattice is {lattice.shape}")
-    values = mu + factor @ rng.standard_normal(factor.n)
-    return FieldSample(lattice=lattice, values=values.reshape(lattice.shape))

@@ -74,7 +74,8 @@ from .errors import (
     SingularH,
 )
 from .mm import fit_mm
-from .model import FieldSample, Lattice, StouParams, _axis_lags, _pair_ends, _require_int
+from .model import (FieldSample, Lattice, StouParams, _axis_lags, _pair_ends, _require_int,
+                    _require_positive)
 
 __all__ = [
     "PARAM_NAMES",
@@ -151,17 +152,17 @@ class EstimationScenario:
         free = tuple(n for n in PARAM_NAMES if n in set(self.free))
         unknown = set(self.free) - set(PARAM_NAMES)
         if unknown:
-            raise ValueError(f"unknown parameter names {sorted(unknown)}")
+            raise ValueError(f"free: must be names in {PARAM_NAMES}, got {sorted(unknown)}")
         fixed = set(PARAM_NAMES) - set(free)
         if set(self.fixed_values) != fixed:
             raise ValueError(
-                f"fixed_values must have keys {sorted(fixed)}, got {sorted(self.fixed_values)}"
+                f"fixed_values: must have keys {sorted(fixed)}, got {sorted(self.fixed_values)}"
             )
         for name, v in self.fixed_values.items():
-            if not math.isfinite(v):
-                raise ValueError(f"fixed value for {name} must be finite, got {v!r}")
-            if name != "mu" and v <= 0.0:
-                raise ValueError(f"fixed value for {name} must be > 0, got {v!r}")
+            if name != "mu":
+                _require_positive(f"fixed_values[{name!r}]", v)
+            elif not math.isfinite(v):
+                raise ValueError(f"fixed_values['mu']: must be finite, got {v!r}")
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "fixed_values", dict(self.fixed_values))
 

@@ -32,7 +32,7 @@ import argparse
 import numpy as np
 
 from .bootstrap import REPORT_PARAMS, check_mc_ci_args, mc_ci, params_to_report
-from .cholesky import _draw_exact, build_covariance
+from .cholesky import build_covariance, simulate_exact
 from .cl import EstimationScenario, check_sandwich_ci_args, sandwich_ci
 from .errors import BudgetExceeded, ConfigInvalid, StouError
 from .experiment import (
@@ -182,8 +182,8 @@ def _cmd_simulate(args) -> int:
     lattice = _checked(settings.lattice)
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed))
     if args.method == "exact":
-        # simulate_exact's field, drawn without holding the factor
-        (values,) = _draw_exact(build_covariance(params, lattice), params.mu, [rng])
+        # one field, drawn in one pass over the recursion without a factor
+        (values,) = simulate_exact(build_covariance(params, lattice), params.mu, [rng])
         field = FieldSample(lattice=lattice, values=values)
     else:
         field = simulate_grid(params, lattice, _checked(settings.grid_config), rng)

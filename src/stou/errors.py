@@ -14,7 +14,7 @@ class NotPositiveDefinite(StouError):
 
 
 class DimensionMismatch(StouError):
-    """Operands were built for lattices of different sizes."""
+    """Covariance blocks or field values do not have the shape they need."""
 
 
 class DegenerateSample(StouError):

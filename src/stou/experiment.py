@@ -7,12 +7,11 @@ Seed derivation: SeedSequence(master_seed).spawn(n_datasets) yields one
 child per dataset (coverage_experiment takes the SeedSequences of
 rng.spawn(n_datasets)); child i is split by .spawn(2) into (data,
 bootstrap) streams.  The calling process draws every dataset's field,
-the one all methods see, from its data stream by one pass over the
-truth's Levinson recursion, which applies each predictor row to every
-field and keeps no factor; the fields are simulate_exact's from the
-truth's factor, bit for bit.  So no process holds the truth's factor,
-and each holds at most one factor at a time (the fitted model's, inside
-mc_ci).  _dataset_task runs the method's interval step, a function with
+the one all methods see, from its data stream by one simulate_exact
+call, one pass over the truth's Levinson recursion that applies each
+predictor row to every field and keeps no factor.  mc_ci draws its
+fields from the fitted model the same way, so no process holds a
+factor.  _dataset_task runs the method's interval step, a function with
 its settings bound by functools.partial, on a field, here or in a pool
 worker; mc_ci splits the bootstrap stream per replication.
 Every estimates.csv row records the dataset index and the dataset
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import check_mc_ci_args, coverage_proxy, mc_ci, params_to_report
-from .cholesky import DEFAULT_MAX_POINTS, _draw_exact, build_covariance
+from .cholesky import DEFAULT_MAX_POINTS, build_covariance, simulate_exact
 from .cl import (
     PARAM_NAMES,
     EstimationScenario,
@@ -451,8 +450,8 @@ def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int
         streams.append((index, display_seed, np.random.default_rng(data_seq), boot_seq))
     with _OneBlasThread():
         try:
-            values = _draw_exact(build_covariance(truth, lattice), truth.mu,
-                                 [data_rng for _, _, data_rng, _ in streams])
+            values = simulate_exact(build_covariance(truth, lattice), truth.mu,
+                                    [data_rng for _, _, data_rng, _ in streams])
         except _DATASET_ERRORS as exc:
             if truth_errors_raise:
                 raise

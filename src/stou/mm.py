@@ -40,11 +40,11 @@ class AcfEstimate:
         lags = np.asarray(self.lags, dtype=int)
         values = np.asarray(self.values, dtype=float)
         if lags.ndim != 1 or lags.shape != values.shape:
-            raise ValueError("lags and values must be 1-d arrays of equal length")
+            raise ValueError("lags, values: must be 1-d arrays of equal length")
         if lags.size and (np.any(lags <= 0) or np.any(np.diff(lags) <= 0)):
-            raise ValueError("lags must be positive and strictly increasing")
+            raise ValueError(f"lags: must be positive and strictly increasing, got {lags}")
         if np.any(np.abs(values) > 1.0 + 1e-12):
-            raise ValueError("autocorrelations must lie in [-1, 1]")
+            raise ValueError(f"values: must lie in [-1, 1], got {values}")
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
@@ -101,7 +101,7 @@ def _from_moments(acf_t: tuple, acf_x: tuple, mean: float, var: float, dt: float
                   dx: float) -> StouParams:
     """mm_from_moments on (axis, lags, values) triples."""
     if not (math.isfinite(var) and var > 0.0):
-        raise DegenerateSample(f"sample variance must be > 0, got {var!r}")
+        raise DegenerateSample(f"var: must be a finite sample variance > 0, got {var!r}")
     return StouParams(lam=_decay_rate(*acf_t, dt), c_tilde=_decay_rate(*acf_x, dx),
                       sigma2=var, mu=mean)
 
@@ -128,7 +128,7 @@ def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
     _require_int("max_lag", max_lag, 1)
     lat = field.lattice
     if lat.n_t < 2 or lat.n_x < 2:
-        raise ValueError("field must have at least 2 points on each axis")
+        raise ValueError(f"field: must have at least 2 points on each axis, got {lat.shape}")
     # one pass: the mean, deviations and variance serve both axes and the fit
     mean, dev, var = _deviations(field)
     acfs = []

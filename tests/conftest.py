@@ -1,7 +1,55 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
-from stou import Lattice, StouParams, cholesky_factor, build_covariance, simulate_exact
+from stou import FieldSample, Lattice, StouParams, build_covariance, simulate_exact
+from stou.cholesky import _add_prediction
+
+
+def factor_product(factor, z) -> np.ndarray:
+    """L z from cholesky_factor's rows, for z of shape (n,) or (n, k): one
+    roots @ z product, then each predictor row in turn, then the basis
+    recombination.  This per-draw loop is the reference that
+    simulate_exact's one pass is checked against, bit for bit."""
+    z = np.asarray(z, dtype=float)
+    parts, n_x, m = factor.basis.shape
+    n_t = factor.roots.shape[1]
+    k = math.prod(z.shape[1:])
+    # y[:, t] holds basis^T C_t z_t until basis^T X_t replaces it: one
+    # product per row serves every part
+    y = factor.roots @ z.reshape(n_t, n_x, k)
+    history = y.reshape(parts, n_t * m, k)
+    for t, row in enumerate(factor.predictors):
+        _add_prediction(row, history, t)
+    return (factor.basis[:, None] @ y).sum(axis=0).reshape(z.shape)
+
+
+def per_draw_field(factor, mu, rng) -> np.ndarray:
+    """mu + L z, shaped (n_t, n_x), with z = rng.standard_normal(n) applied
+    to the factor's rows by factor_product."""
+    n_t, n_x = factor.roots.shape[1], factor.basis.shape[1]
+    return (mu + factor_product(factor, rng.standard_normal(n_t * n_x))).reshape(n_t, n_x)
+
+
+def exact_field(params, lattice, rng) -> FieldSample:
+    """One exact field of params on lattice, drawn from rng."""
+    (values,) = simulate_exact(build_covariance(params, lattice), params.mu, [rng])
+    return FieldSample(lattice=lattice, values=values)
+
+
+def exact_fields_in_turn(params, lattice, rng, k) -> list[FieldSample]:
+    """The k fields that k exact_field calls in turn on rng draw, by one
+    simulate_exact call: each field's generator is a copy of rng at the
+    state the fields before it leave, and rng ends where the k calls
+    would leave it."""
+    rngs = []
+    for _ in range(k):
+        rngs.append(copy.deepcopy(rng))
+        rng.standard_normal(lattice.n)
+    values = simulate_exact(build_covariance(params, lattice), params.mu, rngs)
+    return [FieldSample(lattice=lattice, values=v) for v in values]
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +64,4 @@ def small_lattice() -> Lattice:
 
 @pytest.fixture(scope="session")
 def small_field(base_params, small_lattice):
-    factor = cholesky_factor(build_covariance(base_params, small_lattice))
-    rng = np.random.default_rng(42)
-    return simulate_exact(factor, base_params.mu, small_lattice, rng)
+    return exact_field(base_params, small_lattice, np.random.default_rng(42))

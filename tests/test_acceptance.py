@@ -32,11 +32,12 @@ from stou import (
     mm_from_moments,
     sandwich_ci,
     score_u,
-    simulate_exact,
     simulate_grid,
     wsev_j,
 )
 from stou.experiment import ExperimentConfig, run
+
+from conftest import exact_field, exact_fields_in_turn, factor_product
 
 
 def random_theta(rng) -> ThetaCL:
@@ -113,8 +114,8 @@ def test_criterion_2_expected_information_matches_monte_carlo():
     factor = cholesky_factor(build_covariance(theta, lat))
     nrep = 20000
     rng = np.random.default_rng(314)
-    Z = rng.standard_normal((factor.n, nrep))
-    fields = (theta.mu + (factor @ Z).T).reshape(nrep, lat.n_t, lat.n_x)
+    Z = rng.standard_normal((lat.n, nrep))
+    fields = (theta.mu + factor_product(factor, Z).T).reshape(nrep, lat.n_t, lat.n_x)
 
     # per-field pairwise log-likelihood from axis-lag sufficient statistics
     stats = []
@@ -193,11 +194,8 @@ def test_criterion_3_simulator_lag_one_correlations():
     target = math.exp(-0.05)
     n_rep = 500
 
-    factor = cholesky_factor(build_covariance(truth, lat))
     rng = np.random.default_rng(33)
-    exact = np.stack(
-        [simulate_exact(factor, truth.mu, lat, rng).values for _ in range(n_rep)]
-    )
+    exact = np.stack([field.values for field in exact_fields_in_turn(truth, lat, rng, n_rep)])
     dev_exact = max(
         abs(_across_rep_corr(exact, 0) - target),
         abs(_across_rep_corr(exact, 1) - target),
@@ -279,7 +277,6 @@ def test_criterion_5_coverage_improves_with_faster_decay(trend_reports):
 def test_criterion_6_extra_free_variance_parameter_hurts_coverage(tmp_path):
     truth = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
     lat = Lattice(n_x=41, n_t=41, dx=0.05, dt=0.05)
-    factor = cholesky_factor(build_covariance(truth, lat))
     weights = PairWeightSpec(cutoff_d=3)
     windows = WindowSpec(window_nx=11, window_nt=11, step_x=5, step_t=5)
     t_cl = truth
@@ -293,8 +290,7 @@ def test_criterion_6_extra_free_variance_parameter_hurts_coverage(tmp_path):
     n = 100
     hits = {"small": 0, "large": 0}
     rng = np.random.default_rng(99)
-    for _ in range(n):
-        field = simulate_exact(factor, truth.mu, lat, rng)
+    for field in exact_fields_in_turn(truth, lat, rng, n):
         for key, scen in (("small", scen_small), ("large", scen_large)):
             try:
                 res = sandwich_ci(field, weights, windows, scen)
@@ -340,8 +336,7 @@ def test_criterion_8_variance_matrices_are_psd():
         assert eig_h[0] >= -1e-10 * np.trace(H)
         worst_h = max(worst_h, -float(eig_h[0]) / np.trace(H))
 
-        factor = cholesky_factor(build_covariance(theta, lat))
-        field = simulate_exact(factor, theta.mu, lat, rng)
+        field = exact_field(theta, lat, rng)
         windows = WindowSpec(
             window_nx=int(rng.integers(2, lat.n_x + 1)),
             window_nt=int(rng.integers(2, lat.n_t + 1)),

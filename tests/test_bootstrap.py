@@ -37,9 +37,10 @@ from stou import (
     params_to_report,
     quantile_interval,
     run,
-    simulate_exact,
 )
 from stou.errors import CovarianceJitter, StouError
+
+from conftest import exact_field, per_draw_field
 
 
 class TestQuantileInterval:
@@ -207,12 +208,13 @@ class TestMcCi:
 
 def per_draw_mc_ci(field, B, level, rng, max_lag=5):
     """mc_ci's exact branch written the per-draw way: the fitted model's
-    factor, one simulate_exact per spawned stream, then fit_mm on each."""
+    factor, its rows applied to each spawned stream's normals, then
+    fit_mm on each field."""
     fitted = fit_mm(field, max_lag=max_lag)
     factor = cholesky_factor(build_covariance(fitted, field.lattice))
     reports, n_failed = [], 0
     for stream in rng.spawn(B):
-        sim = simulate_exact(factor, fitted.mu, field.lattice, stream)
+        sim = FieldSample(lattice=field.lattice, values=per_draw_field(factor, fitted.mu, stream))
         try:
             reports.append(params_to_report(fit_mm(sim, max_lag=max_lag)))
         except StouError:
@@ -228,13 +230,12 @@ def per_draw_mc_ci(field, B, level, rng, max_lag=5):
 
 class TestExactDrawEqualsPerDrawLoop:
     # mc_ci draws its B exact fields in one pass over the fitted model's
-    # recursion; each must have the bits simulate_exact gives it
+    # recursion; each must have the bits of its own per-draw field
 
     @staticmethod
     def _field(base_params, n_x, n_t, seed):
         lattice = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
-        factor = cholesky_factor(build_covariance(base_params, lattice))
-        return simulate_exact(factor, base_params.mu, lattice, np.random.default_rng(seed))
+        return exact_field(base_params, lattice, np.random.default_rng(seed))
 
     @staticmethod
     def _assert_equal(got, expected):
@@ -349,7 +350,6 @@ class TestCoverageDataset:
     def test_tolerated_refit_failures_still_give_proxies(
         self, base_params, small_lattice, monkeypatch, failing_calls
     ):
-        factor = cholesky_factor(build_covariance(base_params, small_lattice))
         real_fit = stou.bootstrap.fit_mm
         calls = {"n": 0}
 
@@ -362,7 +362,7 @@ class TestCoverageDataset:
 
         monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
-        field = simulate_exact(factor, base_params.mu, small_lattice, data_rng)
+        field = exact_field(base_params, small_lattice, data_rng)
         step = functools.partial(stou.experiment._bootstrap_step, 20, 0.9, "exact", None, 5)
         intervals, proxies, refit_failures, grid_depth = step(base_params, field, boot_rng)
         assert calls["n"] == 21
@@ -410,7 +410,7 @@ class TestCoverageExperiment:
                                                        monkeypatch, max_lag):
         # refused before the draw, not after every dataset has failed
         drawn = []
-        monkeypatch.setattr(stou.experiment, "_draw_exact", lambda *args: drawn.append(args))
+        monkeypatch.setattr(stou.experiment, "simulate_exact", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="^max_lag: must be an integer >= 1, got "):
             coverage_experiment(base_params, small_lattice, 10, 20, 0.95, "exact",
                                 rng=np.random.default_rng(0), max_lag=max_lag)
@@ -546,7 +546,7 @@ class TestCoverageExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_field_that_is_not_finite_fails_its_dataset_only(self, tmp_path, monkeypatch,
                                                              workers):
-        real_draw = stou.experiment._draw_exact
+        real_draw = stou.experiment.simulate_exact
 
         def one_nan(cov, mu, rngs):
             values = real_draw(cov, mu, rngs)
@@ -557,7 +557,7 @@ class TestCoverageExperiment:
         rows = {}
         for name in ("clean", "nan"):
             if name == "nan":
-                monkeypatch.setattr(stou.experiment, "_draw_exact", one_nan)
+                monkeypatch.setattr(stou.experiment, "simulate_exact", one_nan)
             paths = run(dataclasses.replace(config, out_dir=str(tmp_path / name)))
             with open(paths["estimates"], encoding="utf-8") as handle:
                 rows[name] = handle.read().splitlines()
@@ -656,7 +656,7 @@ def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
     n_ok = 0
     for index, stream in enumerate(rng.spawn(n_datasets)):
         data_rng, boot_rng = stream.spawn(2)
-        data = simulate_exact(factor, truth.mu, lattice, data_rng)
+        data = FieldSample(lattice=lattice, values=per_draw_field(factor, truth.mu, data_rng))
         try:
             result = stou.bootstrap.mc_ci(data, B, level, simulator, boot_rng,
                                           grid_config=grid_config, max_lag=max_lag)

@@ -8,7 +8,6 @@ import stou.cholesky
 
 from stou import (
     BudgetExceeded,
-    CholeskyFactor,
     CovarianceMatrix,
     DimensionMismatch,
     Lattice,
@@ -20,6 +19,8 @@ from stou import (
     simulate_exact,
 )
 from stou.errors import CovarianceJitter
+
+from conftest import exact_fields_in_turn, factor_product, per_draw_field
 
 
 def params(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01) -> StouParams:
@@ -36,7 +37,7 @@ def dense_covariance(cov):
 
 def dense_factor(fac):
     """The n x n lower factor L, column by column."""
-    return fac @ np.eye(fac.n)
+    return factor_product(fac, np.eye(fac.roots.shape[1] * fac.basis.shape[1]))
 
 
 def dense_oracle(cov):
@@ -171,8 +172,8 @@ class TestCholeskyFactor:
     def test_lower_triangular(self):
         p = params()
         lat = Lattice(n_x=4, n_t=3, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(p, lat))
-        assert np.all(dense_factor(fac)[np.triu_indices(fac.n, k=1)] == 0.0)
+        L = dense_factor(cholesky_factor(build_covariance(p, lat)))
+        assert np.all(L[np.triu_indices(lat.n, k=1)] == 0.0)
 
     def test_reconstruction(self):
         p = params(lam=0.7, c=1.3)
@@ -186,7 +187,7 @@ class TestCholeskyFactor:
         # rank-1 matrix: PSD but singular, recoverable with jitter
         with pytest.warns(CovarianceJitter):
             fac = cholesky_factor(one_block(np.ones((4, 4))))
-        assert fac.n == 4
+        assert dense_factor(fac).shape == (4, 4)
 
     def test_jitter_retry_matches_identity_bump(self):
         with pytest.warns(CovarianceJitter):
@@ -258,7 +259,8 @@ class TestMirrorSplit:
         one = cholesky_factor(CovarianceMatrix(cov.blocks))
         assert one.basis.shape == (1, n_x, n_x) and split.basis.shape[0] == 2
         z = np.random.default_rng(n_t * 100 + n_x).standard_normal((cov.n, 5))
-        assert np.max(np.abs(split @ z - one @ z)) <= 1e-12 * math.sqrt(p.sigma2)
+        err = np.max(np.abs(factor_product(split, z) - factor_product(one, z)))
+        assert err <= 1e-12 * math.sqrt(p.sigma2)
 
     def test_the_split_cannot_outlive_the_symmetry(self):
         # only build_covariance sets the split, on blocks it made read-only;
@@ -287,43 +289,31 @@ class TestMirrorSplit:
             assert split == 2 * ((n_x + 1) // 2) ** 2 * 41 * 40 // 2 <= 0.53 * whole
 
 
-def unit_factor(n_t, n_x, scale):
-    """A factor of one part in the identity basis, with zero predictors
-    and roots scale * I."""
-    return CholeskyFactor(basis=np.eye(n_x)[None],
-                          predictors=tuple(np.zeros((1, n_x, t * n_x)) for t in range(n_t)),
-                          roots=np.tile(scale * np.eye(n_x), (1, n_t, 1, 1)))
+def identity_blocks(n_t, n_x):
+    """A covariance whose factor is the identity: unit variance, no correlation."""
+    blocks = np.zeros((n_t, n_x, n_x))
+    blocks[0] = np.eye(n_x)
+    return CovarianceMatrix(blocks)
 
 
 class TestSimulateExact:
-    def test_zero_factor_gives_constant_field(self):
-        lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
-        field = simulate_exact(unit_factor(2, 3, 0.0), 0.4, lat, np.random.default_rng(0))
-        np.testing.assert_array_equal(field.values, 0.4)
+    def test_mu_shifts_every_value(self):
+        cov = identity_blocks(2, 3)
+        at_mu = simulate_exact(cov, 0.4, [np.random.default_rng(0)])
+        at_zero = simulate_exact(cov, 0.0, [np.random.default_rng(0)])
+        np.testing.assert_array_equal(at_mu, 0.4 + at_zero)
 
     def test_identity_factor_returns_raw_draws(self):
-        lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
-        field = simulate_exact(unit_factor(2, 3, 1.0), 0.0, lat, np.random.default_rng(7))
+        (values,) = simulate_exact(identity_blocks(2, 3), 0.0, [np.random.default_rng(7)])
         expected = np.random.default_rng(7).standard_normal(6).reshape(2, 3)
-        np.testing.assert_array_equal(field.values, expected)
-
-    def test_dimension_mismatch(self):
-        lat = Lattice(n_x=3, n_t=2, dx=0.05, dt=0.05)
-        with pytest.raises(DimensionMismatch):
-            simulate_exact(unit_factor(2, 2, 1.0), 0.0, lat, np.random.default_rng(0))
-        # same site count, other shape
-        with pytest.raises(DimensionMismatch):
-            simulate_exact(unit_factor(3, 2, 1.0), 0.0, lat, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatch):
-            unit_factor(2, 3, 1.0) @ np.zeros(5)
+        np.testing.assert_array_equal(values, expected)
 
     def test_same_stream_state_is_bit_identical(self, base_params, small_lattice):
-        fac = cholesky_factor(build_covariance(base_params, small_lattice))
-        a = simulate_exact(fac, base_params.mu, small_lattice, np.random.default_rng(5))
-        b = simulate_exact(fac, base_params.mu, small_lattice, np.random.default_rng(5))
-        c = simulate_exact(fac, base_params.mu, small_lattice, np.random.default_rng(6))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert np.any(a.values != c.values)
+        cov = build_covariance(base_params, small_lattice)
+        a, b, c = (simulate_exact(cov, base_params.mu, [np.random.default_rng(seed)])
+                   for seed in (5, 5, 6))
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a != c)
 
     @pytest.mark.parametrize("n_t,n_x,lam,c", [
         (1, 1, 1.0, 1.0), (5, 7, 0.4, 2.0), (13, 4, 3.0, 0.5), (21, 21, 1.0, 1.0),
@@ -335,33 +325,29 @@ class TestSimulateExact:
         p = params(lam=lam, c=c)
         lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07 if n_t < 41 else 0.05)
         cov = build_covariance(p, lat)
-        fac = cholesky_factor(cov)
         L = dense_oracle(cov)
         rng = np.random.default_rng(n_t * 100 + n_x)
         ref_rng = np.random.default_rng(n_t * 100 + n_x)
         for _ in range(5):
-            field = simulate_exact(fac, p.mu, lat, rng)
+            (values,) = simulate_exact(cov, p.mu, [rng])
             expected = p.mu + L @ ref_rng.standard_normal(lat.n)
-            err = np.max(np.abs(field.flat() - expected))
+            err = np.max(np.abs(values.ravel() - expected))
             assert err <= 1e-8 * math.sqrt(p.sigma2)
 
-    def test_matrix_operand_is_columnwise(self, base_params):
+    def test_several_generators_give_each_its_own_field(self, base_params):
         lat = Lattice(n_x=6, n_t=5, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(base_params, lat))
-        Z = np.random.default_rng(2).standard_normal((lat.n, 3))
-        got = fac @ Z
-        assert got.shape == Z.shape
-        for k in range(3):
-            np.testing.assert_allclose(got[:, k], fac @ Z[:, k], rtol=1e-13, atol=1e-15)
+        cov = build_covariance(base_params, lat)
+        got = simulate_exact(cov, base_params.mu, [np.random.default_rng(s) for s in (2, 3, 4)])
+        assert got.shape == (3, lat.n_t, lat.n_x)
+        for values, seed in zip(got, (2, 3, 4)):
+            np.testing.assert_array_equal(
+                values, simulate_exact(cov, base_params.mu, [np.random.default_rng(seed)])[0])
 
     def test_mean_recovers_mu_over_replications(self):
         p = params()
         lat = Lattice(n_x=51, n_t=51, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(p, lat))
         rng = np.random.default_rng(12)
-        means = [
-            simulate_exact(fac, p.mu, lat, rng).values.mean() for _ in range(200)
-        ]
+        means = [field.values.mean() for field in exact_fields_in_turn(p, lat, rng, 200)]
         se = np.std(means, ddof=1) / math.sqrt(len(means))
         assert abs(np.mean(means) - p.mu) <= 3.0 * se
 
@@ -369,28 +355,23 @@ class TestSimulateExact:
         # small lattice, many replications: sample covariance of two fixed
         # sites approaches sigma2 * rho
         lat = Lattice(n_x=3, n_t=3, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(base_params, lat))
         rng = np.random.default_rng(123)
-        draws = np.array(
-            [simulate_exact(fac, base_params.mu, lat, rng).flat() for _ in range(4000)]
-        )
+        draws = np.array([field.flat() for field in exact_fields_in_turn(base_params, lat,
+                                                                         rng, 4000)])
         emp = np.cov(draws[:, 0], draws[:, 4])[0, 1]
         expected = base_params.sigma2 * corr_canonical(base_params, 0.05, 0.05)
         assert emp == pytest.approx(expected, rel=0.1)
 
 
 def per_draw_oracle(cov, mu, seeds):
-    """Each seed's field drawn the per-draw way: the factor, then
-    simulate_exact."""
-    n_t, n_x, _ = cov.blocks.shape
-    lattice = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
+    """Each seed's field drawn the per-draw way: the factor, then its rows
+    applied to the seed's normals."""
     factor = cholesky_factor(cov)
-    return np.array([simulate_exact(factor, mu, lattice, np.random.default_rng(seed)).values
-                     for seed in seeds])
+    return np.array([per_draw_field(factor, mu, np.random.default_rng(seed)) for seed in seeds])
 
 
 def one_pass_draw(cov, mu, seeds):
-    return stou.cholesky._draw_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds])
+    return simulate_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds])
 
 
 class TestOnePassDraw:
@@ -409,6 +390,26 @@ class TestOnePassDraw:
         # one field alone, as an --only-dataset replay draws it
         assert np.array_equal(one_pass_draw(cov, p.mu, seeds[1:2]),
                               per_draw_oracle(cov, p.mu, seeds[1:2]))
+
+    def test_one_generator_draws_in_turn_by_one_call_per_field(self):
+        # each entry restarts from the generator's state at the call: listed
+        # three times it gives one field three times, and three calls give
+        # the three fields that follow one another on its stream
+        p = params(lam=0.7, c=1.3)
+        lat = Lattice(n_x=5, n_t=4, dx=0.05, dt=0.07)
+        cov = build_covariance(p, lat)
+        factor = cholesky_factor(cov)
+        oracle_rng = np.random.default_rng(8)
+        expected = np.array([per_draw_field(factor, p.mu, oracle_rng) for _ in range(3)])
+        rng = np.random.default_rng(8)
+        assert np.array_equal(simulate_exact(cov, p.mu, [rng] * 3), expected[[0, 0, 0]])
+        rng = np.random.default_rng(8)
+        assert np.array_equal([simulate_exact(cov, p.mu, [rng])[0] for _ in range(3)], expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        rng = np.random.default_rng(8)
+        in_turn = exact_fields_in_turn(p, lat, rng, 3)
+        assert np.array_equal([field.values for field in in_turn], expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_hand_built_identity_basis(self):
         p = params(lam=1.3, c=0.8)

@@ -20,8 +20,6 @@ from stou import (
     StouParams,
     ThetaCL,
     WindowSpec,
-    build_covariance,
-    cholesky_factor,
     fit_mm,
     hessian_h,
     l_pair,
@@ -29,13 +27,14 @@ from stou import (
     pairwise_loglik,
     sandwich_ci,
     score_u,
-    simulate_exact,
     total_pair_weight,
     wsev_j,
 )
 from stou import cl
 from stou.cl import PARAM_NAMES
 from stou.errors import CovarianceJitter, OptimizerDidNotConverge, StouError
+
+from conftest import exact_field
 
 WEIGHTS = PairWeightSpec(cutoff_d=3)
 
@@ -423,23 +422,38 @@ class TestEstimationScenario:
         np.testing.assert_array_equal(scen.free_indices(), [0, 3])
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
+        message = (r"^free: must be names in \('lambda', 'c_tilde', 'sigma2', 'mu'\), "
+                   r"got \['rate'\]$")
+        with pytest.raises(ValueError, match=message):
             EstimationScenario(free=("rate",), fixed_values={})
 
     def test_fixed_values_must_be_exact_complement(self):
-        with pytest.raises(ValueError):
+        message = r"^fixed_values: must have keys \['c_tilde', 'mu', 'sigma2'\], got "
+        with pytest.raises(ValueError, match=message + r"\['mu'\]$"):
             EstimationScenario(free=("lambda",), fixed_values={"mu": 0.0})
-        with pytest.raises(ValueError):
+        every = r"\['c_tilde', 'lambda', 'mu', 'sigma2'\]$"
+        with pytest.raises(ValueError, match=message + every):
             EstimationScenario(
                 free=("lambda",),
                 fixed_values={"c_tilde": 1.0, "sigma2": 0.005, "mu": 0.0, "lambda": 1.0},
             )
 
     def test_fixed_positives_validated(self):
-        with pytest.raises(ValueError):
+        message = r": must be finite and > 0, got "
+        with pytest.raises(ValueError, match=r"^fixed_values\['c_tilde'\]" + message + r"-1\.0$"):
             EstimationScenario(
                 free=("lambda",),
                 fixed_values={"c_tilde": -1.0, "sigma2": 0.005, "mu": 0.0},
+            )
+        with pytest.raises(ValueError, match=r"^fixed_values\['sigma2'\]" + message + "inf$"):
+            EstimationScenario(
+                free=("lambda",),
+                fixed_values={"c_tilde": 1.0, "sigma2": math.inf, "mu": 0.0},
+            )
+        with pytest.raises(ValueError, match=r"^fixed_values\['mu'\]: must be finite, got nan$"):
+            EstimationScenario(
+                free=("lambda",),
+                fixed_values={"c_tilde": 1.0, "sigma2": 0.005, "mu": math.nan},
             )
 
     def test_all_fixed_is_allowed(self):
@@ -591,11 +605,10 @@ class TestMaximizeCl:
         # the profile is inf where a lag's correlation reaches 1; from a start
         # beside that edge the search must not stop on it
         lattice = Lattice(n_x=41, n_t=41, dx=0.05, dt=0.05)
-        factor = cholesky_factor(build_covariance(base_params, lattice))
         rng = np.random.default_rng(12)
         scen = EstimationScenario(free=PARAM_NAMES)
         for _ in range(5):
-            field = simulate_exact(factor, base_params.mu, lattice, rng)
+            field = exact_field(base_params, lattice, rng)
             start = fit_mm(field)
             want = pairwise_loglik(maximize_cl(field, WEIGHTS, scen, start), field, WEIGHTS)
             with warnings.catch_warnings():
@@ -647,8 +660,7 @@ class TestProfile:
     ):
         truth = StouParams(lam=lam, c_tilde=c_tilde, sigma2=0.01, mu=0.4)
         lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05)
-        field = simulate_exact(cholesky_factor(build_covariance(truth, lat)), truth.mu,
-                               lat, np.random.default_rng(seed))
+        field = exact_field(truth, lat, np.random.default_rng(seed))
         pins = {"lambda": lam * pin_scale, "c_tilde": c_tilde / pin_scale,
                 "sigma2": 0.01 * pin_scale, "mu": 0.4 + pin_shift}
         scen = EstimationScenario(
@@ -776,8 +788,7 @@ class TestFisherTerms:
         the lambda-only fit's lambda."""
         p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
         lat = Lattice(n_x=1, n_t=60, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(p, lat))
-        field = simulate_exact(fac, p.mu, lat, np.random.default_rng(1))
+        field = exact_field(p, lat, np.random.default_rng(1))
         start = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=p.sigma2, mu=p.mu)
         both = EstimationScenario.pinned_at(("lambda", "c_tilde"), start)
         lam_only = EstimationScenario.pinned_at(("lambda",), start)
@@ -1056,9 +1067,8 @@ def scipy_maximize_cl(field, weights, scenario, start, max_iter=2000):
 @pytest.fixture(scope="module")
 def fields_200(base_params):
     lattice = Lattice(n_x=9, n_t=9, dx=0.05, dt=0.05)
-    factor = cholesky_factor(build_covariance(base_params, lattice))
     rng = np.random.default_rng(2016)
-    return [simulate_exact(factor, base_params.mu, lattice, rng) for _ in range(200)]
+    return [exact_field(base_params, lattice, rng) for _ in range(200)]
 
 
 def simplex_profile_fit(field, scenario, start, max_iter=2000):
@@ -1219,8 +1229,7 @@ class TestSandwichCi:
         # purely temporal data cannot identify the spatial rate
         p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
         lat = Lattice(n_x=1, n_t=60, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(p, lat))
-        field = simulate_exact(fac, p.mu, lat, np.random.default_rng(1))
+        field = exact_field(p, lat, np.random.default_rng(1))
         t = p
         scen = EstimationScenario(
             free=("lambda", "c_tilde"), fixed_values={"sigma2": t.sigma2, "mu": t.mu}
@@ -1263,8 +1272,7 @@ class TestSandwichRegime:
             warnings.simplefilter("ignore", OptimizerDidNotConverge)
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                field = simulate_exact(cholesky_factor(build_covariance(truth, lat)), truth.mu,
-                                       lat, np.random.default_rng(seed))
+                field = exact_field(truth, lat, np.random.default_rng(seed))
                 res = sandwich_ci(field, PairWeightSpec(cutoff_d), windows,
                                   EstimationScenario.pinned_at(free, truth),
                                   start=truth if from_truth else None)

@@ -34,6 +34,8 @@ from stou.experiment import (
 )
 from stou.gridsim import with_default_depth
 
+from conftest import exact_field
+
 
 @pytest.fixture()
 def no_worker_env(monkeypatch):
@@ -87,8 +89,7 @@ _EXPERIMENT_11 = [*_LATTICE_11, *_WINDOWS_7, "--n-datasets", "10", "--B", "20",
 def test_every_command_runs_without_scipy(argv, tmp_path, base_params):
     # scipy is needed by the tests only; numpy.f2py would add to every start
     lattice = Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05)
-    field = stou.simulate_exact(stou.cholesky_factor(stou.build_covariance(base_params, lattice)),
-                                base_params.mu, lattice, np.random.default_rng(1))
+    field = exact_field(base_params, lattice, np.random.default_rng(1))
     write_field(field, str(tmp_path / "field.csv"))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = (
@@ -1006,10 +1007,9 @@ class TestExperimentCommands:
             given[method] = []
             run(dataclasses.replace(config, method=method, out_dir=str(tmp_path / method)))
 
-        factor = stou.cholesky_factor(stou.build_covariance(config.truth(), config.lattice()))
         expected = [
-            stou.simulate_exact(factor, config.truth().mu, config.lattice(),
-                                np.random.default_rng(child).spawn(2)[0]).values
+            exact_field(config.truth(), config.lattice(),
+                        np.random.default_rng(child).spawn(2)[0]).values
             for child in np.random.SeedSequence(config.seed).spawn(config.n_datasets)
         ]
         for method, fields in given.items():
@@ -1312,14 +1312,13 @@ class TestBlasThreads:
         # a coverage run shows its count in the manifest; these commands
         # show it only to their numeric entry points, which record it here
         lattice = Lattice(n_x=11, n_t=11, dx=0.05, dt=0.05)
-        factor = stou.cholesky_factor(stou.build_covariance(base_params, lattice))
-        field = stou.simulate_exact(factor, base_params.mu, lattice, np.random.default_rng(1))
+        field = exact_field(base_params, lattice, np.random.default_rng(1))
         write_field(field, str(tmp_path / "field.csv"))
         state = {"threads": 3}
         calls = (lambda n: state.update(threads=n), lambda: state["threads"])
         monkeypatch.setattr(stou.experiment, "_blas_thread_calls", lambda: calls)
         seen = []
-        for name in ("_draw_exact", "simulate_grid", "fit_mm", "sandwich_ci", "mc_ci"):
+        for name in ("simulate_exact", "simulate_grid", "fit_mm", "sandwich_ci", "mc_ci"):
             def recording(*args, real=getattr(stou.cli, name), **kwargs):
                 seen.append(state["threads"])
                 return real(*args, **kwargs)

@@ -12,13 +12,12 @@ from stou import (
     InsufficientUsableLags,
     Lattice,
     StouParams,
-    build_covariance,
-    cholesky_factor,
     empirical_acf,
     fit_mm,
     mm_from_moments,
-    simulate_exact,
 )
+
+from conftest import exact_fields_in_turn
 
 
 def make_field(values) -> FieldSample:
@@ -43,13 +42,19 @@ class TestAcfEstimate:
             empirical_acf(field, "diagonal", 2)
 
     def test_rejects_non_increasing_lags(self):
-        with pytest.raises(ValueError):
+        message = r"^lags: must be positive and strictly increasing, got "
+        with pytest.raises(ValueError, match=message + r"\[1 1\]$"):
             AcfEstimate(axis="temporal", lags=[1, 1], values=[0.5, 0.4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message + r"\[0 1\]$"):
             AcfEstimate(axis="temporal", lags=[0, 1], values=[0.5, 0.4])
 
+    def test_rejects_lags_and_values_of_other_shapes(self):
+        with pytest.raises(ValueError,
+                           match="^lags, values: must be 1-d arrays of equal length$"):
+            AcfEstimate(axis="temporal", lags=[1, 2], values=[0.5])
+
     def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^values: must lie in \[-1, 1\], got \[1\.5\]$"):
             AcfEstimate(axis="spatial", lags=[1], values=[1.5])
 
 
@@ -89,11 +94,10 @@ class TestEmpiricalAcf:
         # the finite-sample bias of the lag-1 value stays inside 0.01
         p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
         lat = Lattice(n_x=61, n_t=61, dx=1.0, dt=0.05)
-        fac = cholesky_factor(build_covariance(p, lat))
         rng = np.random.default_rng(11)
         vals = [
-            empirical_acf(simulate_exact(fac, p.mu, lat, rng), "temporal", 1).values[0]
-            for _ in range(500)
+            empirical_acf(field, "temporal", 1).values[0]
+            for field in exact_fields_in_turn(p, lat, rng, 500)
         ]
         assert abs(np.mean(vals) - math.exp(-0.05)) < 0.01
 
@@ -127,8 +131,12 @@ class TestMmFromMoments:
 
     def test_degenerate_variance_rejected(self):
         acf_t, acf_x = exact_acfs(1.0, 1.0, 0.05, 0.05)
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DegenerateSample,
+                           match=r"^var: must be a finite sample variance > 0, got 0\.0$"):
             mm_from_moments(acf_t, acf_x, 0.4, 0.0, 0.05, 0.05)
+        with pytest.raises(DegenerateSample,
+                           match=r"^var: must be a finite sample variance > 0, got inf$"):
+            mm_from_moments(acf_t, acf_x, 0.4, math.inf, 0.05, 0.05)
 
 
 class TestFitMm:
@@ -143,7 +151,8 @@ class TestFitMm:
 
     def test_requires_two_points_per_axis(self):
         field = make_field(np.random.default_rng(0).normal(size=(1, 8)) * 0 + np.arange(8.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^field: must have at least 2 points on each "
+                                             r"axis, got \(1, 8\)$"):
             fit_mm(field)
 
     def test_unusable_acf_raises(self):
@@ -208,9 +217,6 @@ class TestFitMm:
         # lattice, so the moment fit centres on the truth
         truth = StouParams.natural(lam=4.0, c=1.0, mu_seed=0.2, tau2=0.01)
         lat = Lattice(n_x=101, n_t=101, dx=0.05, dt=0.05)
-        fac = cholesky_factor(build_covariance(truth, lat))
         rng = np.random.default_rng(2024)
-        lams = [
-            fit_mm(simulate_exact(fac, truth.mu, lat, rng)).lam for _ in range(100)
-        ]
+        lams = [fit_mm(field).lam for field in exact_fields_in_turn(truth, lat, rng, 100)]
         assert abs(np.median(lams) - truth.lam) <= 0.10 * truth.lam
