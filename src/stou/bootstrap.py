@@ -1,11 +1,11 @@
 """Parametric-bootstrap confidence intervals and the bootstrap coverage
 proxy.
 
-mc_ci fits a field by moments, simulates B fields from the fitted
-model (exact ones by one simulate_exact call, one pass over its
-recursion that holds no factor), refits each, and reads CI bounds off
-the empirical quantiles of the B re-estimates (linear order-statistic
-interpolation, position 1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
+mc_ci fits a field by moments, simulates B fields from the fitted model
+(exact ones by one simulate_exact call, which holds no factor), refits
+each, and reads CI bounds off the empirical quantiles of the B
+re-estimates (linear order-statistic interpolation, position
+1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
 dataset's field from the truth and passes it to mc_ci.  coverage_proxy
 estimates the coverage a quantile interval would achieve without knowing
 the truth, by reflecting the interval around the bootstrap median:
@@ -136,11 +136,11 @@ def mc_ci(
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state.  Exact fields
     are all drawn by one simulate_exact call before the first refit, a
-    stream each.  Replications whose refit fails are dropped;
-    more than MAX_FAIL_FRAC of B dropped raises FailureRateExceeded; a
-    draw's error is raised.  The grid model is resolved once, and every
-    draw uses it: grid_config (None is GridSimConfig()) at the fitted
-    model's default depth if it sets none.
+    stream each.  Replications whose refit fails are dropped; more than
+    MAX_FAIL_FRAC of B dropped raises FailureRateExceeded; a draw's error
+    is raised.  The grid model is resolved once, and every draw uses it:
+    grid_config (None is GridSimConfig()) at the fitted model's default
+    depth if it sets none.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
