@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bootstrap": ("REPORT_PARAMS", "IntervalEstimate", "McCiResult", "coverage_proxy",
                   "mc_ci", "params_to_report", "quantile_interval"),
-    "cholesky": ("DEFAULT_MAX_POINTS", "CholeskyFactor", "CovarianceMatrix",
-                 "build_covariance", "cholesky_factor", "simulate_exact"),
-    "cl": ("PARAM_NAMES", "EstimationScenario", "PairWeightSpec", "SandwichResult", "ThetaCL",
+    "cholesky": ("DEFAULT_MAX_POINTS", "CovarianceMatrix", "build_covariance",
+                 "cholesky_factor", "simulate_exact"),
+    "cl": ("PARAM_NAMES", "EstimationScenario", "PairWeightSpec", "SandwichResult",
            "WindowSpec", "hessian_h", "l_pair", "maximize_cl", "pairwise_loglik",
            "sandwich_ci", "score_u", "total_pair_weight", "wsev_j"),
     "errors": ("BudgetExceeded", "ConfigInvalid", "CorrelationAtUnity", "CovarianceJitter",

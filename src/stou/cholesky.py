@@ -23,10 +23,10 @@ mirror-even and a mirror-odd part that no block couples (Cantoni & Butler
 two parts every Gamma(k) is block diagonal, so the recursion runs on two
 halves ceil(n_x / 2) wide, stacked (a zero column pads the odd half when
 n_x is odd).  Each half costs a quarter of the whole recursion's
-O(n_t^2 n_x^3) flops.  The factor stores the predictors in the split
-basis, about n_t^2 n_x^2 / 4 doubles, half of what the whole recursion's
-hold, and each C_t as the Cholesky factor of V_t recombined in site order,
-so L is still the unique lower Cholesky factor.  A draw mu + L z keeps its
+O(n_t^2 n_x^3) flops.  Its predictors, in the split basis, come to about
+n_t^2 n_x^2 / 4 doubles, half of what the whole recursion's come to, and
+each C_t is the Cholesky factor of V_t recombined in site order, so L is
+still the unique lower Cholesky factor.  A draw mu + L z keeps its
 history in the split basis, at one batched product per time row.  A
 hand-built CovarianceMatrix is one part in the identity basis, through the
 same recursion and draw.  numpy only.
@@ -38,7 +38,7 @@ yielded and drops it, holding the fields and their split-basis histories
 fields in one product broadcast over them, an item per field, so every
 field has the same bits however many are drawn together.  Every command
 draws its exact fields this way, data and bootstrap fields alike;
-cholesky_factor keeps every row, so that L can be inspected.
+cholesky_factor lists every row, so that L can be inspected.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ import numpy as np
 from .errors import BudgetExceeded, CovarianceJitter, DimensionMismatch, NotPositiveDefinite
 from .model import Lattice, StouParams
 
-__all__ = ["DEFAULT_MAX_POINTS", "CovarianceMatrix", "CholeskyFactor", "build_covariance",
-           "cholesky_factor", "simulate_exact"]
+__all__ = ["DEFAULT_MAX_POINTS", "CovarianceMatrix", "build_covariance", "cholesky_factor",
+           "simulate_exact"]
 
 # 101 x 101 sites, the largest lattice in the source experiments, is the default
 # ceiling, set by the recursion's O(n_t^2 n_x^3) time: no command holds the
@@ -83,20 +83,6 @@ class CovarianceMatrix:
     @property
     def n(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower Cholesky factor L of a block-Toeplitz covariance, in
-    innovations form on the parts of its basis (see CovarianceMatrix):
-    predictors[t][p] is part p's m x t m block row [A_{t,t}, ..., A_{t,1}],
-    which meets basis[p]^T X_s for s = 0..t-1, and roots[p, t] is
-    basis[p]^T C_t.  It holds every row the recursion yields; no draw
-    reads it, since simulate_exact applies each row as it is yielded."""
-
-    basis: np.ndarray
-    predictors: tuple[np.ndarray, ...]
-    roots: np.ndarray
 
 
 def _mirror_basis(n_x: int) -> np.ndarray:
@@ -146,10 +132,12 @@ def _site_root(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _levinson(blocks: np.ndarray, basis: np.ndarray):
-    """The innovations form, one time row at a time: yields (predictors[t],
-    roots[:, t]) of the factor (see CholeskyFactor) for t = 0..n_t-1,
-    keeping only the last row between steps; LinAlgError when some V_t is
-    not positive definite."""
+    """The innovations form, one time row at a time: yields (predictors_t,
+    roots_t) for t = 0..n_t-1, on the parts of basis (see
+    CovarianceMatrix), keeping only the last row between steps.
+    predictors_t[p] is part p's m x t m block row [A_{t,t}, ..., A_{t,1}],
+    which meets basis[p]^T X_s for s = 0..t-1, and roots_t[p] is
+    basis[p]^T C_t.  LinAlgError when some V_t is not positive definite."""
     n_t, n_x, _ = blocks.shape
     parts, _, m = basis.shape
     # gamma[:, k] stacks the parts' own blocks basis[p]^T Gamma(k) basis[p];
@@ -208,22 +196,13 @@ def _with_jitter(cov: CovarianceMatrix, use):
             raise NotPositiveDefinite("factorization failed after jitter retry") from exc
 
 
-def cholesky_factor(cov: CovarianceMatrix) -> CholeskyFactor:
-    """Lower Cholesky factor of a block-Toeplitz covariance.  On failure, retries
-    once with jitter 1e-12 * max diagonal entry added to the diagonal of blocks[0],
-    which is every diagonal block of the full matrix (warning CovarianceJitter); a
-    second failure raises NotPositiveDefinite."""
-    n_t, n_x, _ = cov.blocks.shape
-    parts, _, m = cov.basis.shape
-
-    def factor(blocks):
-        predictors, roots = [], np.empty((parts, n_t, m, n_x))
-        for t, (row, root) in enumerate(_levinson(blocks, cov.basis)):
-            predictors.append(row)
-            roots[:, t] = root
-        return CholeskyFactor(basis=cov.basis, predictors=tuple(predictors), roots=roots)
-
-    return _with_jitter(cov, factor)
+def cholesky_factor(cov: CovarianceMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rows (predictors_t, roots_t), t = 0..n_t-1, of the lower Cholesky
+    factor of a block-Toeplitz covariance, as _levinson yields them on the
+    parts of cov.basis.  On failure, retries once with jitter 1e-12 * max
+    diagonal entry added to the diagonal of blocks[0] (warning
+    CovarianceJitter); a second failure raises NotPositiveDefinite."""
+    return _with_jitter(cov, lambda blocks: list(_levinson(blocks, cov.basis)))
 
 
 def simulate_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
@@ -237,8 +216,10 @@ def simulate_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
     the normals until a row's values replace them, a pass holds each
     field's split-basis history; at most m (n_t - 1) / 2 + n_x fields share
     a pass (one recursion), so that their history never outgrows the
-    factor.  Jitter, its warning and NotPositiveDefinite are as in
-    cholesky_factor; a retry replays each generator from its saved state."""
+    factor.  When the recursion fails, it retries once with jitter 1e-12 *
+    max diagonal entry added to the diagonal of blocks[0] (warning
+    CovarianceJitter), replaying each generator from its saved state; a
+    second failure raises NotPositiveDefinite."""
     n_t, n_x, _ = cov.blocks.shape
     parts, _, m = cov.basis.shape
     fields = np.empty((len(rngs), n_t, n_x))

@@ -74,12 +74,11 @@ from .errors import (
     SingularH,
 )
 from .mm import fit_mm
-from .model import (FieldSample, Lattice, StouParams, _axis_lags, _pair_ends, _require_int,
-                    _require_positive)
+from .model import (FieldSample, Lattice, StouParams, _axis_lags, _finite, _pair_ends,
+                    _require_int, _require_positive)
 
 __all__ = [
     "PARAM_NAMES",
-    "ThetaCL",
     "PairWeightSpec",
     "WindowSpec",
     "EstimationScenario",
@@ -98,10 +97,6 @@ __all__ = [
 PARAM_NAMES = ("lambda", "c_tilde", "sigma2", "mu")
 
 _RHO_TOL = 1e-12
-
-
-# the CL parameter vector theta is a StouParams; the old name stays valid
-ThetaCL = StouParams
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ class EstimationScenario:
         for name, v in self.fixed_values.items():
             if name != "mu":
                 _require_positive(f"fixed_values[{name!r}]", v)
-            elif not math.isfinite(v):
+            elif not _finite(v):
                 raise ValueError(f"fixed_values['mu']: must be finite, got {v!r}")
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "fixed_values", dict(self.fixed_values))

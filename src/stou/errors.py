@@ -6,7 +6,7 @@ class StouError(Exception):
 
 
 class BudgetExceeded(StouError):
-    """A simulation exceeds its memory budget: exact-factor sites or grid noise cells."""
+    """A simulation exceeds its memory budget: exact-simulator sites or grid noise cells."""
 
 
 class NotPositiveDefinite(StouError):

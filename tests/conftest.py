@@ -8,29 +8,30 @@ from stou import FieldSample, Lattice, StouParams, build_covariance, simulate_ex
 from stou.cholesky import _add_prediction
 
 
-def factor_product(factor, z) -> np.ndarray:
-    """L z from cholesky_factor's rows, for z of shape (n,) or (n, k): one
-    roots @ z product, then each predictor row in turn, then the basis
-    recombination.  This per-draw loop is the reference that
-    simulate_exact's one pass is checked against, bit for bit."""
+def factor_product(basis, rows, z) -> np.ndarray:
+    """L z from cholesky_factor's rows on the parts of basis, for z of shape
+    (n,) or (n, k): one roots @ z product, then each predictor row in
+    turn, then the basis recombination.  This per-draw loop is the
+    reference that simulate_exact's one pass is checked against, bit for
+    bit."""
     z = np.asarray(z, dtype=float)
-    parts, n_x, m = factor.basis.shape
-    n_t = factor.roots.shape[1]
+    parts, n_x, m = basis.shape
+    n_t = len(rows)
     k = math.prod(z.shape[1:])
     # y[:, t] holds basis^T C_t z_t until basis^T X_t replaces it: one
     # product per row serves every part
-    y = factor.roots @ z.reshape(n_t, n_x, k)
+    y = np.stack([root for _, root in rows], axis=1) @ z.reshape(n_t, n_x, k)
     history = y.reshape(parts, n_t * m, k)
-    for t, row in enumerate(factor.predictors):
+    for t, (row, _) in enumerate(rows):
         _add_prediction(row, history, t)
-    return (factor.basis[:, None] @ y).sum(axis=0).reshape(z.shape)
+    return (basis[:, None] @ y).sum(axis=0).reshape(z.shape)
 
 
-def per_draw_field(factor, mu, rng) -> np.ndarray:
+def per_draw_field(basis, rows, mu, rng) -> np.ndarray:
     """mu + L z, shaped (n_t, n_x), with z = rng.standard_normal(n) applied
-    to the factor's rows by factor_product."""
-    n_t, n_x = factor.roots.shape[1], factor.basis.shape[1]
-    return (mu + factor_product(factor, rng.standard_normal(n_t * n_x))).reshape(n_t, n_x)
+    to cholesky_factor's rows by factor_product."""
+    n_t, n_x = len(rows), basis.shape[1]
+    return (mu + factor_product(basis, rows, rng.standard_normal(n_t * n_x))).reshape(n_t, n_x)
 
 
 def exact_field(params, lattice, rng) -> FieldSample:

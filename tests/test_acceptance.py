@@ -22,7 +22,6 @@ from stou import (
     PairWeightSpec,
     StouError,
     StouParams,
-    ThetaCL,
     WindowSpec,
     build_covariance,
     cholesky_factor,
@@ -40,8 +39,8 @@ from stou.experiment import ExperimentConfig, run
 from conftest import exact_field, exact_fields_in_turn, factor_product
 
 
-def random_theta(rng) -> ThetaCL:
-    return ThetaCL(
+def random_theta(rng) -> StouParams:
+    return StouParams(
         lam=float(rng.uniform(0.2, 4.0)),
         c_tilde=float(rng.uniform(0.2, 4.0)),
         sigma2=float(10.0 ** rng.uniform(-3, 0)),
@@ -59,7 +58,7 @@ def random_pair_input(rng):
     return theta, d_t, d_x, y_i, y_j
 
 
-def rho_of(theta: ThetaCL, d_t: float, d_x: float) -> float:
+def rho_of(theta: StouParams, d_t: float, d_x: float) -> float:
     return math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
 
 
@@ -95,7 +94,7 @@ def test_criterion_2_score_matches_finite_differences():
             lo, hi = arr.copy(), arr.copy()
             lo[i] -= h[i]
             hi[i] += h[i]
-            t_lo, t_hi = ThetaCL.from_array(lo), ThetaCL.from_array(hi)
+            t_lo, t_hi = StouParams.from_array(lo), StouParams.from_array(hi)
             f_lo = l_pair(t_lo, y_i, y_j, rho_of(t_lo, d_t, d_x))
             f_hi = l_pair(t_hi, y_i, y_j, rho_of(t_hi, d_t, d_x))
             fd[i] = (float(f_hi) - float(f_lo)) / (2.0 * h[i])
@@ -106,16 +105,17 @@ def test_criterion_2_score_matches_finite_differences():
 
 
 def test_criterion_2_expected_information_matches_monte_carlo():
-    theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
+    theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
     lat = Lattice(n_x=4, n_t=4, dx=0.05, dt=0.05)
     weights = PairWeightSpec(cutoff_d=3)
     H_an = hessian_h(theta, lat, weights)
 
-    factor = cholesky_factor(build_covariance(theta, lat))
+    cov = build_covariance(theta, lat)
+    rows = cholesky_factor(cov)
     nrep = 20000
     rng = np.random.default_rng(314)
     Z = rng.standard_normal((lat.n, nrep))
-    fields = (theta.mu + factor_product(factor, Z).T).reshape(nrep, lat.n_t, lat.n_x)
+    fields = (theta.mu + factor_product(cov.basis, rows, Z).T).reshape(nrep, lat.n_t, lat.n_x)
 
     # per-field pairwise log-likelihood from axis-lag sufficient statistics
     stats = []

@@ -1,9 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ import stou.cholesky
 import stou.experiment
 from stou import (
     BudgetExceeded,
-    CholeskyFactor,
     CoverageEntry,
     CoverageReport,
     ExperimentConfig,
@@ -211,10 +208,12 @@ def per_draw_mc_ci(field, B, level, rng, max_lag=5):
     factor, its rows applied to each spawned stream's normals, then
     fit_mm on each field."""
     fitted = fit_mm(field, max_lag=max_lag)
-    factor = cholesky_factor(build_covariance(fitted, field.lattice))
+    cov = build_covariance(fitted, field.lattice)
+    rows = cholesky_factor(cov)
     reports, n_failed = [], 0
     for stream in rng.spawn(B):
-        sim = FieldSample(lattice=field.lattice, values=per_draw_field(factor, fitted.mu, stream))
+        sim = FieldSample(lattice=field.lattice,
+                          values=per_draw_field(cov.basis, rows, fitted.mu, stream))
         try:
             reports.append(params_to_report(fit_mm(sim, max_lag=max_lag)))
         except StouError:
@@ -439,21 +438,20 @@ class TestCoverageExperiment:
     @staticmethod
     def _record_recursions_and_factors(monkeypatch):
         """Lists that grow by one on each Levinson recursion and each
-        CholeskyFactor that stou.cholesky builds."""
+        stou.cholesky.cholesky_factor call."""
         recursions, built = [], []
-        real_levinson, real_factor = stou.cholesky._levinson, stou.cholesky.CholeskyFactor
+        real_levinson, real_factor = stou.cholesky._levinson, stou.cholesky.cholesky_factor
 
         def counted(blocks, basis):
             recursions.append(blocks.shape)
             return real_levinson(blocks, basis)
 
-        def recorded(*args, **kwargs):
-            factor = real_factor(*args, **kwargs)
-            built.append(weakref.ref(factor))
-            return factor
+        def recorded(cov):
+            built.append(cov.blocks.shape)
+            return real_factor(cov)
 
         monkeypatch.setattr(stou.cholesky, "_levinson", counted)
-        monkeypatch.setattr(stou.cholesky, "CholeskyFactor", recorded)
+        monkeypatch.setattr(stou.cholesky, "cholesky_factor", recorded)
         return recursions, built
 
     @staticmethod
@@ -479,24 +477,19 @@ class TestCoverageExperiment:
     @pytest.mark.parametrize("entry", ["run", "coverage_experiment"])
     def test_no_truth_factor_built(self, base_params, tmp_path, monkeypatch, entry):
         # no factor is built: the truth's fields come from one recursion
-        # that keeps none, so none is alive when the first step runs, and
-        # each mc_ci draws its fitted model's fields in one recursion too
+        # that keeps none before the first step runs, and each mc_ci draws
+        # its fitted model's fields in one recursion too
         recursions, built = self._record_recursions_and_factors(monkeypatch)
         first_step = []
 
-        def alive_factors():
-            return {id(obj) for obj in gc.get_objects() if isinstance(obj, CholeskyFactor)}
-
         def probing(*args, **kwargs):
             if not first_step:
-                first_step.append((len(recursions), len(built), alive_factors() - before))
+                first_step.append((len(recursions), len(built)))
             return mc_ci(*args, **kwargs)
-
-        before = alive_factors()
 
         monkeypatch.setattr(stou.experiment, "mc_ci", probing)
         self._run_entry(entry, base_params, tmp_path, "mc-exact")
-        assert first_step == [(1, 0, set())]
+        assert first_step == [(1, 0)]
         # the truth's recursion, then one fitted model's per dataset
         assert built == [] and len(recursions) == 11
 
@@ -648,7 +641,8 @@ def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
                                rng, grid_config=None, max_lag=5):
     """The library's own dataset loop before it shared the driver's engine:
     an exact draw, mc_ci and a proxy per parameter, written out here."""
-    factor = cholesky_factor(build_covariance(truth, lattice))
+    cov = build_covariance(truth, lattice)
+    rows = cholesky_factor(cov)
     truth_values = params_to_report(truth)
     hits = {name: 0 for name in REPORT_PARAMS}
     proxies = {name: [] for name in REPORT_PARAMS}
@@ -656,7 +650,8 @@ def oracle_coverage_experiment(truth, lattice, n_datasets, B, level, simulator,
     n_ok = 0
     for index, stream in enumerate(rng.spawn(n_datasets)):
         data_rng, boot_rng = stream.spawn(2)
-        data = FieldSample(lattice=lattice, values=per_draw_field(factor, truth.mu, data_rng))
+        data = FieldSample(lattice=lattice, values=per_draw_field(cov.basis, rows, truth.mu,
+                                                                  data_rng))
         try:
             result = stou.bootstrap.mc_ci(data, B, level, simulator, boot_rng,
                                           grid_config=grid_config, max_lag=max_lag)

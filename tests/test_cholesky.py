@@ -35,9 +35,9 @@ def dense_covariance(cov):
     return cov.blocks[lag].transpose(0, 2, 1, 3).reshape(cov.n, cov.n)
 
 
-def dense_factor(fac):
-    """The n x n lower factor L, column by column."""
-    return factor_product(fac, np.eye(fac.roots.shape[1] * fac.basis.shape[1]))
+def dense_factor(basis, rows):
+    """The n x n lower factor L, column by column, from cholesky_factor's rows."""
+    return factor_product(basis, rows, np.eye(len(rows) * basis.shape[1]))
 
 
 def dense_oracle(cov):
@@ -162,39 +162,43 @@ def one_block(entries):
 
 class TestCholeskyFactor:
     def test_identity(self):
-        fac = cholesky_factor(one_block(np.eye(3)))
-        np.testing.assert_array_equal(dense_factor(fac), np.eye(3))
+        cov = one_block(np.eye(3))
+        np.testing.assert_array_equal(dense_factor(cov.basis, cholesky_factor(cov)), np.eye(3))
 
     def test_hand_checked_two_by_two(self):
-        fac = cholesky_factor(one_block([[4.0, 2.0], [2.0, 5.0]]))
-        np.testing.assert_allclose(dense_factor(fac), [[2.0, 0.0], [1.0, 2.0]])
+        cov = one_block([[4.0, 2.0], [2.0, 5.0]])
+        np.testing.assert_allclose(dense_factor(cov.basis, cholesky_factor(cov)),
+                                   [[2.0, 0.0], [1.0, 2.0]])
 
     def test_lower_triangular(self):
         p = params()
         lat = Lattice(n_x=4, n_t=3, dx=0.05, dt=0.05)
-        L = dense_factor(cholesky_factor(build_covariance(p, lat)))
+        cov = build_covariance(p, lat)
+        L = dense_factor(cov.basis, cholesky_factor(cov))
         assert np.all(L[np.triu_indices(lat.n, k=1)] == 0.0)
 
     def test_reconstruction(self):
         p = params(lam=0.7, c=1.3)
         lat = Lattice(n_x=5, n_t=5, dx=0.05, dt=0.05)
         cov = build_covariance(p, lat)
-        L = dense_factor(cholesky_factor(cov))
+        L = dense_factor(cov.basis, cholesky_factor(cov))
         err = np.max(np.abs(L @ L.T - dense_covariance(cov)))
         assert err <= 1e-10 * p.sigma2
 
     def test_jitter_retry_warns(self):
         # rank-1 matrix: PSD but singular, recoverable with jitter
+        cov = one_block(np.ones((4, 4)))
         with pytest.warns(CovarianceJitter):
-            fac = cholesky_factor(one_block(np.ones((4, 4))))
-        assert dense_factor(fac).shape == (4, 4)
+            rows = cholesky_factor(cov)
+        assert dense_factor(cov.basis, rows).shape == (4, 4)
 
     def test_jitter_retry_matches_identity_bump(self):
+        cov = one_block(np.ones((4, 4)))
         with pytest.warns(CovarianceJitter):
-            fac = cholesky_factor(one_block(np.ones((4, 4))))
+            rows = cholesky_factor(cov)
         bumped = np.ones((4, 4)) + 1e-12 * np.eye(4)  # jitter: 1e-12 * max diagonal
         expected = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
-        assert np.array_equal(dense_factor(fac), expected)
+        assert np.array_equal(dense_factor(cov.basis, rows), expected)
 
     def test_singular_two_blocks_match_the_jittered_dense_factor(self):
         # Gamma(1) = Gamma(0): the second time row repeats the first, so the
@@ -203,13 +207,13 @@ class TestCholeskyFactor:
         gamma = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
         cov = CovarianceMatrix(np.stack([gamma, gamma]))
         with pytest.warns(CovarianceJitter):
-            fac = cholesky_factor(cov)
+            rows = cholesky_factor(cov)
         jitter = 1e-12 * 2.0
         bumped = dense_covariance(cov) + jitter * np.eye(6)
         expected = scipy.linalg.cholesky(bumped, lower=True, check_finite=False)
         # the second row's innovation is of order sqrt(jitter); the matrix's
         # condition number is about 1e12, so agree to 1e-3 of that scale
-        np.testing.assert_allclose(dense_factor(fac), expected, rtol=0.0,
+        np.testing.assert_allclose(dense_factor(cov.basis, rows), expected, rtol=0.0,
                                    atol=1e-3 * math.sqrt(jitter))
 
     def test_indefinite_fails_after_jitter(self):
@@ -232,7 +236,7 @@ class TestMirrorSplit:
         # into LAPACK's lower factor, entry by entry
         p = params(lam=0.7, c=1.3)
         cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
-        err = np.max(np.abs(dense_factor(cholesky_factor(cov)) - dense_oracle(cov)))
+        err = np.max(np.abs(dense_factor(cov.basis, cholesky_factor(cov)) - dense_oracle(cov)))
         assert err <= 1e-12 * math.sqrt(p.sigma2)
 
     @pytest.mark.parametrize("n_x", [1, 2, 3, 4, 40, 41])
@@ -255,11 +259,11 @@ class TestMirrorSplit:
         # lam = 0.02 both sit about 6e-10 sigma from LAPACK's L z)
         p = params(lam=lam)
         cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.05))
-        split = cholesky_factor(cov)
-        one = cholesky_factor(CovarianceMatrix(cov.blocks))
-        assert one.basis.shape == (1, n_x, n_x) and split.basis.shape[0] == 2
+        one = CovarianceMatrix(cov.blocks)
+        assert one.basis.shape == (1, n_x, n_x) and cov.basis.shape[0] == 2
         z = np.random.default_rng(n_t * 100 + n_x).standard_normal((cov.n, 5))
-        err = np.max(np.abs(factor_product(split, z) - factor_product(one, z)))
+        err = np.max(np.abs(factor_product(cov.basis, cholesky_factor(cov), z) -
+                            factor_product(one.basis, cholesky_factor(one), z)))
         assert err <= 1e-12 * math.sqrt(p.sigma2)
 
     def test_the_split_cannot_outlive_the_symmetry(self):
@@ -274,7 +278,7 @@ class TestMirrorSplit:
         nugget[0] += np.diag(np.linspace(0.0, 0.5, 6)) * params().sigma2
         bent = CovarianceMatrix(nugget)
         assert bent.basis.shape == (1, 6, 6)
-        err = np.max(np.abs(dense_factor(cholesky_factor(bent)) - dense_oracle(bent)))
+        err = np.max(np.abs(dense_factor(bent.basis, cholesky_factor(bent)) - dense_oracle(bent)))
         assert err <= 1e-12 * math.sqrt(params().sigma2)
 
     def test_holds_half_the_coefficients(self):
@@ -283,8 +287,8 @@ class TestMirrorSplit:
         for n_x in (40, 41):
             lat = Lattice(n_x=n_x, n_t=41, dx=0.05, dt=0.05)
             cov = build_covariance(params(), lat)
-            split = sum(a.size for a in cholesky_factor(cov).predictors)
-            whole = sum(a.size for a in cholesky_factor(CovarianceMatrix(cov.blocks)).predictors)
+            split = sum(row.size for row, _ in cholesky_factor(cov))
+            whole = sum(row.size for row, _ in cholesky_factor(CovarianceMatrix(cov.blocks)))
             assert whole == n_x**2 * 41 * 40 // 2
             assert split == 2 * ((n_x + 1) // 2) ** 2 * 41 * 40 // 2 <= 0.53 * whole
 
@@ -366,8 +370,9 @@ class TestSimulateExact:
 def per_draw_oracle(cov, mu, seeds):
     """Each seed's field drawn the per-draw way: the factor, then its rows
     applied to the seed's normals."""
-    factor = cholesky_factor(cov)
-    return np.array([per_draw_field(factor, mu, np.random.default_rng(seed)) for seed in seeds])
+    rows = cholesky_factor(cov)
+    return np.array([per_draw_field(cov.basis, rows, mu, np.random.default_rng(seed))
+                     for seed in seeds])
 
 
 def one_pass_draw(cov, mu, seeds):
@@ -398,9 +403,9 @@ class TestOnePassDraw:
         p = params(lam=0.7, c=1.3)
         lat = Lattice(n_x=5, n_t=4, dx=0.05, dt=0.07)
         cov = build_covariance(p, lat)
-        factor = cholesky_factor(cov)
+        rows = cholesky_factor(cov)
         oracle_rng = np.random.default_rng(8)
-        expected = np.array([per_draw_field(factor, p.mu, oracle_rng) for _ in range(3)])
+        expected = np.array([per_draw_field(cov.basis, rows, p.mu, oracle_rng) for _ in range(3)])
         rng = np.random.default_rng(8)
         assert np.array_equal(simulate_exact(cov, p.mu, [rng] * 3), expected[[0, 0, 0]])
         rng = np.random.default_rng(8)

@@ -18,7 +18,6 @@ from stou import (
     PairWeightSpec,
     SingularH,
     StouParams,
-    ThetaCL,
     WindowSpec,
     fit_mm,
     hessian_h,
@@ -39,8 +38,8 @@ from conftest import exact_field
 WEIGHTS = PairWeightSpec(cutoff_d=3)
 
 
-def random_theta(rng) -> ThetaCL:
-    return ThetaCL(
+def random_theta(rng) -> StouParams:
+    return StouParams(
         lam=float(rng.uniform(0.2, 4.0)),
         c_tilde=float(rng.uniform(0.2, 4.0)),
         sigma2=float(10.0 ** rng.uniform(-3, 0)),
@@ -58,11 +57,11 @@ def random_pair_input(rng):
     return theta, d_t, d_x, y_i, y_j
 
 
-def rho_of(theta: ThetaCL, d_t: float, d_x: float) -> float:
+def rho_of(theta: StouParams, d_t: float, d_x: float) -> float:
     return math.exp(-theta.lam * d_t - theta.c_tilde * d_x)
 
 
-def fd_steps(theta: ThetaCL) -> np.ndarray:
+def fd_steps(theta: StouParams) -> np.ndarray:
     arr = theta.as_array()
     h = 1e-6 * np.abs(arr)
     h[3] = 1e-6 * max(1.0, abs(arr[3]))
@@ -152,18 +151,18 @@ def per_pair_j(theta, field, weights, windows) -> np.ndarray:
     return s @ s.T / w / s.shape[1]
 
 
-class TestThetaCL:
+class TestThetaArray:
     def test_array_roundtrip(self):
-        theta = ThetaCL(lam=1.5, c_tilde=0.7, sigma2=0.02, mu=-0.3)
+        theta = StouParams(lam=1.5, c_tilde=0.7, sigma2=0.02, mu=-0.3)
         arr = theta.as_array()
         np.testing.assert_array_equal(arr, [1.5, 0.7, 0.02, -0.3])
-        assert ThetaCL.from_array(arr) == theta
+        assert StouParams.from_array(arr) == theta
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ThetaCL(lam=-1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
+            StouParams(lam=-1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
         with pytest.raises(ValueError):
-            ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.0, mu=0.0)
+            StouParams(lam=1.0, c_tilde=1.0, sigma2=0.0, mu=0.0)
 
 
 class TestPairLoglik:
@@ -179,7 +178,7 @@ class TestPairLoglik:
             assert l_pair(theta, y_i, y_j, rho) == pytest.approx(expected, abs=1e-10)
 
     def test_independent_pairs_factorize(self):
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.4, mu=0.1)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.4, mu=0.1)
         y_i, y_j = 0.5, -0.2
 
         def norm_logpdf(y):
@@ -189,14 +188,14 @@ class TestPairLoglik:
         assert l_pair(theta, y_i, y_j, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_vectorized_over_observations(self):
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.3, mu=0.0)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.3, mu=0.0)
         y = np.linspace(-1, 1, 7)
         out = l_pair(theta, y, y[::-1], 0.5)
         assert out.shape == (7,)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.0 - 1e-14])
     def test_unit_correlation_rejected(self, rho):
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
         with pytest.raises(CorrelationAtUnity):
             l_pair(theta, 0.1, 0.2, rho)
 
@@ -218,7 +217,7 @@ class TestScoreU:
                 up, dn = arr.copy(), arr.copy()
                 up[k] += h[k]
                 dn[k] -= h[k]
-                t_up, t_dn = ThetaCL.from_array(up), ThetaCL.from_array(dn)
+                t_up, t_dn = StouParams.from_array(up), StouParams.from_array(dn)
                 f_up = l_pair(t_up, y_i, y_j, rho_of(t_up, d_t, d_x))
                 f_dn = l_pair(t_dn, y_i, y_j, rho_of(t_dn, d_t, d_x))
                 fd[k] = (f_up - f_dn) / (2.0 * h[k])
@@ -227,7 +226,7 @@ class TestScoreU:
         assert worst <= 1e-6
 
     def test_mu_component_vanishes_at_centred_data(self):
-        theta = ThetaCL(lam=1.0, c_tilde=2.0, sigma2=0.1, mu=0.7)
+        theta = StouParams(lam=1.0, c_tilde=2.0, sigma2=0.1, mu=0.7)
         rho = rho_of(theta, 0.3, 0.1)
         grad_rho = np.array([-0.3, -0.1]) * rho
         s = score_u(theta, theta.mu, theta.mu, rho, grad_rho)
@@ -238,13 +237,13 @@ class TestPairwiseLoglik:
     def test_single_site_has_no_pairs(self):
         lat = Lattice(n_x=1, n_t=1, dx=0.05, dt=0.05)
         field = FieldSample(lattice=lat, values=np.array([[0.3]]))
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.1, mu=0.0)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.1, mu=0.0)
         assert pairwise_loglik(theta, field, WEIGHTS) == 0.0
 
     def test_two_sites_equal_one_pair_term(self):
         lat = Lattice(n_x=1, n_t=2, dx=0.05, dt=0.05)
         field = FieldSample(lattice=lat, values=np.array([[0.5], [0.1]]))
-        theta = ThetaCL(lam=1.3, c_tilde=0.9, sigma2=0.2, mu=0.15)
+        theta = StouParams(lam=1.3, c_tilde=0.9, sigma2=0.2, mu=0.15)
         rho = rho_of(theta, lat.dt, 0.0)
         expected = float(l_pair(theta, 0.5, 0.1, rho))
         assert pairwise_loglik(theta, field, WEIGHTS) == pytest.approx(expected, rel=1e-12)
@@ -253,7 +252,7 @@ class TestPairwiseLoglik:
         rng = np.random.default_rng(5)
         lat = Lattice(n_x=5, n_t=5, dx=0.07, dt=0.04)
         field = FieldSample(lattice=lat, values=rng.normal(0.2, 0.3, size=(5, 5)))
-        theta = ThetaCL(lam=1.1, c_tilde=0.8, sigma2=0.09, mu=0.25)
+        theta = StouParams(lam=1.1, c_tilde=0.8, sigma2=0.09, mu=0.25)
         weights = PairWeightSpec(cutoff_d=2)
         expected = sum(
             float(l_pair(theta, field.values[t1, x1], field.values[t2, x2],
@@ -278,7 +277,7 @@ class TestTotalPairWeight:
 
 class TestHessianH:
     def test_mu_is_information_orthogonal(self):
-        theta = ThetaCL(lam=1.2, c_tilde=0.6, sigma2=0.01, mu=0.4)
+        theta = StouParams(lam=1.2, c_tilde=0.6, sigma2=0.01, mu=0.4)
         lat = Lattice(n_x=6, n_t=7, dx=0.05, dt=0.05)
         H = hessian_h(theta, lat, WEIGHTS)
         assert H[3, 0] == H[3, 1] == H[3, 2] == 0.0
@@ -291,7 +290,7 @@ class TestHessianH:
                       PairWeightSpec(3))
 
     def test_matches_per_pair_information_sum(self):
-        theta = ThetaCL(lam=0.9, c_tilde=1.4, sigma2=0.05, mu=-0.1)
+        theta = StouParams(lam=0.9, c_tilde=1.4, sigma2=0.05, mu=-0.1)
         lat = Lattice(n_x=4, n_t=5, dx=0.06, dt=0.08)
         weights = PairWeightSpec(cutoff_d=2)
         expected = np.zeros((4, 4))
@@ -326,7 +325,7 @@ class TestWsevJ:
         rng = np.random.default_rng(7)
         lat = Lattice(n_x=5, n_t=4, dx=0.05, dt=0.05)
         field = FieldSample(lattice=lat, values=rng.normal(0.3, 0.2, size=(4, 5)))
-        theta = ThetaCL(lam=1.4, c_tilde=0.7, sigma2=0.06, mu=0.2)
+        theta = StouParams(lam=1.4, c_tilde=0.7, sigma2=0.06, mu=0.2)
         weights = PairWeightSpec(cutoff_d=2)
         windows = WindowSpec(window_nx=5, window_nt=4)
 
@@ -344,7 +343,7 @@ class TestWsevJ:
         rng = np.random.default_rng(8)
         lat = Lattice(n_x=6, n_t=7, dx=0.09, dt=0.05)
         field = FieldSample(lattice=lat, values=rng.normal(0.0, 0.5, size=(7, 6)))
-        theta = ThetaCL(lam=0.8, c_tilde=1.1, sigma2=0.2, mu=-0.05)
+        theta = StouParams(lam=0.8, c_tilde=1.1, sigma2=0.2, mu=-0.05)
         weights = PairWeightSpec(cutoff_d=2)
         windows = WindowSpec(window_nx=4, window_nt=3, step_x=2, step_t=2)
 
@@ -381,7 +380,7 @@ class TestWsevJ:
     def test_window_larger_than_lattice(self):
         lat = Lattice(n_x=4, n_t=4, dx=0.05, dt=0.05)
         field = FieldSample(lattice=lat, values=np.zeros((4, 4)) + 0.1)
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.1, mu=0.0)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.1, mu=0.0)
         with pytest.raises(NoValidWindows):
             wsev_j(theta, field, WEIGHTS, WindowSpec(window_nx=9, window_nt=9))
 
@@ -400,13 +399,13 @@ class TestWsevJ:
         rng = np.random.default_rng(n_t * 100 + n_x)
         lat = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07)
         field = FieldSample(lattice=lat, values=rng.normal(0.4, 0.1, size=(n_t, n_x)))
-        theta = ThetaCL(lam=1.3, c_tilde=0.8, sigma2=0.01, mu=0.38)
+        theta = StouParams(lam=1.3, c_tilde=0.8, sigma2=0.01, mu=0.38)
         weights = PairWeightSpec(cutoff_d=cutoff_d)
         expected = window_loop_j(theta, field, weights, windows)
         assert np.array_equal(wsev_j(theta, field, weights, windows), expected)
 
     def test_positive_semidefinite(self, small_field):
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
         windows = WindowSpec(window_nx=7, window_nt=7, step_x=3, step_t=3)
         J = wsev_j(theta, small_field, WEIGHTS, windows)
         eig = np.linalg.eigvalsh(J)
@@ -455,14 +454,17 @@ class TestEstimationScenario:
                 free=("lambda",),
                 fixed_values={"c_tilde": 1.0, "sigma2": 0.005, "mu": math.nan},
             )
+        # a non-number is refused by name, as a non-number c_tilde is
+        with pytest.raises(ValueError, match=r"^fixed_values\['mu'\]: must be finite, got '0'$"):
+            EstimationScenario(free=("lambda", "c_tilde", "sigma2"), fixed_values={"mu": "0"})
 
     def test_all_fixed_is_allowed(self):
         scen = EstimationScenario(
             free=(),
             fixed_values={"lambda": 1.0, "c_tilde": 1.0, "sigma2": 0.005, "mu": 0.4},
         )
-        pinned = scen.pin(ThetaCL(lam=9.0, c_tilde=9.0, sigma2=9.0, mu=9.0))
-        assert pinned == ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
+        pinned = scen.pin(StouParams(lam=9.0, c_tilde=9.0, sigma2=9.0, mu=9.0))
+        assert pinned == StouParams(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
 
 
 def objective_args(field, scenario, theta):
@@ -496,7 +498,7 @@ class TestObjective:
             z = rng.normal(size=len(free)).tolist()
             lam, c_tilde, s2, mu = cl._with_rates(z, free, pinned)
             _, s2, mu = cl._neg_pl(lam, c_tilde, s2, mu, stats)
-            full = ThetaCL(lam, c_tilde, s2, mu)
+            full = StouParams(lam, c_tilde, s2, mu)
             value = cl._profile_objective(z, stats, free, pinned)
             assert value == -pairwise_loglik(full, small_field, WEIGHTS)
             # and no other sigma2 or mu does better at these rates
@@ -505,15 +507,16 @@ class TestObjective:
                     for step in (0.99, 1.01):
                         other = full.as_array()
                         other[PARAM_NAMES.index(name)] *= step
-                        other_pl = pairwise_loglik(ThetaCL.from_array(other), small_field, WEIGHTS)
+                        other_pl = pairwise_loglik(StouParams.from_array(other), small_field,
+                                                   WEIGHTS)
                         assert other_pl < -value
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the 1e200 field
     def test_infinite_where_theta_or_correlation_is_invalid(self, small_field):
         scenario = SCENARIOS[0]
-        args = objective_args(small_field, scenario, ThetaCL(1.0, 1.0, 0.005, 0.4))
+        args = objective_args(small_field, scenario, StouParams(1.0, 1.0, 0.005, 0.4))
         # lambda so small that the lag-1 temporal correlation reaches 1
-        tiny = ThetaCL(1e-14, 1.0, 0.005, 0.4)
+        tiny = StouParams(1e-14, 1.0, 0.005, 0.4)
         with pytest.raises(CorrelationAtUnity):
             pairwise_loglik(tiny, small_field, WEIGHTS)
         assert cl._profile_objective([math.log(1e-14), 0.0], *args) == math.inf
@@ -528,7 +531,7 @@ class TestObjective:
         # sums overflow
         for value in (0.5, 1e200):
             flat = FieldSample(small_field.lattice, np.full(small_field.lattice.shape, value))
-            stats, free, pinned = objective_args(flat, scenario, ThetaCL(1.0, 1.0, 0.005, 0.4))
+            stats, free, pinned = objective_args(flat, scenario, StouParams(1.0, 1.0, 0.005, 0.4))
             assert cl._profile_objective([0.0, 0.0], stats, free, pinned) == math.inf
         with pytest.raises(ValueError):  # log of the profiled sigma2 = 0
             cl._neg_pl(1.0, 1.0, None, 0.5, stats=cl._lag_stats(
@@ -542,7 +545,7 @@ class TestMaximizeCl:
             free=(),
             fixed_values={"lambda": 1.1, "c_tilde": 0.9, "sigma2": 0.004, "mu": 0.38},
         )
-        start = ThetaCL(lam=5.0, c_tilde=5.0, sigma2=1.0, mu=0.0)
+        start = StouParams(lam=5.0, c_tilde=5.0, sigma2=1.0, mu=0.0)
         est = maximize_cl(small_field, WEIGHTS, scen, start)
         assert est == scen.pin(start)
 
@@ -552,7 +555,7 @@ class TestMaximizeCl:
             free=("lambda",),
             fixed_values={"c_tilde": t.c_tilde, "sigma2": t.sigma2, "mu": t.mu},
         )
-        start = ThetaCL(lam=1.5 * t.lam, c_tilde=t.c_tilde, sigma2=t.sigma2, mu=t.mu)
+        start = StouParams(lam=1.5 * t.lam, c_tilde=t.c_tilde, sigma2=t.sigma2, mu=t.mu)
         est = maximize_cl(small_field, WEIGHTS, scen, start)
         gain = pairwise_loglik(est, small_field, WEIGHTS) - pairwise_loglik(
             scen.pin(start), small_field, WEIGHTS
@@ -567,7 +570,7 @@ class TestMaximizeCl:
         scen = EstimationScenario(
             free=("sigma2", "mu"), fixed_values={"lambda": 1.0, "c_tilde": 1e-14}
         )
-        start = ThetaCL(lam=1.0, c_tilde=1e-14, sigma2=0.005, mu=0.4)
+        start = StouParams(lam=1.0, c_tilde=1e-14, sigma2=0.005, mu=0.4)
         assert maximize_cl(small_field, WEIGHTS, scen, start) == start
 
     @pytest.mark.parametrize("free,pinned", [
@@ -593,7 +596,7 @@ class TestMaximizeCl:
             free=("lambda",),
             fixed_values={"c_tilde": t.c_tilde, "sigma2": t.sigma2, "mu": t.mu},
         )
-        start = ThetaCL(lam=1.5, c_tilde=t.c_tilde, sigma2=t.sigma2, mu=t.mu)
+        start = StouParams(lam=1.5, c_tilde=t.c_tilde, sigma2=t.sigma2, mu=t.mu)
         with pytest.warns(OptimizerDidNotConverge):
             maximize_cl(small_field, WEIGHTS, scen, start, max_iter=1)
 
@@ -714,7 +717,7 @@ class TestProfile:
     ])
     def test_constant_field_never_nan(self, small_lattice, value, free):
         field = FieldSample(small_lattice, np.full(small_lattice.shape, value))
-        start = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
+        start = StouParams(lam=1.0, c_tilde=1.0, sigma2=0.005, mu=0.4)
         pins = start.as_array()
         scen = EstimationScenario(
             free=free,
@@ -733,7 +736,7 @@ class TestProfile:
         # are 1e16, 1 and -1e16
         stats = [(1e3, 0.0, 1, 0.0, s_2, 0.0) for s_2 in (1e16, 1.0, -1e16)]
         monkeypatch.setattr(cl, "_lag_stats", lambda field, weights: stats)
-        theta = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
+        theta = StouParams(lam=1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
         assert pairwise_loglik(theta, small_field, WEIGHTS) == 0.0
 
 
@@ -771,7 +774,7 @@ class TestFisherTerms:
             _, info = cl._fisher_terms(z, stats, free, pinned)
             lam, c_tilde, s2, mu = cl._with_rates(z, free, pinned)
             _, s2, mu = cl._neg_pl(lam, c_tilde, s2, mu, stats)
-            H = hessian_h(ThetaCL(lam, c_tilde, s2, mu), small_field.lattice, WEIGHTS)
+            H = hessian_h(StouParams(lam, c_tilde, s2, mu), small_field.lattice, WEIGHTS)
             # in log rates: the rate block scaled by the rates on both sides
             want = H[:2, :2] * np.outer([lam, c_tilde], [lam, c_tilde])
             if "sigma2" in scenario.free:
@@ -789,7 +792,7 @@ class TestFisherTerms:
         p = StouParams.natural(lam=1.0, c=1.0, mu_seed=0.2, tau2=0.01)
         lat = Lattice(n_x=1, n_t=60, dx=0.05, dt=0.05)
         field = exact_field(p, lat, np.random.default_rng(1))
-        start = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=p.sigma2, mu=p.mu)
+        start = StouParams(lam=1.0, c_tilde=1.0, sigma2=p.sigma2, mu=p.mu)
         both = EstimationScenario.pinned_at(("lambda", "c_tilde"), start)
         lam_only = EstimationScenario.pinned_at(("lambda",), start)
         with warnings.catch_warnings():
@@ -1058,7 +1061,7 @@ def scipy_maximize_cl(field, weights, scenario, start, max_iter=2000):
         )
         z0 = res.x
         scale = max(1.0, abs(res.fun)) if math.isfinite(res.fun) else scale
-    theta = ThetaCL(*old_untransform(z0.tolist(), free, pinned_vals))
+    theta = StouParams(*old_untransform(z0.tolist(), free, pinned_vals))
     if math.isfinite(f0) and old_neg_pl(z0, *args) > f0:
         return pinned
     return theta
@@ -1095,7 +1098,7 @@ def simplex_profile_fit(field, scenario, start, max_iter=2000):
             scale = max(1.0, abs(res.fun)) if math.isfinite(res.fun) else scale
     lam, c_tilde, s2, mu = cl._with_rates(z, free, pinned)
     _, s2, mu = cl._neg_pl(lam, c_tilde, s2, mu, stats)
-    return ThetaCL(lam, c_tilde, s2, mu)
+    return StouParams(lam, c_tilde, s2, mu)
 
 
 def truth_pinned(base_params, free):
@@ -1234,7 +1237,7 @@ class TestSandwichCi:
         scen = EstimationScenario(
             free=("lambda", "c_tilde"), fixed_values={"sigma2": t.sigma2, "mu": t.mu}
         )
-        start = ThetaCL(lam=1.0, c_tilde=1.0, sigma2=t.sigma2, mu=t.mu)
+        start = StouParams(lam=1.0, c_tilde=1.0, sigma2=t.sigma2, mu=t.mu)
         with pytest.raises(SingularH):
             sandwich_ci(
                 field, WEIGHTS, WindowSpec(window_nx=2, window_nt=5), scen, start=start

@@ -30,12 +30,17 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _name_read(node) -> str | None:
+    """The name a bare name, attribute or imported name reads; None for
+    any other node."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
 def _names_read(node) -> list[str]:
     """Every name a node reads: bare names, attributes and imported names."""
-    return [sub.id if isinstance(sub, ast.Name) else
-            sub.attr if isinstance(sub, ast.Attribute) else sub.name
-            for sub in ast.walk(node)
-            if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))]
+    return [name for sub in ast.walk(node) if (name := _name_read(sub)) is not None]
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
@@ -70,6 +75,14 @@ def bounds_rule_copies(source: str) -> list[str]:
     return [f"line {line}: {value!r}" for line, value in sorted(found)]
 
 
+def factor_reads(source: str) -> list[str]:
+    """Lines that read the name cholesky_factor, as a bare name, an
+    attribute or an imported name."""
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if _name_read(node) == "cholesky_factor"}
+    return [f"line {line}" for line in sorted(lines)]
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nprint(sys)\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
@@ -91,6 +104,20 @@ def test_finds_a_bounds_rule_copy():
         "line 2: 'must be finite and > 0, got'",
         "line 3: 'must be >= 1'",
     ]
+
+
+def test_finds_a_factor_read():
+    source = ("import stou.cholesky\nx = stou.cholesky.cholesky_factor\n"
+              "from .cholesky import cholesky_factor as build\ny = 'cholesky_factor'\n")
+    assert factor_reads(source) == ["line 2", "line 3"]
+
+
+def test_no_command_builds_a_factor():
+    # simulate_exact draws every exact field without one; a factor of
+    # 101 x 101 sites would hold 0.21 GB
+    found = {path.name: factor_reads(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.name != "cholesky.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_bounds_rules_are_spelled_only_in_model():
