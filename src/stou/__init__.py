@@ -30,8 +30,7 @@ _EXPORTS = {
                    "coverage_experiment", "read_field", "run", "write_field"),
     "gridsim": ("GridSimConfig", "cone_cell_areas", "simulate_grid"),
     "mm": ("AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"),
-    "model": ("FieldSample", "Lattice", "StouParams", "corr_canonical", "corr_separable",
-              "derived_moments"),
+    "model": ("FieldSample", "Lattice", "StouParams", "corr_canonical", "derived_moments"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

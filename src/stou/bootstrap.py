@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import build_covariance, simulate_exact
+from .cholesky import DEFAULT_MAX_POINTS, build_covariance, simulate_exact
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
 from .mm import fit_mm
@@ -51,6 +51,9 @@ MAX_FAIL_FRAC = 0.1
 # larger B never returns fewer), so the fewest the coverage proxy must
 # accept: 20 - floor(0.1 * 20) = 18
 MIN_ESTIMATES = MIN_BOOT - math.floor(MAX_FAIL_FRAC * MIN_BOOT)
+# largest B and n_datasets, the fields one simulate_exact call draws: at
+# the site ceiling they hold no more doubles than gridsim.MAX_NOISE_CELLS
+MAX_FIELDS = DEFAULT_MAX_POINTS // 2
 
 
 def params_to_report(params: StouParams) -> dict[str, float]:
@@ -115,7 +118,7 @@ def quantile_interval(values, level: float) -> tuple[float, float, float]:
 
 def check_mc_ci_args(B: int, level: float, simulator: str) -> None:
     """Raise the ValueError mc_ci raises for these arguments, if any."""
-    _require_int("B", B, MIN_BOOT)
+    _require_int("B", B, MIN_BOOT, MAX_FIELDS)
     if not 0.0 <= level < 1.0:
         raise ValueError(f"level: must be in [0, 1), got {level!r}")
     if simulator not in ("exact", "grid"):

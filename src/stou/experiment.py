@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 
 from . import __version__
-from .bootstrap import check_mc_ci_args, coverage_proxy, mc_ci, params_to_report
+from .bootstrap import MAX_FIELDS, check_mc_ci_args, coverage_proxy, mc_ci, params_to_report
 from .cholesky import DEFAULT_MAX_POINTS, build_covariance, simulate_exact
 from .cl import (
     PARAM_NAMES,
@@ -114,9 +114,9 @@ class ExperimentConfig:
         """Raise ConfigInvalid naming the first setting out of bounds, by the
         library's own rules and the specs and argument checks of the method."""
         _checked(self.truth)
-        for field, low in (("nx", 2), ("nt", 2), ("n_datasets", 10), ("max_lag", 1),
-                           ("seed", 0), ("workers", 1)):
-            _checked(_require_int, field, getattr(self, field), low)
+        for field, low, high in (("nx", 2, None), ("nt", 2, None), ("n_datasets", 10, MAX_FIELDS),
+                                 ("max_lag", 1, None), ("seed", 0, None), ("workers", 1, None)):
+            _checked(_require_int, field, getattr(self, field), low, high)
         _checked(_require_int, "only_dataset", self.only_dataset, -1, self.n_datasets - 1)
         _checked(self.lattice)
         if self.method not in METHODS:
@@ -243,8 +243,10 @@ def read_field(path: str, dx: float, dt: float) -> FieldSample:
     if not np.all(np.isfinite(raw[:, 2])):
         raise ValueError(f"{path}: values must be finite")
     index = raw[:, :2]
-    if not np.all(np.isfinite(index) & (index >= 0) & (index == np.round(index))):
-        raise ValueError(f"{path}: t_index and x_index must be non-negative integers")
+    # no index of a complete grid reaches the row count, so astype wraps none
+    ok = np.isfinite(index) & (index >= 0) & (index < len(raw)) & (index == np.round(index))
+    if not np.all(ok):
+        raise ValueError(f"{path}: t_index and x_index must be integers from 0 to {len(raw) - 1}")
     t_idx, x_idx = index.astype(int).T
     n_t, n_x = t_idx.max() + 1, x_idx.max() + 1
     if raw.shape[0] != n_t * n_x:
@@ -504,7 +506,7 @@ def coverage_experiment(
     seed.  Datasets that fail are listed in failures; FailureRateExceeded
     is raised when all do.
     """
-    _require_int("n_datasets", n_datasets, 10)
+    _require_int("n_datasets", n_datasets, 10, MAX_FIELDS)
     _require_int("max_lag", max_lag, 1)
     if rng is None:
         raise ValueError("rng is required for a reproducible experiment")

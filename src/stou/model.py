@@ -8,18 +8,15 @@ over a backward light cone with decay rate lam and cone slope c,
     A_t(x) = {(xi, s) : s <= t, |xi - x| <= c (t - s)},
 
 where L has seed mean mu_seed and seed variance tau2 per unit area.
-Stationary moments and the two correlation forms used throughout:
+Stationary moments and the correlation:
 
     mu     = 2 c mu_seed / lam**2
     sigma2 = c tau2 / (2 lam**2)
 
     rho_canonical(d_t, d_x) = exp(-lam * max(|d_t|, |d_x| / c))
-    rho_separable(d_t, d_x) = exp(-lam |d_t| - c_tilde |d_x|),   c_tilde = lam / c
 
-The separable form coincides with the canonical one on axis-aligned
-lags (d_t = 0 or d_x = 0) and bounds it from below elsewhere.  The
-canonical quadruple (lam, c_tilde, sigma2, mu) is the internal
-representation; (c, mu_seed, tau2) are derived views.
+The canonical quadruple (lam, c_tilde = lam / c, sigma2, mu) is the
+internal representation; (c, mu_seed, tau2) are derived views.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "Lattice",
     "FieldSample",
     "corr_canonical",
-    "corr_separable",
     "derived_moments",
 ]
 
@@ -142,13 +138,6 @@ def corr_canonical(params: StouParams, d_t, d_x):
     return np.exp(-params.lam * np.maximum(d_t, d_x / params.c))
 
 
-def corr_separable(params: StouParams, d_t, d_x):
-    """exp(-lam |d_t| - c_tilde |d_x|), elementwise over broadcast lags."""
-    d_t = np.abs(np.asarray(d_t, dtype=float))
-    d_x = np.abs(np.asarray(d_x, dtype=float))
-    return np.exp(-params.lam * d_t - params.c_tilde * d_x)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Regular space-time observation grid.
@@ -176,12 +165,6 @@ class Lattice:
     def shape(self) -> tuple[int, int]:
         """(n_t, n_x), the array shape of one field sample."""
         return (self.n_t, self.n_x)
-
-    def site_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time and space integer indices of all n sites in site order."""
-        t_idx = np.repeat(np.arange(self.n_t), self.n_x)
-        x_idx = np.tile(np.arange(self.n_x), self.n_t)
-        return t_idx, x_idx
 
 
 def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +202,3 @@ class FieldSample:
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", values)
-
-    def flat(self) -> np.ndarray:
-        """Values in site order (time-major)."""
-        return self.values.reshape(-1)

@@ -48,7 +48,7 @@ def dense_oracle(cov):
 def blockwise_canonical_covariance(p, lat, block_rows=256):
     """Reference: the canonical covariance built row block by row block,
     evaluating exp at every site pair, with time lag |t_a - t_b| * dt."""
-    t_idx, x_idx = lat.site_indices()
+    t_idx, x_idx = np.divmod(np.arange(lat.n), lat.n_x)
     xx = x_idx * lat.dx
     out = np.empty((lat.n, lat.n))
     for i0 in range(0, lat.n, block_rows):
@@ -125,7 +125,7 @@ class TestBuildCovariance:
         p = params(lam=1.4, c=0.6)
         lat = Lattice(n_x=3, n_t=4, dx=0.11, dt=0.07)
         cov = dense_covariance(build_covariance(p, lat))
-        t_idx, x_idx = lat.site_indices()
+        t_idx, x_idx = np.divmod(np.arange(lat.n), lat.n_x)
         for k in range(lat.n):
             for kk in range(lat.n):
                 d_t = (t_idx[k] - t_idx[kk]) * lat.dt
@@ -360,8 +360,8 @@ class TestSimulateExact:
         # sites approaches sigma2 * rho
         lat = Lattice(n_x=3, n_t=3, dx=0.05, dt=0.05)
         rng = np.random.default_rng(123)
-        draws = np.array([field.flat() for field in exact_fields_in_turn(base_params, lat,
-                                                                         rng, 4000)])
+        draws = np.array([field.values.reshape(-1)
+                          for field in exact_fields_in_turn(base_params, lat, rng, 4000)])
         emp = np.cov(draws[:, 0], draws[:, 4])[0, 1]
         expected = base_params.sigma2 * corr_canonical(base_params, 0.05, 0.05)
         assert emp == pytest.approx(expected, rel=0.1)

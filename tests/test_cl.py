@@ -19,6 +19,7 @@ from stou import (
     SingularH,
     StouParams,
     WindowSpec,
+    corr_canonical,
     fit_mm,
     hessian_h,
     l_pair,
@@ -163,6 +164,19 @@ class TestThetaArray:
             StouParams(lam=-1.0, c_tilde=1.0, sigma2=1.0, mu=0.0)
         with pytest.raises(ValueError):
             StouParams(lam=1.0, c_tilde=1.0, sigma2=0.0, mu=0.0)
+
+
+class TestRho:
+    def test_axis_equality(self):
+        # the CL's pair correlation is the model's on each axis; rounding
+        # differs by ~1 ulp: math.exp against numpy's, and on the spatial
+        # axis (lam / c) * h against lam * (h / c)
+        p = StouParams.natural(lam=2.5, c=0.3, mu_seed=0.2, tau2=0.01)
+        for h in (0.1, 1.0, 7.5):
+            assert cl._rho(p.lam, p.c_tilde, h, 0.0) == pytest.approx(
+                corr_canonical(p, h, 0.0), rel=1e-14)
+            assert cl._rho(p.lam, p.c_tilde, 0.0, h) == pytest.approx(
+                corr_canonical(p, 0.0, h), rel=1e-14)
 
 
 class TestPairLoglik:

@@ -314,9 +314,10 @@ class TestFieldFiles:
             read_field(str(path), 0.05, 0.05)
 
 
-    @pytest.mark.parametrize("bad_index", ["1.7", "-1"])
+    @pytest.mark.parametrize("bad_index", ["1.7", "-1", "1e20"])
     def test_rejects_fractional_or_negative_index(self, tmp_path, small_field, bad_index):
-        # a truncated 1.7 or a wrapped -1 would silently land on another row
+        # a truncated 1.7 or a wrapped -1 would silently land on another row,
+        # and 1e20 wraps to a negative int64
         path = tmp_path / "f.csv"
         write_field(small_field, str(path))
         lines = path.read_text().splitlines()
@@ -438,7 +439,7 @@ class TestConfigParsing:
             type(getattr(expected, name)) for name in names]
 
     @pytest.mark.parametrize("overrides,message", [
-        ({"n_datasets": 10.5}, "n_datasets: must be an integer >= 10, got 10.5"),
+        ({"n_datasets": 10.5}, "n_datasets: must be an integer from 10 to 5100, got 10.5"),
         ({"max_lag": 2.5}, "max_lag: must be an integer >= 1, got 2.5"),
         ({"seed": 1.5}, "seed: must be an integer >= 0, got 1.5"),
         ({"seed": True}, "seed: must be an integer >= 0, got True"),
@@ -494,8 +495,8 @@ _CHANGES = {
     "method": st.sampled_from([*METHODS, "kriging", 1]),
     "scenario": st.sampled_from(["lambda,mu", ",".join(PARAM_NAMES), ("c_tilde",), "",
                                  "kappa", ("kappa",), 3, 0.5, True]),
-    "B": _spelled(20, 19, 0, -20, *_ODD),
-    "n_datasets": _spelled(10, 12, 9, 0, -10, *_ODD),
+    "B": _spelled(20, 19, 0, -20, 5101, 10**30, *_ODD),
+    "n_datasets": _spelled(10, 12, 9, 0, -10, 5101, 10**30, *_ODD),
     "level": _spelled(0.0, 0.5, 0.95, 1.0, -0.5, 2, math.nan, *_ODD),
     "cutoff_d": _spelled(1, 3, 10**9, 0, -1, *_ODD),
     "window_nx": _spelled(2, 3, 9, 1, 0, 10**6, *_ODD),
@@ -1182,6 +1183,9 @@ class TestExitCodes:
              "t_index,x_index,value\n" + "".join(f"{t},0,{0.1 * t}\n" for t in range(6))),
             ("-header-only", "t_index,x_index,value\n"),
             ("-nan-value", "t_index,x_index,value\n0,0,1.0\n0,1,nan\n"),
+            # 1e20 is no int64 index: it once ended in a bare IndexError
+            ("-index-beyond-int64",
+             "t_index,x_index,value\n0,0,1.0\n0,1,2.0\n1e20,0,3.0\n1,1,4.0\n"),
         ]
         for command in ["fit-mm", "fit-cl", "ci"]
     ])
@@ -1190,6 +1194,15 @@ class TestExitCodes:
         path.write_text(content)
         code = run_cli(command, "--field", str(path), "--dx", "0.05", "--dt", "0.05")
         assert code == 3
+
+    @pytest.mark.parametrize("flag,named", [("--B", "B"), ("--n-datasets", "n_datasets")])
+    def test_more_fields_than_one_draw_holds_is_2(self, tmp_path, capsys, no_worker_env,
+                                                  flag, named):
+        # 10**30 streams once validated, and spawning them ended in a bare OverflowError
+        code = run_cli("coverage", "--method", "mc-exact", "--nx", "9", "--nt", "9",
+                       "--only-dataset", "0", flag, str(10**30), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"{named}: must be an integer from " in capsys.readouterr().err
 
     def test_argparse_rejections_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,11 @@ import pytest
 import stou
 
 SOURCES = sorted(pathlib.Path(stou.__file__).parent.glob("*.py"))
+# the demos and the benchmark harness, apart from its tests: the other code
+# that reads the package's public names
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+READERS = sorted([*ROOT.glob("demos/*.py"), *(path for path in ROOT.glob("perfbench/*.py")
+                                              if not path.name.startswith("test_"))])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,6 +63,36 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def unread_public_defs(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public module-level functions and classes of the sources, and public
+    methods of their classes, that no code in the sources or the readers
+    reads by name, apart from their own bodies.  Any read of the name
+    counts, so a method named like a numpy attribute passes wherever an
+    array's attribute is read: `.flat` on an array kept
+    FieldSample.flat from being found."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [name for tree in [*trees.values(), *map(ast.parse, readers)]
+             for name in _names_read(tree)]
+    defs = [
+        (f"{module}:{node.name}", node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defs += [
+        (f"{label}.{method.name}", method)
+        for label, node in defs
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    ]
+    return [
+        label for label, node in defs
+        if not node.name.startswith("_")
+        and reads.count(node.name) == _names_read(node).count(node.name)
+    ]
+
+
 # the wording of model._require_int and model._require_positive, and the
 # "must be >= k" of hand-written copies that spelled the integer rule short
 BOUNDS_RULE_PHRASES = ("must be an integer", "must be finite and > 0, got", "must be >=")
@@ -96,6 +131,18 @@ def test_finds_an_unreferenced_private_def():
     assert unreferenced_private_defs(sources) == ["a:_recursive", "b:_Lone"]
 
 
+def test_finds_an_unread_public_def():
+    sources = {
+        "a": ("def used():\n    pass\n\ndef recursive():\n    return recursive()\n"
+              "class Box:\n    def read(self):\n        return self.size()\n"
+              "    def size(self):\n        return 1\n    def lone(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"),
+        "b": "from a import used\nclass Lone:\n    pass\ndef _private():\n    pass\n",
+    }
+    readers = ["import a\na.Box().read()\n"]
+    assert unread_public_defs(sources, readers) == ["a:recursive", "b:Lone", "a:Box.lone"]
+
+
 def test_finds_a_bounds_rule_copy():
     source = ('x = f"{n} must be an integer >= 1, got {v!r}"\n'
               'y = "must be finite and > 0, got"\nz = "must be >= 1"\n')
@@ -118,6 +165,22 @@ def test_no_command_builds_a_factor():
     found = {path.name: factor_reads(path.read_text(encoding="utf-8"))
              for path in SOURCES if path.name != "cholesky.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# public names that no pipeline path reads, kept because the acceptance
+# checklist, the floor of the tests, tests them
+ACCEPTANCE_ONLY = {
+    "cl:l_pair": "criterion 1, the pair density",
+    "cl:score_u": "criterion 2, the score against finite differences",
+    "mm:mm_from_moments": "criterion 4, the moment fit of population moments",
+}
+
+
+def test_every_public_def_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert readers
+    assert sorted(unread_public_defs(sources, readers)) == sorted(ACCEPTANCE_ONLY)
 
 
 def test_bounds_rules_are_spelled_only_in_model():

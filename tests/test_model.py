@@ -11,7 +11,6 @@ from stou import (
     Lattice,
     StouParams,
     corr_canonical,
-    corr_separable,
     derived_moments,
 )
 from stou.model import _axis_lags
@@ -56,47 +55,8 @@ class TestCorrCanonical:
         np.testing.assert_allclose(out, np.exp(-d_t))
 
 
-class TestCorrSeparable:
-    def test_pure_spatial_equals_canonical(self):
-        p = params()
-        assert corr_separable(p, 0.0, 0.7) == pytest.approx(
-            math.exp(-0.7), abs=1e-12
-        )
-        assert corr_separable(p, 0.0, 0.7) == corr_canonical(p, 0.0, 0.7)
-
-    def test_off_axis(self):
-        assert corr_separable(params(), 1.0, 1.0) == pytest.approx(
-            math.exp(-2.0), abs=1e-12
-        )
-
-    def test_pure_temporal_ignores_c(self):
-        assert corr_separable(params(lam=3.0, c=2.0), 0.2, 0.0) == pytest.approx(
-            math.exp(-0.6), abs=1e-12
-        )
-
-    @given(
-        lam=positive,
-        c=positive,
-        d_t=st.floats(min_value=0, max_value=10),
-        d_x=st.floats(min_value=0, max_value=10),
-    )
-    def test_never_exceeds_canonical(self, lam, c, d_t, d_x):
-        p = params(lam=lam, c=c)
-        assert corr_separable(p, d_t, d_x) <= corr_canonical(p, d_t, d_x) + 1e-15
-
-    def test_axis_equality(self):
-        # rounding differs by ~1 ulp on the spatial axis: lam * (h / c)
-        # versus (lam / c) * h
-        p = params(lam=2.5, c=0.3)
-        for h in (0.1, 1.0, 7.5):
-            assert corr_separable(p, h, 0.0) == corr_canonical(p, h, 0.0)
-            assert corr_separable(p, 0.0, h) == pytest.approx(
-                corr_canonical(p, 0.0, h), rel=1e-14
-            )
-
-
 class TestCorrShared:
-    @pytest.mark.parametrize("corr", [corr_canonical, corr_separable])
+    @pytest.mark.parametrize("corr", [corr_canonical])
     def test_in_unit_interval_and_one_only_at_origin(self, corr):
         p = params(lam=0.8, c=1.7)
         lags = [0.0, 1e-6, 0.3, 2.0, 50.0]
@@ -106,7 +66,7 @@ class TestCorrShared:
                 assert 0.0 < v <= 1.0
                 assert (v == 1.0) == (d_t == 0.0 and d_x == 0.0)
 
-    @pytest.mark.parametrize("corr", [corr_canonical, corr_separable])
+    @pytest.mark.parametrize("corr", [corr_canonical])
     def test_monotone_in_each_lag(self, corr):
         p = params(lam=1.2, c=0.6)
         grid = np.linspace(0.0, 3.0, 13)
@@ -193,16 +153,6 @@ class TestLattice:
         assert lat.n == 15
         assert lat.shape == (5, 3)
 
-    def test_site_order_is_time_major(self):
-        lat = Lattice(n_x=3, n_t=2, dx=1.0, dt=1.0)
-        t_idx, x_idx = lat.site_indices()
-        np.testing.assert_array_equal(t_idx, [0, 0, 0, 1, 1, 1])
-        np.testing.assert_array_equal(x_idx, [0, 1, 2, 0, 1, 2])
-        # site k = t * n_x + x
-        k = np.arange(lat.n)
-        np.testing.assert_array_equal(t_idx, k // lat.n_x)
-        np.testing.assert_array_equal(x_idx, k % lat.n_x)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -239,13 +189,6 @@ class TestLattice:
 
 
 class TestFieldSample:
-    def test_flat_matches_site_order(self):
-        lat = Lattice(n_x=3, n_t=2, dx=1.0, dt=1.0)
-        values = np.arange(6.0).reshape(2, 3)
-        field = FieldSample(lattice=lat, values=values)
-        t_idx, x_idx = lat.site_indices()
-        np.testing.assert_array_equal(field.flat(), values[t_idx, x_idx])
-
     def test_rejects_wrong_shape(self):
         lat = Lattice(n_x=3, n_t=2, dx=1.0, dt=1.0)
         with pytest.raises(DimensionMismatch):
