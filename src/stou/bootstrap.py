@@ -2,8 +2,9 @@
 proxy.
 
 mc_ci fits a field by moments, simulates B fields from the fitted model
-(exact ones by one simulate_exact call, which holds no factor), refits
-each, and reads CI bounds off the empirical quantiles of the B
+into one (B, n_t, n_x) array (exact ones by one simulate_exact call in
+its GEMM layout, which holds no factor), refits them by one stacked
+moment fit, and reads CI bounds off the empirical quantiles of the B
 re-estimates (linear order-statistic interpolation, position
 1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
 dataset's field from the truth and passes it to mc_ci.  coverage_proxy
@@ -27,7 +28,7 @@ import numpy as np
 from .cholesky import DEFAULT_MAX_POINTS, build_covariance, simulate_exact
 from .errors import FailureRateExceeded, StouError
 from .gridsim import GridSimConfig, simulate_grid, with_default_depth
-from .mm import fit_mm
+from .mm import _fit_stack, fit_mm
 from .model import FieldSample, StouParams, _require_int
 
 __all__ = [
@@ -137,33 +138,37 @@ def mc_ci(
     """Parametric-bootstrap quantile CIs for all reported parameters.
 
     Replications use index-derived child streams of rng, so results are
-    reproducible bit-for-bit for a given generator state.  Exact fields
-    are all drawn by one simulate_exact call before the first refit, a
-    stream each.  Replications whose refit fails are dropped; more than
-    MAX_FAIL_FRAC of B dropped raises FailureRateExceeded; a draw's error
-    is raised.  The grid model is resolved once, and every draw uses it:
-    grid_config (None is GridSimConfig()) at the fitted model's default
-    depth if it sets none.
+    reproducible bit-for-bit for a given generator state and B.  All B
+    fields are drawn, a stream each, before the first refit: exact ones
+    by one simulate_exact call whose predictor rows meet them in one GEMM.
+    A non-finite value in any of them raises ValueError; then one stacked
+    moment fit refits them all.  Replications whose refit fails are
+    dropped, the others keep their order; more than MAX_FAIL_FRAC of B
+    dropped raises FailureRateExceeded; a draw's error is raised.  The
+    grid model is resolved once, and every draw uses it: grid_config
+    (None is GridSimConfig()) at the fitted model's default depth if it
+    sets none.
     """
     check_mc_ci_args(B, level, simulator)
     lattice = field.lattice
     fitted = fit_mm(field, max_lag=max_lag)
 
     if simulator == "exact":
-        fields = simulate_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B))
-        sims = (FieldSample(lattice=lattice, values=values) for values in fields)
+        values = simulate_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B),
+                                batch=True)
         grid_depth = None
     else:
         grid_config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)
-        sims = (simulate_grid(fitted, lattice, grid_config, stream) for stream in rng.spawn(B))
+        values = np.empty((B, *lattice.shape))
+        for out, stream in zip(values, rng.spawn(B)):
+            out[...] = simulate_grid(fitted, lattice, grid_config, stream).values
         grid_depth = grid_config.truncation_p
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
 
-    refits, n_failed = [], 0
-    for sim in sims:
-        try:
-            refits.append(fit_mm(sim, max_lag=max_lag))
-        except StouError:
-            n_failed += 1
+    refits = [fit for fit in _fit_stack(values, lattice, max_lag)
+              if not isinstance(fit, StouError)]
+    n_failed = B - len(refits)
     if n_failed > MAX_FAIL_FRAC * B:
         raise FailureRateExceeded(f"{n_failed} of {B} bootstrap refits failed")
 

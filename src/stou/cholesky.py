@@ -34,11 +34,14 @@ same recursion and draw.  numpy only.
 The recursion yields the factor one time row at a time.  simulate_exact
 needs no factor: it applies each row to all of its fields as it is
 yielded and drops it, holding the fields and their split-basis histories
-(about 2 n doubles per field) in place of the factor.  Each row meets the
-fields in one product broadcast over them, an item per field, so every
-field has the same bits however many are drawn together.  Every command
-draws its exact fields this way, data and bootstrap fields alike;
-cholesky_factor lists every row, so that L can be inspected.
+(about 2 n doubles per field) in place of the factor.  A data field meets
+each row in a product broadcast over the fields, an item per field, so it
+has the same bits however many are drawn together: a replay of one
+dataset draws the field of the full run.  The bootstrap's fields meet
+each row in one GEMM, their histories the columns of one matrix; a
+column's bits then depend on the number of columns, that is on B and the
+lattice, which the config fixes.  cholesky_factor lists every row, so
+that L can be inspected.
 """
 
 from __future__ import annotations
@@ -165,17 +168,6 @@ def _levinson(blocks: np.ndarray, basis: np.ndarray):
         yield row, _site_root(v, basis)
 
 
-def _add_prediction(row: np.ndarray, history: np.ndarray, t: int) -> None:
-    """Turns the parts' C_t z_t, rows t m..(t+1) m of history (..., parts,
-    n_t m, k), into y_t = C_t z_t + sum_j A_{t,j} y_{t-j}, from the rows
-    before them; row is predictors[t], and nothing changes at t = 0.
-    Leading axes are items of a broadcast product, so each item's bits are
-    those of the same step on that item alone."""
-    if t:
-        m = row.shape[1]
-        history[..., t * m : (t + 1) * m, :] += row @ history[..., : t * m, :]
-
-
 def _with_jitter(cov: CovarianceMatrix, use):
     """use(blocks) on cov's blocks.  On LinAlgError, retries once with jitter
     1e-12 * max diagonal entry added to the diagonal of blocks[0], which is
@@ -205,40 +197,54 @@ def cholesky_factor(cov: CovarianceMatrix) -> list[tuple[np.ndarray, np.ndarray]
     return _with_jitter(cov, lambda blocks: list(_levinson(blocks, cov.basis)))
 
 
-def simulate_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
+def simulate_exact(cov: CovarianceMatrix, mu: float, rngs, *, batch: bool = False) -> np.ndarray:
     """Exact fields mu + L z, L the lower Cholesky factor of cov, shaped
-    (len(rngs), n_t, n_x): one per generator, z = rng.standard_normal(n),
-    with the same bits however many are drawn.  Each generator restarts
-    from its state at the call, so one listed k times gives one field k
-    times; fields drawn in turn from one generator take a call each.
-    No factor is held: each predictor row meets every field as the
-    recursion yields it, and is dropped.  Besides the fields, which hold
-    the normals until a row's values replace them, a pass holds each
-    field's split-basis history; at most m (n_t - 1) / 2 + n_x fields share
-    a pass (one recursion), so that their history never outgrows the
+    (len(rngs), n_t, n_x): one per generator, z = rng.standard_normal(n).
+    Each generator restarts from its state at the call, so one listed k
+    times gives one field k times; fields drawn in turn from one generator
+    take a call each.  No factor is held: each predictor row meets every
+    field as the recursion yields it, and is dropped.  Besides the fields,
+    which hold the normals until a row's values replace them, a pass holds
+    each field's split-basis history; at most m (n_t - 1) / 2 + n_x fields
+    share a pass (one recursion), so that their history never outgrows the
     factor.  When the recursion fails, it retries once with jitter 1e-12 *
     max diagonal entry added to the diagonal of blocks[0] (warning
     CovarianceJitter), replaying each generator from its saved state; a
-    second failure raises NotPositiveDefinite."""
+    second failure raises NotPositiveDefinite.
+
+    By default each row meets a pass's fields in one product broadcast
+    over them, an item per field, so a field has the same bits however
+    many are drawn.  batch=True makes the pass's histories the columns of
+    one matrix, so each row meets them in one GEMM; a column's bits then
+    depend on how many fields the pass holds, and agree with the default's
+    to rounding."""
     n_t, n_x, _ = cov.blocks.shape
     parts, _, m = cov.basis.shape
     fields = np.empty((len(rngs), n_t, n_x))
     states = [rng.bit_generator.state for rng in rngs]
     per_pass = m * (n_t - 1) // 2 + n_x
+    width = min(per_pass, len(fields))
 
     def draw(blocks):
         for rng, state, out in zip(rngs, states, fields):
             rng.bit_generator.state = state
             rng.standard_normal(out=out)
-        histories = np.empty((min(per_pass, len(fields)), parts, n_t * m, 1))
+        histories = np.empty((1, parts, n_t * m, width) if batch else (width, parts, n_t * m, 1))
         for start in range(0, len(fields), per_pass):
-            batch = fields[start : start + per_pass, :, :, None]
-            history = histories[: len(batch)]
+            chunk = fields[start : start + per_pass]
+            # (items, n_t, n_x, columns) views of the pass's fields, and
+            # their (items, parts, n_t m, columns) histories
+            if batch:
+                cols, history = chunk.transpose(1, 2, 0)[None], histories[..., : len(chunk)]
+            else:
+                cols, history = chunk[..., None], histories[: len(chunk)]
             for t, (row, root) in enumerate(_levinson(blocks, cov.basis)):
+                # y_t = C_t z_t + sum_j A_{t,j} y_{t-j}, on the rows before it
                 y = history[:, :, t * m : (t + 1) * m]
-                y[...] = root @ batch[:, None, t]
-                _add_prediction(row, history, t)
-                batch[:, t] = mu + (cov.basis @ y).sum(axis=1)
+                y[...] = root @ cols[:, None, t]
+                if t:
+                    y += row @ history[:, :, : t * m]
+                cols[:, t] = mu + (cov.basis @ y).sum(axis=1)
         return fields
 
     return _with_jitter(cov, draw)

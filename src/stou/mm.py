@@ -1,4 +1,5 @@
-"""Moment-based point estimation from one field sample.
+"""Moment-based point estimation from one field sample, or from a stack
+of them that share a lattice, each slice fitted as its own field.
 
 On the lattice axes the model correlation is log-linear in the lag,
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, InsufficientUsableLags
-from .model import FieldSample, StouParams, _pair_ends, _require_int
+from .errors import DegenerateSample, InsufficientUsableLags, StouError
+from .model import FieldSample, Lattice, StouParams, _pair_ends, _require_int
 
 __all__ = ["AcfEstimate", "empirical_acf", "fit_mm", "mm_from_moments"]
 
@@ -49,25 +50,28 @@ class AcfEstimate:
         object.__setattr__(self, "values", values)
 
 
-def _axis_acf(dev: np.ndarray, s2: float, axis: str, max_lag: int) -> np.ndarray:
-    """The lag-1..max_lag axis ACF of the (n_t, n_x) deviations dev, whose
-    1/n variance is s2 > 0, from each lag's pairs as two slices."""
-    acf = np.empty(max_lag)
+def _axis_acf(dev: np.ndarray, s2: np.ndarray, axis: str, max_lag: int) -> np.ndarray:
+    """The lag-1..max_lag axis ACFs, shaped (k, max_lag), of the (k, n_t,
+    n_x) deviations dev, whose 1/n variances are s2, from each lag's pairs
+    as two slices.  A slice whose variance is zero is divided by 1 instead,
+    so that it raises no warning; no fit reads its ACF."""
+    k = len(dev)
+    s2 = np.where(s2 > 0.0, s2, 1.0)
+    acf = np.empty((k, max_lag))
     for h in range(1, max_lag + 1):
         a, b = _pair_ends(dev, h, 0) if axis == "temporal" else _pair_ends(dev, 0, h)
-        acf[h - 1] = (a * b).sum() / (a.size * s2)
+        acf[:, h - 1] = (a * b).reshape(k, -1).sum(axis=1) / (a[0].size * s2)
     return np.clip(acf, -1.0, 1.0)
 
 
-def _deviations(field: FieldSample) -> tuple[float, np.ndarray, float]:
-    """Sample mean, deviations from it and their 1/n variance; raises
-    DegenerateSample when the variance is zero."""
-    mean = field.values.mean()
-    dev = field.values - mean
-    s2 = float(np.mean(dev * dev))
-    if s2 <= 0.0:
-        raise DegenerateSample("sample variance is zero")
-    return float(mean), dev, s2
+def _deviations(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each (n_t, n_x) slice's sample mean, its deviations from that mean
+    and their 1/n variance, for (k, n_t, n_x) values; each slice is
+    reduced in one contiguous run, as its own field would be."""
+    k = len(values)
+    mean = values.reshape(k, -1).mean(axis=1)
+    dev = values - mean[:, None, None]
+    return mean, dev, (dev * dev).reshape(k, -1).mean(axis=1)
 
 
 def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
@@ -81,8 +85,10 @@ def empirical_acf(field: FieldSample, axis: str, max_lag: int) -> AcfEstimate:
         raise ValueError(f"axis: must be one of {_AXES}, got {axis!r}")
     extent = field.values.shape[0 if axis == "temporal" else 1]
     _require_int("max_lag", max_lag, 1, extent - 1)
-    _, dev, s2 = _deviations(field)
-    return AcfEstimate(axis, np.arange(1, max_lag + 1), _axis_acf(dev, s2, axis, max_lag))
+    _, dev, s2 = _deviations(field.values[None])
+    if s2[0] <= 0.0:
+        raise DegenerateSample("sample variance is zero")
+    return AcfEstimate(axis, np.arange(1, max_lag + 1), _axis_acf(dev, s2, axis, max_lag)[0])
 
 
 def _decay_rate(axis: str, lags: np.ndarray, values: np.ndarray, spacing: float) -> float:
@@ -119,20 +125,42 @@ def mm_from_moments(
                          (acf_x.axis, acf_x.lags, acf_x.values), mean, var, dt, dx)
 
 
+def _fit_stack(values: np.ndarray, lattice: Lattice,
+               max_lag: int) -> list[StouParams | StouError]:
+    """fit_mm on each (n_t, n_x) slice of the (k, n_t, n_x) values, all on
+    lattice: a StouParams for each slice that fits, and the StouError it
+    raises for each that does not, with each slice's bits those of its
+    own fit.  Raises ValueError for max_lag or lattice as fit_mm does."""
+    _require_int("max_lag", max_lag, 1)
+    if lattice.n_t < 2 or lattice.n_x < 2:
+        raise ValueError(f"field: must have at least 2 points on each axis, got {lattice.shape}")
+    # one pass: the means, deviations and variances serve both axes and the fits
+    mean, dev, var = _deviations(values)
+    acfs = []
+    for axis, extent in (("temporal", lattice.n_t), ("spatial", lattice.n_x)):
+        lags = min(max_lag, extent - 1)
+        acfs.append((axis, np.arange(1, lags + 1), _axis_acf(dev, var, axis, lags)))
+    fits = []
+    for k in range(len(values)):
+        try:
+            if var[k] <= 0.0:
+                raise DegenerateSample("sample variance is zero")
+            fits.append(_from_moments(*((axis, lags, acf[k]) for axis, lags, acf in acfs),
+                                      float(mean[k]), float(var[k]), lattice.dt, lattice.dx))
+        except StouError as exc:
+            # without its traceback, whose frame would hold dev and fits
+            fits.append(exc.with_traceback(None))
+    return fits
+
+
 def fit_mm(field: FieldSample, max_lag: int = 5) -> StouParams:
-    """Moment fit of one field sample.
+    """Moment fit of one field sample: the one-slice case of the stacked
+    fit that mc_ci runs on its B replications.
 
     Uses up to max_lag lags per axis (clamped to the axis extent); lags
     with rho_hat outside (0, 1) are dropped from the log-linear fit.
     """
-    _require_int("max_lag", max_lag, 1)
-    lat = field.lattice
-    if lat.n_t < 2 or lat.n_x < 2:
-        raise ValueError(f"field: must have at least 2 points on each axis, got {lat.shape}")
-    # one pass: the mean, deviations and variance serve both axes and the fit
-    mean, dev, var = _deviations(field)
-    acfs = []
-    for axis, extent in (("temporal", lat.n_t), ("spatial", lat.n_x)):
-        lags = min(max_lag, extent - 1)
-        acfs.append((axis, np.arange(1, lags + 1), _axis_acf(dev, var, axis, lags)))
-    return _from_moments(*acfs, mean, var, lat.dt, lat.dx)
+    (fit,) = _fit_stack(field.values[None], field.lattice, max_lag)
+    if isinstance(fit, StouError):
+        raise fit
+    return fit

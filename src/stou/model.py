@@ -168,11 +168,11 @@ class Lattice:
 
 
 def _pair_ends(v: np.ndarray, h_t: int, h_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the pairs of an (n_t, n_x) array at axis lag
+    """Endpoint arrays of the pairs of an (..., n_t, n_x) array at axis lag
     (h_t, h_x) in grid steps, keyed by anchor position: the pair anchored
     at (t, x) joins (t, x) with (t + h_t, x + h_x)."""
-    n_t, n_x = v.shape
-    return v[: n_t - h_t, : n_x - h_x], v[h_t:, h_x:]
+    n_t, n_x = v.shape[-2:]
+    return v[..., : n_t - h_t, : n_x - h_x], v[..., h_t:, h_x:]
 
 
 def _axis_lags(lattice: Lattice, max_t: int, max_x: int) -> list[tuple]:

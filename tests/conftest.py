@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from stou import FieldSample, Lattice, StouParams, build_covariance, simulate_exact
-from stou.cholesky import _add_prediction
+import stou.bootstrap
+from stou import (FieldSample, InsufficientUsableLags, Lattice, StouParams, build_covariance,
+                  simulate_exact)
 
 
 def factor_product(basis, rows, z) -> np.ndarray:
@@ -13,7 +14,7 @@ def factor_product(basis, rows, z) -> np.ndarray:
     (n,) or (n, k): one roots @ z product, then each predictor row in
     turn, then the basis recombination.  This per-draw loop is the
     reference that simulate_exact's one pass is checked against, bit for
-    bit."""
+    bit; it shares no step with the draw but the recursion."""
     z = np.asarray(z, dtype=float)
     parts, n_x, m = basis.shape
     n_t = len(rows)
@@ -22,8 +23,9 @@ def factor_product(basis, rows, z) -> np.ndarray:
     # product per row serves every part
     y = np.stack([root for _, root in rows], axis=1) @ z.reshape(n_t, n_x, k)
     history = y.reshape(parts, n_t * m, k)
-    for t, (row, _) in enumerate(rows):
-        _add_prediction(row, history, t)
+    for t, (row, _) in enumerate(rows[1:], start=1):
+        # y_t = C_t z_t + sum_j A_{t,j} y_{t-j}
+        history[:, t * m : (t + 1) * m] += row @ history[:, : t * m]
     return (basis[:, None] @ y).sum(axis=0).reshape(z.shape)
 
 
@@ -51,6 +53,25 @@ def exact_fields_in_turn(params, lattice, rng, k) -> list[FieldSample]:
         rng.standard_normal(lattice.n)
     values = simulate_exact(build_covariance(params, lattice), params.mu, rngs)
     return [FieldSample(lattice=lattice, values=v) for v in values]
+
+
+def fail_refits(monkeypatch, failing) -> list[int]:
+    """Makes mc_ci's stacked refit, stou.bootstrap._fit_stack, fail the
+    replications whose index, counted from 0 over all of its calls, is
+    in failing, with InsufficientUsableLags("synthetic failure"); the
+    others keep their fits.  Returns the list of the stacks' sizes, one
+    entry per call."""
+    real = stou.bootstrap._fit_stack
+    sizes = []
+
+    def flaky(values, lattice, max_lag):
+        start = sum(sizes)
+        sizes.append(len(values))
+        return [InsufficientUsableLags("synthetic failure") if start + i in failing else fit
+                for i, fit in enumerate(real(values, lattice, max_lag))]
+
+    monkeypatch.setattr(stou.bootstrap, "_fit_stack", flaky)
+    return sizes
 
 
 @pytest.fixture(scope="session")

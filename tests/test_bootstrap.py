@@ -37,7 +37,7 @@ from stou import (
 )
 from stou.errors import CovarianceJitter, StouError
 
-from conftest import exact_field, per_draw_field
+from conftest import exact_field, fail_refits, per_draw_field
 
 
 class TestQuantileInterval:
@@ -175,61 +175,54 @@ class TestMcCi:
         assert mc_ci(small_field, 20, 0.9, "exact", np.random.default_rng(4)).grid_depth is None
 
     def test_failed_refits_counted_then_fatal(self, small_field, monkeypatch):
-        real_fit = stou.bootstrap.fit_mm
-        calls = {"n": 0}
-
-        def flaky_fit(field, max_lag=5):
-            calls["n"] += 1
-            # first call fits the observed field; every later call is a
-            # bootstrap refit
-            if calls["n"] in (3, 4):
-                raise InsufficientUsableLags("synthetic failure")
-            return real_fit(field, max_lag=max_lag)
-
-        monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
+        # replications 1 and 2 fail; the others keep their estimates, in order
+        clean = mc_ci(small_field, B=24, level=0.9, simulator="exact",
+                      rng=np.random.default_rng(1))
+        sizes = fail_refits(monkeypatch, (1, 2))
         res = mc_ci(small_field, B=24, level=0.9, simulator="exact", rng=np.random.default_rng(1))
+        assert sizes == [24]
         assert res.n_failed == 2
         assert len(res.estimates["lambda"]) == 22
+        for name in REPORT_PARAMS:
+            np.testing.assert_array_equal(res.estimates[name],
+                                          np.delete(clean.estimates[name], [1, 2]))
 
-        def dead_fit(field, max_lag=5):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise InsufficientUsableLags("synthetic failure")
-            return real_fit(field, max_lag=max_lag)
-
-        calls["n"] = 0
-        monkeypatch.setattr(stou.bootstrap, "fit_mm", dead_fit)
-        with pytest.raises(FailureRateExceeded):
+        fail_refits(monkeypatch, range(24))
+        with pytest.raises(FailureRateExceeded, match="^24 of 24 bootstrap refits failed$"):
             mc_ci(small_field, B=24, level=0.9, simulator="exact", rng=np.random.default_rng(1))
 
 
 def per_draw_mc_ci(field, B, level, rng, max_lag=5):
     """mc_ci's exact branch written the per-draw way: the fitted model's
     factor, its rows applied to each spawned stream's normals, then
-    fit_mm on each field."""
+    fit_mm on each field.  Returns the intervals, the estimates and the
+    replications whose refit failed."""
     fitted = fit_mm(field, max_lag=max_lag)
     cov = build_covariance(fitted, field.lattice)
     rows = cholesky_factor(cov)
-    reports, n_failed = [], 0
-    for stream in rng.spawn(B):
+    reports, failed = [], []
+    for i, stream in enumerate(rng.spawn(B)):
         sim = FieldSample(lattice=field.lattice,
                           values=per_draw_field(cov.basis, rows, fitted.mu, stream))
         try:
             reports.append(params_to_report(fit_mm(sim, max_lag=max_lag)))
         except StouError:
-            n_failed += 1
+            failed.append(i)
     estimates = {name: np.array([r[name] for r in reports]) for name in REPORT_PARAMS}
     points = params_to_report(fitted)
     intervals = {}
     for name in REPORT_PARAMS:
         lo, med, hi = quantile_interval(estimates[name], level)
         intervals[name] = IntervalEstimate(name, points[name], lo, hi, med, level)
-    return intervals, estimates, n_failed
+    return intervals, estimates, failed
 
 
 class TestExactDrawEqualsPerDrawLoop:
     # mc_ci draws its B exact fields in one pass over the fitted model's
-    # recursion; each must have the bits of its own per-draw field
+    # recursion, each predictor row meeting them in one GEMM, and refits
+    # them in one stack.  A GEMM column's bits depend on the number of
+    # columns, so the estimates agree with the per-draw loop's to rounding;
+    # the same replications must fail
 
     @staticmethod
     def _field(base_params, n_x, n_t, seed):
@@ -237,22 +230,43 @@ class TestExactDrawEqualsPerDrawLoop:
         return exact_field(base_params, lattice, np.random.default_rng(seed))
 
     @staticmethod
-    def _assert_equal(got, expected):
-        intervals, estimates, n_failed = expected
-        assert got.intervals == intervals and got.n_failed == n_failed
-        for name in REPORT_PARAMS:
-            np.testing.assert_array_equal(got.estimates[name], estimates[name])
+    def _mc_ci(monkeypatch, *args):
+        """mc_ci(*args), and the replications whose refit failed."""
+        real = stou.bootstrap._fit_stack
+        failed = []
+
+        def recording(values, lattice, max_lag):
+            fits = real(values, lattice, max_lag)
+            failed.extend(i for i, fit in enumerate(fits) if isinstance(fit, StouError))
+            return fits
+
+        monkeypatch.setattr(stou.bootstrap, "_fit_stack", recording)
+        return mc_ci(*args), failed
+
+    @staticmethod
+    def _assert_agrees(got, expected):
+        (result, failed), (intervals, estimates, expected_failed) = got, expected
+        assert result.n_failed == len(expected_failed) and failed == expected_failed
+        assert result.intervals.keys() == intervals.keys()
+        for name, interval in intervals.items():
+            got_interval = result.intervals[name]
+            assert got_interval.point == interval.point
+            np.testing.assert_allclose(
+                [got_interval.lower, got_interval.median, got_interval.upper],
+                [interval.lower, interval.median, interval.upper], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(result.estimates[name], estimates[name], rtol=1e-12,
+                                       atol=0)
 
     @pytest.mark.parametrize("n_x,n_t,B,seed", [
         (4, 4, 20, 0),  # a pass takes at most 7 fields: three passes, one refit fails
         (7, 6, 30, 2),  # odd n_x, whose odd part has a padding column; two refits fail
         (15, 15, 100, 0),  # two passes of at most 71
     ])
-    def test_equals_the_per_draw_loop(self, base_params, n_x, n_t, B, seed):
+    def test_equals_the_per_draw_loop(self, base_params, monkeypatch, n_x, n_t, B, seed):
         field = self._field(base_params, n_x, n_t, seed)
         expected = per_draw_mc_ci(field, B, 0.9, np.random.default_rng(seed + 100))
-        got = mc_ci(field, B, 0.9, "exact", np.random.default_rng(seed + 100))
-        self._assert_equal(got, expected)
+        got = self._mc_ci(monkeypatch, field, B, 0.9, "exact", np.random.default_rng(seed + 100))
+        self._assert_agrees(got, expected)
 
     @staticmethod
     def _failing_levinson(monkeypatch, failures):
@@ -276,10 +290,10 @@ class TestExactDrawEqualsPerDrawLoop:
             expected = per_draw_mc_ci(field, 20, 0.9, np.random.default_rng(7))
         self._failing_levinson(monkeypatch, 1)
         with pytest.warns(CovarianceJitter) as one_pass_warnings:
-            got = mc_ci(field, 20, 0.9, "exact", np.random.default_rng(7))
+            got = self._mc_ci(monkeypatch, field, 20, 0.9, "exact", np.random.default_rng(7))
         assert len(per_draw_warnings) == len(one_pass_warnings) == 1
         assert str(one_pass_warnings[0].message) == str(per_draw_warnings[0].message)
-        self._assert_equal(got, expected)
+        self._assert_agrees(got, expected)
 
     def test_fitted_covariance_that_fails_raises_before_any_refit(self, small_field,
                                                                   monkeypatch):
@@ -292,9 +306,10 @@ class TestExactDrawEqualsPerDrawLoop:
             return real_fit(field, max_lag=max_lag)
 
         monkeypatch.setattr(stou.bootstrap, "fit_mm", counted)
+        stacks = fail_refits(monkeypatch, ())
         with pytest.warns(CovarianceJitter), pytest.raises(NotPositiveDefinite):
             mc_ci(small_field, 20, 0.9, "exact", np.random.default_rng(0))
-        assert len(fits) == 1 and len(tried) == 2
+        assert len(fits) == 1 and len(tried) == 2 and stacks == []
 
 
 class TestCoverageProxy:
@@ -352,19 +367,20 @@ class TestCoverageDataset:
         real_fit = stou.bootstrap.fit_mm
         calls = {"n": 0}
 
-        def flaky_fit(field, max_lag=5):
+        def counted_fit(field, max_lag=5):
             calls["n"] += 1
-            # call 1 fits the observed field; later calls are refits
-            if calls["n"] in failing_calls:
-                raise InsufficientUsableLags("synthetic failure")
             return real_fit(field, max_lag=max_lag)
 
-        monkeypatch.setattr(stou.bootstrap, "fit_mm", flaky_fit)
+        monkeypatch.setattr(stou.bootstrap, "fit_mm", counted_fit)
+        # the refits of replications 1 and 2, which were calls 3 and 4 when
+        # each refit was a fit_mm call
+        sizes = fail_refits(monkeypatch, [call - 2 for call in failing_calls])
         data_rng, boot_rng = np.random.default_rng(3).spawn(2)
         field = exact_field(base_params, small_lattice, data_rng)
         step = functools.partial(stou.experiment._bootstrap_step, 20, 0.9, "exact", None, 5)
         intervals, proxies, refit_failures, grid_depth = step(base_params, field, boot_rng)
-        assert calls["n"] == 21
+        # one fit of the observed field, then one stacked fit of the 20 refits
+        assert calls["n"] == 1 and sizes == [20]
         assert refit_failures == len(failing_calls)
         assert grid_depth is None
         assert set(intervals) == set(proxies) == set(REPORT_PARAMS)

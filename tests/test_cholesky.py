@@ -464,3 +464,53 @@ class TestOnePassDraw:
         with pytest.warns(CovarianceJitter):
             with pytest.raises(NotPositiveDefinite):
                 one_pass_draw(one_block([[1.0, 2.0], [2.0, 1.0]]), 0.0, range(3))
+
+
+def batch_draw(cov, mu, seeds):
+    return simulate_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds], batch=True)
+
+
+def assert_agrees(got, expected):
+    """Equal to 1e-12 of the largest value: a GEMM column's rounding."""
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestBatchDraw:
+    # batch=True, mc_ci's layout: a pass's histories are the columns of one
+    # matrix, so each predictor row meets them in one GEMM; the fields agree
+    # with the per-draw ones to rounding
+
+    @pytest.mark.parametrize("n_t,n_x,k", [
+        (6, 7, 5),  # odd n_x, whose odd part has a padding column
+        (5, 8, 5),
+        (4, 1, 5),  # a pass takes m (n_t - 1) / 2 + n_x = 2 fields: three passes
+        (1, 6, 5),
+        (1, 1, 3),
+        (4, 4, 20),  # three passes of at most 7
+        (15, 15, 100),  # two passes of at most 71
+    ])
+    def test_agrees_with_the_per_draw_fields(self, n_t, n_x, k):
+        p = params(lam=0.7, c=1.3)
+        cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
+        seeds = range(n_t * 100 + n_x, n_t * 100 + n_x + k)
+        assert_agrees(batch_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+
+    def test_same_generators_give_the_same_bits(self):
+        p = params(lam=0.7, c=1.3)
+        cov = build_covariance(p, Lattice(n_x=15, n_t=15, dx=0.05, dt=0.07))
+        assert np.array_equal(batch_draw(cov, p.mu, range(100)), batch_draw(cov, p.mu, range(100)))
+
+    def test_jitter_retry_replays_the_generators(self):
+        # singular at the second row, after the first has replaced the
+        # fields' normals, which the retry draws again; 6 fields take two
+        # passes of 4 on the jittered blocks
+        cov = CovarianceMatrix(
+            np.stack([np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])] * 2))
+        with pytest.warns(CovarianceJitter) as oracle_warnings:
+            expected = per_draw_oracle(cov, 0.3, range(6))
+        with pytest.warns(CovarianceJitter) as draw_warnings:
+            got = batch_draw(cov, 0.3, range(6))
+        assert_agrees(got, expected)
+        assert [str(w.message) for w in draw_warnings] == [str(w.message)
+                                                             for w in oracle_warnings]

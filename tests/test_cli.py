@@ -34,7 +34,7 @@ from stou.experiment import (
 )
 from stou.gridsim import with_default_depth
 
-from conftest import exact_field
+from conftest import exact_field, fail_refits
 
 
 @pytest.fixture()
@@ -611,6 +611,10 @@ class TestSimulateAndFit:
         assert run_cli("simulate", "--nx", "101", "--nt", "101", "--out", field) == 0
         assert peak_rss_mib("ci", "--method", "mc-exact", "--field", field, "--dx", "0.05",
                             "--dt", "0.05", "--B", "20", "--out", str(tmp_path / "ci.csv")) < 120
+        # 81.7 MiB with B = 100: one stacked refit of the 100 fields peaks
+        # no higher than the draw, each (B, n) temporary about 8 MB here
+        assert peak_rss_mib("ci", "--method", "mc-exact", "--field", field, "--dx", "0.05",
+                            "--dt", "0.05", "--B", "100", "--out", str(tmp_path / "ci.csv")) <= 100
 
     def test_omitted_flags_take_experiment_config_defaults(self, tmp_path, field_csv):
         d = ExperimentConfig()
@@ -903,23 +907,14 @@ class TestExperimentCommands:
         assert before * 1024 <= got <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
     def test_manifest_counts_refit_failures(self, tmp_path, monkeypatch):
-        real_fit = stou.bootstrap.fit_mm
-        calls = {"n": 0}
-
-        def flaky_fit(field, max_lag=5):
-            calls["n"] += 1
-            # call 1 fits dataset 0's field and its refits follow, so call 3
-            # is one bootstrap refit
-            if calls["n"] == 3:
-                raise stou.InsufficientUsableLags("synthetic failure")
-            return real_fit(field, max_lag=max_lag)
-
         counts = []
-        for name, fit in (("clean", real_fit), ("flaky", flaky_fit)):
-            monkeypatch.setattr(stou.bootstrap, "fit_mm", fit)
+        for name, failing in (("clean", ()), ("flaky", (1,))):
+            # dataset 0's stacked refit comes first: replication 1 fails
+            sizes = fail_refits(monkeypatch, failing)
             config = ExperimentConfig(nx=11, nt=11, B=20, n_datasets=10, seed=5,
                                       out_dir=str(tmp_path / name))
             counts.append(read_manifest(run(config)["manifest"])["refit_failures"])
+            assert sizes == [20] * 10
         assert counts == ["0", "1"]
 
     def test_error_cell_is_quoted_in_estimates(self, tmp_path, monkeypatch):
@@ -1225,22 +1220,25 @@ def blas_calls():
     calls[0](found)
 
 
-# (command, method, sites per row, values of OPENBLAS_NUM_THREADS, None
+# (command, method, sites per row, B, values of OPENBLAS_NUM_THREADS, None
 # leaving it unset).  33 x 33 is the smallest square lattice whose
 # estimates.csv differed between the variable unset, 1 and 2 on a 2-core
 # host while the thread count still followed the variable (32 x 32 did
 # not).  33 and 34 sites per row are the two shapes of the exact factor's
 # mirror split.  simulate's exact draw runs each predictor row as one
 # product broadcast over the fields, and ci runs each bootstrap simulator
-# (the grid at its default depth) on such a field.
+# (the grid at its default depth) on such a field.  The exact bootstrap
+# meets each row in one GEMM with a column per field, which B = 100 makes
+# wider than 64 columns.
 _BLAS_CASES = [
-    pytest.param("coverage", "mc-exact", 33, (None, "1", "2"), id="coverage-unset-1-2"),
-    *(pytest.param("coverage", method, nx, ("1", "4"), id=f"coverage-{method}-{nx}")
+    pytest.param("coverage", "mc-exact", 33, 20, (None, "1", "2"), id="coverage-unset-1-2"),
+    *(pytest.param("coverage", method, nx, 20, ("1", "4"), id=f"coverage-{method}-{nx}")
       for nx in (33, 34) for method in stou.experiment.METHODS),
-    *(pytest.param("simulate", "exact", nx, ("1", "4"), id=f"simulate-exact-{nx}")
+    *(pytest.param("simulate", "exact", nx, 20, ("1", "4"), id=f"simulate-exact-{nx}")
       for nx in (33, 34)),
-    *(pytest.param("ci", method, nx, ("1", "4"), id=f"ci-{method}-{nx}")
+    *(pytest.param("ci", method, nx, 20, ("1", "4"), id=f"ci-{method}-{nx}")
       for nx in (33, 34) for method in ("mc-exact", "mc-grid")),
+    pytest.param("ci", "mc-exact", 33, 100, ("1", "4"), id="ci-mc-exact-33-b100"),
 ]
 
 
@@ -1257,8 +1255,8 @@ def _stou_on_blas_threads(value, *argv) -> None:
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("command,method,nx,values", _BLAS_CASES)
-    def test_thread_variables_do_not_change_outputs(self, tmp_path, command, method, nx,
+    @pytest.mark.parametrize("command,method,nx,B,values", _BLAS_CASES)
+    def test_thread_variables_do_not_change_outputs(self, tmp_path, command, method, nx, B,
                                                     values):
         # every command runs numpy's BLAS on one thread, so the variable
         # changes no output byte
@@ -1271,10 +1269,10 @@ class TestBlasThreads:
             out = tmp_path / (value or "unset")
             out.mkdir()
             argv = {
-                "coverage": [*lattice, "--B", "20", "--n-datasets", "10", "--workers", "1",
+                "coverage": [*lattice, "--B", str(B), "--n-datasets", "10", "--workers", "1",
                              "--out-dir", str(out)],
                 "simulate": [*lattice, "--out", str(out / "field.csv")],
-                "ci": ["--field", str(field), "--dx", "0.05", "--dt", "0.05", "--B", "20",
+                "ci": ["--field", str(field), "--dx", "0.05", "--dt", "0.05", "--B", str(B),
                        "--seed", "5", "--out", str(out / "ci.csv")],
             }[command]
             _stou_on_blas_threads(value, command, "--method", method, *argv)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from stou import (
     fit_mm,
     mm_from_moments,
 )
+
+from stou.mm import _fit_stack
 
 from conftest import exact_fields_in_turn
 
@@ -220,3 +223,63 @@ class TestFitMm:
         rng = np.random.default_rng(2024)
         lams = [fit_mm(field).lam for field in exact_fields_in_turn(truth, lat, rng, 100)]
         assert abs(np.median(lams) - truth.lam) <= 0.10 * truth.lam
+
+
+def per_field_fit(values, lattice, max_lag):
+    """The moment fit of one (n_t, n_x) field as fit_mm computed it before
+    the stacked fit: the field's own mean, deviations and 1/n variance,
+    each axis lag's pairs as two slices, then the log-linear rate fits."""
+    mean = values.mean()
+    dev = values - mean
+    var = float(np.mean(dev * dev))
+    if var <= 0.0:
+        raise DegenerateSample("sample variance is zero")
+    acfs = []
+    for axis, extent in (("temporal", lattice.n_t), ("spatial", lattice.n_x)):
+        lags = min(max_lag, extent - 1)
+        acf = np.empty(lags)
+        for h in range(1, lags + 1):
+            a, b = (dev[:-h], dev[h:]) if axis == "temporal" else (dev[:, :-h], dev[:, h:])
+            acf[h - 1] = (a * b).sum() / (a.size * var)
+        acfs.append(AcfEstimate(axis, np.arange(1, lags + 1), np.clip(acf, -1.0, 1.0)))
+    return mm_from_moments(*acfs, float(mean), var, lattice.dt, lattice.dx)
+
+
+class TestFitStack:
+    # mc_ci refits its B fields as one stack; each slice must get the bits
+    # of its own fit, or the same error, and no slice may raise a warning
+
+    @pytest.mark.parametrize("n_t,n_x", [(2, 2), (3, 8), (9, 5), (7, 6), (41, 41)])
+    @pytest.mark.parametrize("max_lag", [1, 5, 60])  # 60: above every extent
+    def test_each_slice_is_its_own_fit(self, n_t, n_x, max_lag):
+        rng = np.random.default_rng(n_t * 100 + n_x)
+        values = rng.normal(0.4, 0.1, size=(12, n_t, n_x))
+        values += np.cumsum(rng.normal(0.0, 0.05, size=values.shape), axis=1)
+        values *= 10.0 ** rng.uniform(-3, 3, size=(12, 1, 1))
+        values[3] = 0.5  # zero variance: a power of two sums exactly
+        # one spike: every lag's pairs but one or two join two deviations of
+        # -1/n, which leaves each ACF value negative, so no lag is usable
+        values[5] = 0.0
+        values[5, 0, 0] = 1.0
+        lattice = Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = _fit_stack(values, lattice, max_lag)
+        assert len(fits) == len(values)
+        for field_values, fit in zip(values, fits):
+            try:
+                expected = per_field_fit(field_values, lattice, max_lag)
+            except (DegenerateSample, InsufficientUsableLags) as exc:
+                assert type(fit) is type(exc) and str(fit) == str(exc)
+                continue
+            assert fit == expected
+            assert all(type(v) is float for v in (fit.lam, fit.c_tilde, fit.sigma2, fit.mu))
+        assert isinstance(fits[3], DegenerateSample) and isinstance(fits[5], InsufficientUsableLags)
+
+    def test_fit_mm_is_the_one_slice_stack(self, small_field):
+        (fit,) = _fit_stack(small_field.values[None], small_field.lattice, 5)
+        assert fit_mm(small_field) == fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSample, match="^sample variance is zero$"):
+                fit_mm(make_field(np.full((4, 5), 0.5)))
