@@ -52,16 +52,15 @@ class AcfEstimate:
 
 def _axis_acf(dev: np.ndarray, s2: np.ndarray, axis: str, max_lag: int) -> np.ndarray:
     """The lag-1..max_lag axis ACFs, shaped (k, max_lag), of the (k, n_t,
-    n_x) deviations dev, whose 1/n variances are s2, from each lag's pairs
-    as two slices.  A slice whose variance is zero is divided by 1 instead,
-    so that it raises no warning; no fit reads its ACF."""
+    n_x) deviations dev, whose 1/n variances s2 are positive, from each
+    lag's pairs as two slices."""
     k = len(dev)
-    s2 = np.where(s2 > 0.0, s2, 1.0)
-    acf = np.empty((k, max_lag))
+    sums, pairs = np.empty((k, max_lag)), np.empty(max_lag)
     for h in range(1, max_lag + 1):
         a, b = _pair_ends(dev, h, 0) if axis == "temporal" else _pair_ends(dev, 0, h)
-        acf[:, h - 1] = (a * b).reshape(k, -1).sum(axis=1) / (a[0].size * s2)
-    return np.clip(acf, -1.0, 1.0)
+        sums[:, h - 1] = (a * b).reshape(k, -1).sum(axis=1)
+        pairs[h - 1] = a[0].size
+    return np.clip(sums / (pairs * s2[:, None]), -1.0, 1.0)
 
 
 def _deviations(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,10 +135,12 @@ def _fit_stack(values: np.ndarray, lattice: Lattice,
         raise ValueError(f"field: must have at least 2 points on each axis, got {lattice.shape}")
     # one pass: the means, deviations and variances serve both axes and the fits
     mean, dev, var = _deviations(values)
+    # a zero-variance slice divides by 1, raising no warning; no fit reads its ACF
+    divisor = np.where(var > 0.0, var, 1.0)
     acfs = []
     for axis, extent in (("temporal", lattice.n_t), ("spatial", lattice.n_x)):
         lags = min(max_lag, extent - 1)
-        acfs.append((axis, np.arange(1, lags + 1), _axis_acf(dev, var, axis, lags)))
+        acfs.append((axis, np.arange(1, lags + 1), _axis_acf(dev, divisor, axis, lags)))
     fits = []
     for k in range(len(values)):
         try:
