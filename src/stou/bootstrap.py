@@ -2,12 +2,12 @@
 proxy.
 
 mc_ci fits a field by moments, simulates B fields from the fitted model
-into one (B, n_t, n_x) array (exact ones by one simulate_exact call in
-its GEMM layout, which holds no factor), refits them by one stacked
-moment fit, and reads CI bounds off the empirical quantiles of the B
-re-estimates (linear order-statistic interpolation, position
-1 + (B - 1) q).  The coverage engine (stou.experiment) draws each
-dataset's field from the truth and passes it to mc_ci.  coverage_proxy
+into one (B, n_t, n_x) array (exact ones by one simulate_exact call,
+which holds no factor), refits them by one stacked moment fit, and reads
+CI bounds off the empirical quantiles of the B re-estimates (linear
+order-statistic interpolation, position 1 + (B - 1) q).  The coverage
+engine (stou.experiment) draws every dataset's field from the truth by
+the same kind of call and passes each to mc_ci.  coverage_proxy
 estimates the coverage a quantile interval would achieve without knowing
 the truth, by reflecting the interval around the bootstrap median:
 
@@ -140,7 +140,7 @@ def mc_ci(
     Replications use index-derived child streams of rng, so results are
     reproducible bit-for-bit for a given generator state and B.  All B
     fields are drawn, a stream each, before the first refit: exact ones
-    by one simulate_exact call whose predictor rows meet them in one GEMM.
+    by one simulate_exact call, so a field's bits depend on B.
     A non-finite value in any of them raises ValueError; then one stacked
     moment fit refits them all.  Replications whose refit fails are
     dropped, the others keep their order; more than MAX_FAIL_FRAC of B
@@ -154,8 +154,7 @@ def mc_ci(
     fitted = fit_mm(field, max_lag=max_lag)
 
     if simulator == "exact":
-        values = simulate_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B),
-                                batch=True)
+        values = simulate_exact(build_covariance(fitted, lattice), fitted.mu, rng.spawn(B))
         grid_depth = None
     else:
         grid_config = with_default_depth(grid_config or GridSimConfig(), fitted, lattice)

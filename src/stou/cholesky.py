@@ -27,21 +27,19 @@ O(n_t^2 n_x^3) flops.  Its predictors, in the split basis, come to about
 n_t^2 n_x^2 / 4 doubles, half of what the whole recursion's come to, and
 each C_t is the Cholesky factor of V_t recombined in site order, so L is
 still the unique lower Cholesky factor.  A draw mu + L z keeps its
-history in the split basis, at one batched product per time row.  A
+history in the split basis, at one stacked product per time row.  A
 hand-built CovarianceMatrix is one part in the identity basis, through the
 same recursion and draw.  numpy only.
 
 The recursion yields the factor one time row at a time.  simulate_exact
 needs no factor: it applies each row to all of its fields as it is
 yielded and drops it, holding the fields and their split-basis histories
-(about 2 n doubles per field) in place of the factor.  A data field meets
-each row in a product broadcast over the fields, an item per field, so it
-has the same bits however many are drawn together: a replay of one
-dataset draws the field of the full run.  The bootstrap's fields meet
-each row in one GEMM, their histories the columns of one matrix; a
-column's bits then depend on the number of columns, that is on B and the
-lattice, which the config fixes.  cholesky_factor lists every row, so
-that L can be inspected.
+(about 2 n doubles per field) in place of the factor.  The fields meet
+each row in one GEMM, their histories the columns of one matrix, so a
+field's bits depend on the number of fields drawn with it: n_datasets
+for the data, B for the bootstrap, one for stou simulate, each fixed by
+the config.  cholesky_factor lists every row, so that L can be
+inspected.
 """
 
 from __future__ import annotations
@@ -197,55 +195,47 @@ def cholesky_factor(cov: CovarianceMatrix) -> list[tuple[np.ndarray, np.ndarray]
     return _with_jitter(cov, lambda blocks: list(_levinson(blocks, cov.basis)))
 
 
-def simulate_exact(cov: CovarianceMatrix, mu: float, rngs, *, batch: bool = False) -> np.ndarray:
+def simulate_exact(cov: CovarianceMatrix, mu: float, rngs) -> np.ndarray:
     """Exact fields mu + L z, L the lower Cholesky factor of cov, shaped
     (len(rngs), n_t, n_x): one per generator, z = rng.standard_normal(n).
-    Each generator restarts from its state at the call, so one listed k
-    times gives one field k times; fields drawn in turn from one generator
-    take a call each.  No factor is held: each predictor row meets every
-    field as the recursion yields it, and is dropped.  Besides the fields,
-    which hold the normals until a row's values replace them, a pass holds
-    each field's split-basis history; at most m (n_t - 1) / 2 + n_x fields
-    share a pass (one recursion), so that their history never outgrows the
-    factor.  When the recursion fails, it retries once with jitter 1e-12 *
-    max diagonal entry added to the diagonal of blocks[0] (warning
+    Each generator restarts from its state at the call; fields drawn in
+    turn from one generator take a call each.  No factor is held: each
+    predictor row meets every field as the recursion yields it, and is
+    dropped.  Besides the fields, which hold the normals until a row's
+    values replace them, a pass holds its fields' split-basis histories
+    as the columns of one matrix, so each row meets them in one GEMM; at
+    most m (n_t - 1) / 2 + n_x fields share a pass (one recursion), so
+    that their history never outgrows the factor.  A field's bits depend
+    on how many fields are drawn with it, and agree with its own draw to
+    rounding, so one generator listed k times gives k fields equal to
+    rounding.
+    When the recursion fails, it retries once with jitter 1e-12 * max
+    diagonal entry added to the diagonal of blocks[0] (warning
     CovarianceJitter), replaying each generator from its saved state; a
-    second failure raises NotPositiveDefinite.
-
-    By default each row meets a pass's fields in one product broadcast
-    over them, an item per field, so a field has the same bits however
-    many are drawn.  batch=True makes the pass's histories the columns of
-    one matrix, so each row meets them in one GEMM; a column's bits then
-    depend on how many fields the pass holds, and agree with the default's
-    to rounding."""
+    second failure raises NotPositiveDefinite."""
     n_t, n_x, _ = cov.blocks.shape
     parts, _, m = cov.basis.shape
     fields = np.empty((len(rngs), n_t, n_x))
     states = [rng.bit_generator.state for rng in rngs]
     per_pass = m * (n_t - 1) // 2 + n_x
-    width = min(per_pass, len(fields))
+    histories = np.empty((parts, n_t * m, min(per_pass, len(fields))))
 
     def draw(blocks):
         for rng, state, out in zip(rngs, states, fields):
             rng.bit_generator.state = state
             rng.standard_normal(out=out)
-        histories = np.empty((1, parts, n_t * m, width) if batch else (width, parts, n_t * m, 1))
         for start in range(0, len(fields), per_pass):
             chunk = fields[start : start + per_pass]
-            # (items, n_t, n_x, columns) views of the pass's fields, and
-            # their (items, parts, n_t m, columns) histories
-            if batch:
-                cols, history = chunk.transpose(1, 2, 0)[None], histories[..., : len(chunk)]
-            else:
-                cols, history = chunk[..., None], histories[: len(chunk)]
+            # (n_t, n_x, columns) view of the pass's fields, and their
+            # (parts, n_t m, columns) histories
+            cols, history = chunk.transpose(1, 2, 0), histories[..., : len(chunk)]
             for t, (row, root) in enumerate(_levinson(blocks, cov.basis)):
                 # y_t = C_t z_t + sum_j A_{t,j} y_{t-j}, on the rows before it
-                y = history[:, :, t * m : (t + 1) * m]
-                y[...] = root @ cols[:, None, t]
+                y = history[:, t * m : (t + 1) * m]
+                y[...] = root @ cols[t]
                 if t:
-                    y += row @ history[:, :, : t * m]
-                cols[:, t] = mu + (cov.basis @ y).sum(axis=1)
+                    y += row @ history[:, : t * m]
+                cols[t] = mu + (cov.basis @ y).sum(axis=0)
         return fields
 
     return _with_jitter(cov, draw)
-

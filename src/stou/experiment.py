@@ -9,17 +9,19 @@ rng.spawn(n_datasets)); child i is split by .spawn(2) into (data,
 bootstrap) streams.  The calling process draws every dataset's field,
 the one all methods see, from its data stream by one simulate_exact
 call, one pass over the truth's Levinson recursion that applies each
-predictor row to every field and keeps no factor.  mc_ci draws its
-fields from the fitted model the same way, so no process holds a
-factor.  _dataset_task runs the method's interval step, a function with
-its settings bound by functools.partial, on a field, here or in a pool
-worker; mc_ci splits the bootstrap stream per replication.
+predictor row to every field in one GEMM and keeps no factor.  mc_ci
+draws its fields from the fitted model the same way, so no process
+holds a factor.  _dataset_task runs the method's interval step, a
+function with its settings bound by functools.partial, on a field, here
+or in a pool worker; mc_ci splits the bootstrap stream per replication.
 Every estimates.csv row records the dataset index and the dataset
 child's first 64-bit state word, so a single dataset can be replayed
-without rerunning the experiment.  Outputs depend only on (config,
-master seed), never on the worker count: the datasets run with numpy's
-BLAS on one thread, in this process and in every pool worker, so the
-BLAS thread variables change no output bit either.
+without the other datasets' interval steps (only_dataset); the replay
+still draws all n_datasets fields, since a field's bits depend on how
+many are drawn together.  Outputs depend only on (config, master seed),
+never on the worker count: the datasets run with numpy's BLAS on one
+thread, in this process and in every pool worker, so the BLAS thread
+variables change no output bit either.
 """
 
 from __future__ import annotations
@@ -433,33 +435,32 @@ def _map_datasets(tasks, workers: int = 1) -> list[_DatasetResult]:
     return [_dataset_task(task) for task in tasks]
 
 
-def _run_datasets(seeds, truth: StouParams, lattice: Lattice, step, workers: int = 1,
+def _run_datasets(seeds, indices, truth: StouParams, lattice: Lattice, step, workers: int = 1,
                   truth_errors_raise: bool = False) -> list[_DatasetResult]:
-    """The results of step on each dataset, in the order of seeds.
+    """The results of step on the datasets of indices, in their order.
 
-    seeds is [(index, SeedSequence)]: each dataset's child, split by
-    .spawn(2) into the data and bootstrap streams.  Every field is drawn
-    here, into one array, by one pass over the truth's Levinson recursion
-    that holds no factor, before any step runs.  A truth that does not
-    factor, tried once, gives every dataset its error, or is raised when
-    truth_errors_raise; any other error is the dataset's own (see
-    _dataset_task).
+    seeds holds every dataset's child SeedSequence, each split by
+    .spawn(2) into the data and bootstrap streams.  Every dataset's field
+    is drawn here, into one array, by one pass over the truth's Levinson
+    recursion that holds no factor, before any step runs.  A field's bits
+    depend on how many are drawn together, so all are drawn whatever
+    indices holds, and a replay of one dataset gets the field of the full
+    run.  A truth that does not factor, tried once, gives each dataset of
+    indices its error, or is raised when truth_errors_raise; any other
+    error is the dataset's own (see _dataset_task).
     """
-    streams = []
-    for index, seed in seeds:
-        display_seed = int(seed.generate_state(1, np.uint64)[0])
-        data_seq, boot_seq = seed.spawn(2)
-        streams.append((index, display_seed, np.random.default_rng(data_seq), boot_seq))
+    display_seeds = [int(seed.generate_state(1, np.uint64)[0]) for seed in seeds]
+    streams = [seed.spawn(2) for seed in seeds]
     with _OneBlasThread():
         try:
             values = simulate_exact(build_covariance(truth, lattice), truth.mu,
-                                    [data_rng for _, _, data_rng, _ in streams])
+                                    [np.random.default_rng(data_seq) for data_seq, _ in streams])
         except _DATASET_ERRORS as exc:
             if truth_errors_raise:
                 raise
-            return [_failed(index, display_seed, exc) for index, display_seed, _, _ in streams]
-        tasks = [(index, display_seed, truth, lattice, dataset_values, boot_seq, step)
-                 for (index, display_seed, _, boot_seq), dataset_values in zip(streams, values)]
+            return [_failed(i, display_seeds[i], exc) for i in indices]
+        tasks = [(i, display_seeds[i], truth, lattice, values[i], streams[i][1], step)
+                 for i in indices]
         return _map_datasets(tasks, workers)
 
 
@@ -514,7 +515,8 @@ def coverage_experiment(
     step = functools.partial(_bootstrap_step, B, level, simulator, grid_config, max_lag)
     # budget and factorization errors end it before any interval step
     seeds = [g.bit_generator.seed_seq for g in rng.spawn(n_datasets)]
-    results = _run_datasets(list(enumerate(seeds)), truth, lattice, step, truth_errors_raise=True)
+    results = _run_datasets(seeds, range(n_datasets), truth, lattice, step,
+                            truth_errors_raise=True)
     entries = _coverage_entries(results)
     if not entries:
         raise FailureRateExceeded("every dataset failed")
@@ -549,8 +551,7 @@ def run(config: ExperimentConfig, command: str = "coverage") -> dict[str, str]:
                                  grid_config, config.max_lag)
     truth, lattice = config.truth(), config.lattice()
     children = np.random.SeedSequence(config.seed).spawn(config.n_datasets)
-    results = _run_datasets([(i, children[i]) for i in indices], truth, lattice, step,
-                            config.workers)
+    results = _run_datasets(children, indices, truth, lattice, step, config.workers)
 
     estimate_lines = [ESTIMATES_HEADER]
     for res in results:

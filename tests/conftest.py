@@ -14,7 +14,8 @@ def factor_product(basis, rows, z) -> np.ndarray:
     (n,) or (n, k): one roots @ z product, then each predictor row in
     turn, then the basis recombination.  This per-draw loop is the
     reference that simulate_exact's one pass is checked against, bit for
-    bit; it shares no step with the draw but the recursion."""
+    bit for one field and to rounding for several; it shares no step
+    with the draw but the recursion."""
     z = np.asarray(z, dtype=float)
     parts, n_x, m = basis.shape
     n_t = len(rows)
@@ -43,10 +44,10 @@ def exact_field(params, lattice, rng) -> FieldSample:
 
 
 def exact_fields_in_turn(params, lattice, rng, k) -> list[FieldSample]:
-    """The k fields that k exact_field calls in turn on rng draw, by one
-    simulate_exact call: each field's generator is a copy of rng at the
-    state the fields before it leave, and rng ends where the k calls
-    would leave it."""
+    """The k fields that k exact_field calls in turn on rng draw, to
+    rounding, by one simulate_exact call: each field's generator is a
+    copy of rng at the state the fields before it leave, and rng ends
+    where the k calls would leave it."""
     rngs = []
     for _ in range(k):
         rngs.append(copy.deepcopy(rng))

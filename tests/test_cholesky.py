@@ -344,7 +344,7 @@ class TestSimulateExact:
         got = simulate_exact(cov, base_params.mu, [np.random.default_rng(s) for s in (2, 3, 4)])
         assert got.shape == (3, lat.n_t, lat.n_x)
         for values, seed in zip(got, (2, 3, 4)):
-            np.testing.assert_array_equal(
+            assert_agrees(
                 values, simulate_exact(cov, base_params.mu, [np.random.default_rng(seed)])[0])
 
     def test_mean_recovers_mu_over_replications(self):
@@ -379,10 +379,17 @@ def one_pass_draw(cov, mu, seeds):
     return simulate_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds])
 
 
+def assert_agrees(got, expected):
+    """Equal to 1e-12 of the largest value: a GEMM column's rounding."""
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 class TestOnePassDraw:
-    # the one-pass draw applies each predictor row to every field at once,
-    # in a product broadcast over the fields, so that each field has the
-    # bits of its own draw whatever the number of fields
+    # the one-pass draw applies each predictor row to a pass's fields in
+    # one GEMM, their histories the columns of one matrix: fields drawn
+    # together agree with their own draws to rounding, and one field drawn
+    # alone has the bits of the per-draw loop
 
     @pytest.mark.parametrize("n_t,n_x", [
         (6, 7), (5, 8), (4, 1), (1, 6), (1, 1), (2, 2), (13, 4), (41, 41),
@@ -391,15 +398,16 @@ class TestOnePassDraw:
         p = params(lam=0.7, c=1.3)
         cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
         seeds = range(n_t * 100 + n_x, n_t * 100 + n_x + 3)
-        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
-        # one field alone, as an --only-dataset replay draws it
+        assert_agrees(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+        # one field alone, as stou simulate draws it
         assert np.array_equal(one_pass_draw(cov, p.mu, seeds[1:2]),
                               per_draw_oracle(cov, p.mu, seeds[1:2]))
 
     def test_one_generator_draws_in_turn_by_one_call_per_field(self):
         # each entry restarts from the generator's state at the call: listed
-        # three times it gives one field three times, and three calls give
-        # the three fields that follow one another on its stream
+        # three times it gives one field three times, to rounding (identical
+        # columns of one GEMM may differ in the last bit), and three calls
+        # give the three fields that follow one another on its stream
         p = params(lam=0.7, c=1.3)
         lat = Lattice(n_x=5, n_t=4, dx=0.05, dt=0.07)
         cov = build_covariance(p, lat)
@@ -407,13 +415,13 @@ class TestOnePassDraw:
         oracle_rng = np.random.default_rng(8)
         expected = np.array([per_draw_field(cov.basis, rows, p.mu, oracle_rng) for _ in range(3)])
         rng = np.random.default_rng(8)
-        assert np.array_equal(simulate_exact(cov, p.mu, [rng] * 3), expected[[0, 0, 0]])
+        assert_agrees(simulate_exact(cov, p.mu, [rng] * 3), expected[[0, 0, 0]])
         rng = np.random.default_rng(8)
         assert np.array_equal([simulate_exact(cov, p.mu, [rng])[0] for _ in range(3)], expected)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         rng = np.random.default_rng(8)
         in_turn = exact_fields_in_turn(p, lat, rng, 3)
-        assert np.array_equal([field.values for field in in_turn], expected)
+        assert_agrees(np.array([field.values for field in in_turn]), expected)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_hand_built_identity_basis(self):
@@ -421,7 +429,7 @@ class TestOnePassDraw:
         cov = CovarianceMatrix(build_covariance(p, Lattice(n_x=5, n_t=6, dx=0.05, dt=0.05)).blocks)
         assert cov.basis.shape == (1, 5, 5)
         seeds = range(4)
-        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+        assert_agrees(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
 
     def test_more_fields_than_one_pass_takes(self, monkeypatch):
         # at 2 x 2 a pass takes m (n_t - 1) / 2 + n_x = 2 fields, so 5
@@ -438,7 +446,7 @@ class TestOnePassDraw:
         seeds = range(5)
         expected = per_draw_oracle(cov, p.mu, seeds)
         monkeypatch.setattr(stou.cholesky, "_levinson", counted)
-        assert np.array_equal(one_pass_draw(cov, p.mu, seeds), expected)
+        assert_agrees(one_pass_draw(cov, p.mu, seeds), expected)
         assert len(recursions) == 3
 
     @pytest.mark.parametrize("blocks", [
@@ -456,7 +464,7 @@ class TestOnePassDraw:
             expected = per_draw_oracle(cov, 0.3, seeds)
         with pytest.warns(CovarianceJitter) as draw_warnings:
             got = one_pass_draw(cov, 0.3, seeds)
-        assert np.array_equal(got, expected)
+        assert_agrees(got, expected)
         assert [str(w.message) for w in draw_warnings] == [str(w.message)
                                                              for w in oracle_warnings]
 
@@ -466,20 +474,10 @@ class TestOnePassDraw:
                 one_pass_draw(one_block([[1.0, 2.0], [2.0, 1.0]]), 0.0, range(3))
 
 
-def batch_draw(cov, mu, seeds):
-    return simulate_exact(cov, mu, [np.random.default_rng(seed) for seed in seeds], batch=True)
-
-
-def assert_agrees(got, expected):
-    """Equal to 1e-12 of the largest value: a GEMM column's rounding."""
-    assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
 class TestBatchDraw:
-    # batch=True, mc_ci's layout: a pass's histories are the columns of one
-    # matrix, so each predictor row meets them in one GEMM; the fields agree
-    # with the per-draw ones to rounding
+    # many fields in one call, as mc_ci and the coverage engine draw them:
+    # several passes of one GEMM per predictor row, agreeing with the
+    # per-draw fields to rounding
 
     @pytest.mark.parametrize("n_t,n_x,k", [
         (6, 7, 5),  # odd n_x, whose odd part has a padding column
@@ -494,23 +492,10 @@ class TestBatchDraw:
         p = params(lam=0.7, c=1.3)
         cov = build_covariance(p, Lattice(n_x=n_x, n_t=n_t, dx=0.05, dt=0.07))
         seeds = range(n_t * 100 + n_x, n_t * 100 + n_x + k)
-        assert_agrees(batch_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
+        assert_agrees(one_pass_draw(cov, p.mu, seeds), per_draw_oracle(cov, p.mu, seeds))
 
     def test_same_generators_give_the_same_bits(self):
         p = params(lam=0.7, c=1.3)
         cov = build_covariance(p, Lattice(n_x=15, n_t=15, dx=0.05, dt=0.07))
-        assert np.array_equal(batch_draw(cov, p.mu, range(100)), batch_draw(cov, p.mu, range(100)))
-
-    def test_jitter_retry_replays_the_generators(self):
-        # singular at the second row, after the first has replaced the
-        # fields' normals, which the retry draws again; 6 fields take two
-        # passes of 4 on the jittered blocks
-        cov = CovarianceMatrix(
-            np.stack([np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])] * 2))
-        with pytest.warns(CovarianceJitter) as oracle_warnings:
-            expected = per_draw_oracle(cov, 0.3, range(6))
-        with pytest.warns(CovarianceJitter) as draw_warnings:
-            got = batch_draw(cov, 0.3, range(6))
-        assert_agrees(got, expected)
-        assert [str(w.message) for w in draw_warnings] == [str(w.message)
-                                                             for w in oracle_warnings]
+        assert np.array_equal(one_pass_draw(cov, p.mu, range(100)),
+                              one_pass_draw(cov, p.mu, range(100)))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stou
-from stou import ConfigInvalid, FieldSample, Lattice, StouError
+from stou import ConfigInvalid, FieldSample, Lattice, StouError, build_covariance, simulate_exact
 from stou.cli import build_parser, main
 import stou.experiment
 from stou.cl import PARAM_NAMES
@@ -1003,11 +1003,12 @@ class TestExperimentCommands:
             given[method] = []
             run(dataclasses.replace(config, method=method, out_dir=str(tmp_path / method)))
 
-        expected = [
-            exact_field(config.truth(), config.lattice(),
-                        np.random.default_rng(child).spawn(2)[0]).values
+        # one draw over every dataset's data stream
+        truth = config.truth()
+        expected = simulate_exact(build_covariance(truth, config.lattice()), truth.mu, [
+            np.random.default_rng(child).spawn(2)[0]
             for child in np.random.SeedSequence(config.seed).spawn(config.n_datasets)
-        ]
+        ])
         for method, fields in given.items():
             assert len(fields) == config.n_datasets, method
             for got, want in zip(fields, expected):
@@ -1056,18 +1057,26 @@ class TestExperimentCommands:
         ) == 0
         assert "workers: 1" in (out_dir / "manifest.txt").read_text()
 
-    def test_only_dataset_replays_identical_rows(self, tmp_path, capsys, no_worker_env):
+    @pytest.mark.parametrize("args,workers,indices", [
+        pytest.param(EXPERIMENT_ARGS, "1", ("3",), id="15x15"),
+        # at 11 x 11 a pass of the data draw takes at most 41 fields, so 50
+        # datasets are drawn as a pass of 41 columns and one of 9; a replay
+        # draws them all, so each index keeps the bits of the full run
+        pytest.param(("--nx", "11", "--nt", "11", "--n-datasets", "50", "--B", "20",
+                      "--seed", "5"), "2", ("3", "45"), id="11x11-two-passes"),
+    ])
+    def test_only_dataset_replays_identical_rows(self, tmp_path, capsys, no_worker_env,
+                                                 args, workers, indices):
         full_dir = tmp_path / "full"
-        assert run_cli("coverage", *EXPERIMENT_ARGS, "--out-dir", str(full_dir)) == 0
-        replay_dir = tmp_path / "replay"
-        assert run_cli(
-            "coverage", *EXPERIMENT_ARGS, "--only-dataset", "3",
-            "--out-dir", str(replay_dir),
-        ) == 0
+        assert run_cli("coverage", *args, "--workers", workers, "--out-dir", str(full_dir)) == 0
         full = (full_dir / "estimates.csv").read_text().splitlines()
-        replay = (replay_dir / "estimates.csv").read_text().splitlines()
-        wanted = [line for line in full[1:] if line.startswith("3,")]
-        assert replay[1:] == wanted
+        for index in indices:
+            replay_dir = tmp_path / f"replay-{index}"
+            assert run_cli("coverage", *args, "--only-dataset", index,
+                           "--out-dir", str(replay_dir)) == 0
+            replay = (replay_dir / "estimates.csv").read_text().splitlines()
+            wanted = [line for line in full[1:] if line.startswith(f"{index},")]
+            assert wanted and replay[1:] == wanted, index
 
     def test_config_file_drives_the_run(self, tmp_path, capsys, no_worker_env):
         cfg = tmp_path / "exp.cfg"
@@ -1225,11 +1234,11 @@ def blas_calls():
 # estimates.csv differed between the variable unset, 1 and 2 on a 2-core
 # host while the thread count still followed the variable (32 x 32 did
 # not).  33 and 34 sites per row are the two shapes of the exact factor's
-# mirror split.  simulate's exact draw runs each predictor row as one
-# product broadcast over the fields, and ci runs each bootstrap simulator
-# (the grid at its default depth) on such a field.  The exact bootstrap
-# meets each row in one GEMM with a column per field, which B = 100 makes
-# wider than 64 columns.
+# mirror split.  The exact draw meets each predictor row in one GEMM
+# with a column per field: one column for simulate, on whose field ci
+# runs each bootstrap simulator (the grid at its default depth), 10 for
+# a coverage run's data, and B for the exact bootstrap, which B = 100
+# makes wider than 64 columns.
 _BLAS_CASES = [
     pytest.param("coverage", "mc-exact", 33, 20, (None, "1", "2"), id="coverage-unset-1-2"),
     *(pytest.param("coverage", method, nx, 20, ("1", "4"), id=f"coverage-{method}-{nx}")
