@@ -499,3 +499,24 @@ class TestBatchDraw:
         cov = build_covariance(p, Lattice(n_x=15, n_t=15, dx=0.05, dt=0.07))
         assert np.array_equal(one_pass_draw(cov, p.mu, range(100)),
                               one_pass_draw(cov, p.mu, range(100)))
+
+    def test_jitter_retry_replays_the_generators(self):
+        # singular at the second row, after the first has replaced the
+        # fields' normals, which the retry draws again from each generator's
+        # state at the call: the fields and the generators' states after the
+        # draw are the per-draw loop's
+        cov = CovarianceMatrix(
+            np.stack([np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])] * 2))
+        oracle_rngs = [np.random.default_rng(seed) for seed in range(6)]
+        with pytest.warns(CovarianceJitter) as oracle_warnings:
+            rows = cholesky_factor(cov)
+            expected = np.array([per_draw_field(cov.basis, rows, 0.3, rng)
+                                 for rng in oracle_rngs])
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        with pytest.warns(CovarianceJitter) as draw_warnings:
+            got = simulate_exact(cov, 0.3, rngs)
+        assert_agrees(got, expected)
+        assert [str(w.message) for w in draw_warnings] == [str(w.message)
+                                                             for w in oracle_warnings]
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [rng.bit_generator.state for rng in oracle_rngs])
